@@ -1,15 +1,16 @@
 """Dense float64 tensors with reverse-mode gradients.
 
 Covers exactly the operations the expression model needs: matrix
-multiplication, row-wise softmax (optionally column-masked), layer
-normalization, elementwise arithmetic, concatenation, masked row pooling
-and row selection. Gradients are accumulated by walking the recorded
-operation graph in reverse topological order; all reductions run in
-numpy's deterministic order so repeated runs are bit-identical.
+multiplication, multi-head attention (optionally key-masked), layer
+normalization, elementwise arithmetic, row concatenation, masked row
+pooling and row selection. Gradients are accumulated by walking the
+recorded operation graph in reverse topological order; all reductions
+run in numpy's deterministic order so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -21,13 +22,11 @@ __all__ = [
     "as_tensor",
     "compose",
     "matmul",
-    "transpose",
+    "attention",
     "add",
     "sub",
     "mul",
-    "softmax_rows",
     "layer_norm",
-    "concat_cols",
     "concat_rows",
     "mean_rows",
     "mean_all",
@@ -197,42 +196,6 @@ def matmul(a, b):
     return out
 
 
-def matmul_nt(a, b):
-    """a @ b.T without materializing the transpose node."""
-    if type(a) is not Tensor:
-        a = as_tensor(a)
-    if type(b) is not Tensor:
-        b = as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
-        raise ShapeError(f"matmul_nt: incompatible shapes {a.shape} x {b.shape}^T")
-    out = Tensor(a.data @ b.data.T)
-    if a.requires_grad or b.requires_grad:
-        out.requires_grad = True
-        out._parents = (a, b)
-
-        def backward():
-            g = out.grad
-            if a.requires_grad:
-                a._accumulate(g @ b.data)
-            if b.requires_grad:
-                b._accumulate(g.T @ a.data)
-
-        out._backward = backward
-    return out
-
-
-def transpose(x):
-    x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose: need a 2-D tensor, got shape {x.shape}")
-    out = Tensor(x.data.T)
-    if x.requires_grad:
-        out.requires_grad = True
-        out._parents = (x,)
-        out._backward = lambda: x._accumulate(out.grad.T)
-    return out
-
-
 def _accum_shaped(tensor, g):
     if g.shape != tensor.data.shape:
         g = _sum_to_shape(g, tensor.data.shape)
@@ -312,39 +275,60 @@ def mul(a, b):
     return out
 
 
-def softmax_rows(x, col_mask=None):
-    """Row-wise softmax with per-row max subtraction.
+def attention(q, k, v, n_heads, key_mask=None, attn_sink=None):
+    """Scaled dot-product attention for every head at once.
 
-    ``col_mask`` marks key/value columns that may receive weight; masked
-    columns have their logits forced to -inf and end up with exactly zero
-    weight. Raises if every column is masked.
+    ``q`` is (T, d); ``k`` and ``v`` are (S, d). Head h reads columns
+    h*d_head:(h+1)*d_head of all three and writes the same columns of the
+    (T, d) output: softmax(q_h k_h^T / sqrt(d_head)) v_h, with the row
+    maximum subtracted before exponentiation. ``key_mask`` (length S)
+    marks the keys that may receive weight; masked keys get exactly zero
+    weight, and a mask with no key left raises. ``attn_sink``, when given,
+    is extended by one (T, S) weight matrix per head, in head order.
+    Backward reuses the weights and the head-split q, k and v.
     """
-    x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"softmax_rows: need a 2-D tensor, got shape {x.shape}")
-    z = x.data
-    if col_mask is not None:
-        mask = np.asarray(col_mask, dtype=bool).reshape(-1)
-        if mask.shape[0] != x.shape[1]:
-            raise ShapeError(f"softmax_rows: mask length {mask.shape[0]} != columns {x.shape[1]}")
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if (q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape
+            or k.shape[1] != q.shape[1] or q.shape[1] % n_heads):
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} "
+                         f"do not split into {n_heads} heads")
+    (t, d), s = q.shape, k.shape[0]
+    d_head = d // n_heads
+    scale = 1.0 / math.sqrt(d_head)
+
+    def split(x):
+        return x.reshape(x.shape[0], n_heads, d_head).transpose(1, 0, 2)
+
+    def merge(x):
+        return x.transpose(1, 0, 2).reshape(x.shape[1], d)
+
+    qh, kh, vh = split(q.data) * scale, split(k.data), split(v.data)
+    weights = qh @ kh.transpose(0, 2, 1)
+    if key_mask is not None:
+        mask = np.asarray(key_mask, dtype=bool).reshape(-1)
+        if mask.shape[0] != s:
+            raise ShapeError(f"attention: mask length {mask.shape[0]} != keys {s}")
         if not mask.any():
-            raise DegenerateAttentionError("softmax_rows: every column is masked")
-        z = np.where(mask, z, -np.inf)
-    peak = z.max(axis=1, keepdims=True)
-    e = np.exp(z - peak)
-    s = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(s)
-    if x.requires_grad:
-        out.requires_grad = True
-        out._parents = (x,)
+            raise DegenerateAttentionError("attention: every key is masked")
+        weights[:, :, ~mask] = -np.inf
+    weights -= weights.max(axis=2, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=2, keepdims=True)
+    if attn_sink is not None:
+        attn_sink.extend(weights.copy())
 
-        def backward():
-            g = out.grad
-            dot = (g * s).sum(axis=1, keepdims=True)
-            x._accumulate(s * (g - dot))
+    def backward(g):
+        gh = split(g)
+        if v.requires_grad:
+            v._accumulate(merge(weights.transpose(0, 2, 1) @ gh))
+        d_weights = gh @ vh.transpose(0, 2, 1)
+        d_logits = weights * (d_weights - (d_weights * weights).sum(axis=2, keepdims=True))
+        if q.requires_grad:
+            q._accumulate(merge(d_logits @ kh) * scale)
+        if k.requires_grad:
+            k._accumulate(merge(d_logits.transpose(0, 2, 1) @ qh))
 
-        out._backward = backward
-    return out
+    return compose(merge(weights @ vh), (q, k, v), backward)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -384,18 +368,17 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     return out
 
 
-def _concat(parts, axis):
+def concat_rows(parts):
+    """Concatenate 2-D tensors along rows (token-sequence assembly)."""
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat: need at least one tensor")
     for p in parts:
         if p.data.ndim != 2:
             raise ShapeError(f"concat: need 2-D tensors, got shape {p.shape}")
-    other = 1 - axis
-    extent = parts[0].shape[other]
-    if any(p.shape[other] != extent for p in parts):
+    if any(p.shape[1] != parts[0].shape[1] for p in parts):
         raise ShapeError(f"concat: mismatched extents {[p.shape for p in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+    out = Tensor(np.concatenate([p.data for p in parts]))
     if any(p.requires_grad for p in parts):
         out.requires_grad = True
         out._parents = tuple(parts)
@@ -404,24 +387,13 @@ def _concat(parts, axis):
             g = out.grad
             offset = 0
             for p in parts:
-                width = p.shape[axis]
-                piece = g[:, offset:offset + width] if axis == 1 else g[offset:offset + width, :]
+                rows = p.shape[0]
                 if p.requires_grad:
-                    p._accumulate(piece)
-                offset += width
+                    p._accumulate(g[offset:offset + rows])
+                offset += rows
 
         out._backward = backward
     return out
-
-
-def concat_cols(parts):
-    """Concatenate 2-D tensors along columns (head concatenation)."""
-    return _concat(parts, axis=1)
-
-
-def concat_rows(parts):
-    """Concatenate 2-D tensors along rows (token-sequence assembly)."""
-    return _concat(parts, axis=0)
 
 
 def mean_rows(x, row_mask=None):

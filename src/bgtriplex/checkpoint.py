@@ -1,18 +1,18 @@
 """BGCK model checkpoints.
 
 Layout: magic ``BGCK``, u32 version (1), u32 length-prefixed JSON
-metadata blob, then every parameter tensor as a complete BGFT record in
-the fixed order of ``ModelParams.named()``. The metadata carries the
-model configuration, the context window size and the selected gene
-names, so a checkpoint is self-describing for evaluation.
+metadata blob, then one complete BGFT record per entry of
+``ModelParams.records()``: every tensor of ``named()``, with each guiding
+block's packed projections stored as per-head column blocks. The
+metadata carries the model configuration, the context window size and
+the selected gene names, so a checkpoint is self-describing for
+evaluation.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-
-import numpy as np
 
 from .errors import FormatError
 from .features import decode_bgft, encode_bgft
@@ -32,8 +32,8 @@ def save_checkpoint(path, params, d_context, genes):
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", 1, len(blob)))
         fh.write(blob)
-        for _, tensor in params.named():
-            fh.write(encode_bgft(tensor.data))
+        for _, values in params.records():
+            fh.write(encode_bgft(values))
 
 
 def load_checkpoint(path):
@@ -59,13 +59,13 @@ def load_checkpoint(path):
         raise FormatError(f"invalid metadata blob at byte 12: {exc}") from exc
     params = ModelParams(config, k_genes=len(genes), seed=0)
     offset = meta_end
-    for name, tensor in params.named():
+    for name, target in params.records():
         values, offset = decode_bgft(blob, offset)
-        if values.shape != tensor.data.shape:
+        if values.shape != target.shape:
             raise FormatError(
                 f"parameter {name}: stored shape {values.shape} does not match "
-                f"configured shape {tensor.data.shape}")
-        tensor.data = np.ascontiguousarray(values)
+                f"configured shape {target.shape}")
+        target[...] = values
     if offset != len(blob):
         raise FormatError(f"trailing data at byte {offset}")
     return params, d_context, genes

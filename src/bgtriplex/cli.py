@@ -69,7 +69,6 @@ def _config_options(fn):
         click.option("--distill-detach/--no-distill-detach", default=None),
         click.option("--d-model", type=int, default=None),
         click.option("--n-heads", type=int, default=None),
-        click.option("--guide-mode", type=click.Choice(["mca", "sum", "concat"]), default=None),
         click.option("--drop-spot", is_flag=True, default=None),
         click.option("--drop-ctx", is_flag=True, default=None),
         click.option("--drop-global", is_flag=True, default=None),
@@ -105,9 +104,11 @@ def _build_config(config_path, overrides):
             doc["model"][key] = value
         else:
             doc[key] = value
+    unknown = sorted(set(doc["train"]) - train_names)
+    if unknown:
+        raise click.UsageError(f"unknown train config keys: {', '.join(unknown)}")
     train_cfg = TrainConfig(**doc["train"])
-    model_cfg = ModelConfig(**{k: (dict(v) if isinstance(v, dict) else v)
-                               for k, v in doc["model"].items()})
+    model_cfg = ModelConfig.from_dict(doc["model"])
     return train_cfg, model_cfg, doc
 
 

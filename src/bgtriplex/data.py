@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .features import FeatureBundle, ToyFeatureProvider, write_feature_file
+from .features import FeatureBundle, ToyFeatureProvider, encode_bgft
 from .seeding import derive_seed, substream
 
 SPOT_COLUMNS = ("spot_id", "array_row", "array_col", "px_x", "px_y")
@@ -286,7 +286,7 @@ def save_dataset(dataset, out_dir, toy_meta=None):
     write_expression_matrix(out_dir / "expression.tsv", dataset.expr, [s.spot_id for s in dataset.spots])
     for spot, bundle in zip(dataset.spots, dataset.features):
         for stream, tokens in bundle.streams():
-            write_feature_file(features_dir / f"{spot.spot_id}.{stream}.spot.bgft", tokens)
+            (features_dir / f"{spot.spot_id}.{stream}.spot.bgft").write_bytes(encode_bgft(tokens))
     write_manifest(out_dir / "manifest.json", dataset.slide_id,
                    "spots.tsv", "expression.tsv", "features", toy=toy_meta)
     return out_dir / "manifest.json"

@@ -151,16 +151,6 @@ class PrecomputedFeatureProvider:
         return FeatureBundle(tokens["img"], tokens["edge"], tokens["nuc"])
 
 
-def write_feature_file(path, array):
-    """Write a tensor as BGFT: magic, u32 version, u32 ndim, extents, f32 payload."""
-    arr = np.ascontiguousarray(array, dtype=np.float64)
-    with open(path, "wb") as fh:
-        fh.write(_BGFT_MAGIC)
-        fh.write(struct.pack("<II", 1, arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.astype("<f4").tobytes())
-
-
 def load_feature_file(path):
     """Read a BGFT file back as a float64 array of the declared shape."""
     with open(path, "rb") as fh:
@@ -172,6 +162,7 @@ def load_feature_file(path):
 
 
 def encode_bgft(array):
+    """A tensor as BGFT: magic, u32 version, u32 ndim, u32 extents, f32 payload."""
     arr = np.ascontiguousarray(array, dtype=np.float64)
     header = _BGFT_MAGIC + struct.pack("<II", 1, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)

@@ -11,7 +11,7 @@ per-gene predictions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -21,17 +21,16 @@ from .errors import ShapeError
 from .features import STREAMS, TOY_STREAM_DIMS, feature_transform
 from .seeding import substream
 
-GUIDE_MODES = ("mca", "sum", "concat")
 BRANCHES = ("spot", "ctx", "global")
+MCA_BLOCKS = ("mca_spot", "mca_ctx", "mca_fuse")
+MCA_WEIGHTS = ("w_q", "w_k_a", "w_v_a", "w_k_b", "w_v_b")
 
 
 @dataclass
 class ModelConfig:
     d_model: int = 64
     n_heads: int = 4
-    tokens_per_stream: int = 4
     stream_dims: dict = field(default_factory=lambda: dict(TOY_STREAM_DIMS))
-    guide_mode: str = "mca"
     drop_spot: bool = False
     drop_ctx: bool = False
     drop_global: bool = False
@@ -44,8 +43,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"n_heads {self.n_heads} must divide d_model {self.d_model}")
-        if self.guide_mode not in GUIDE_MODES:
-            raise ValueError(f"guide_mode must be one of {GUIDE_MODES}, got {self.guide_mode!r}")
         if self.drop_spot and self.drop_ctx and self.drop_global:
             raise ValueError("cannot drop all three branches")
 
@@ -62,21 +59,37 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc):
+        """The config ``to_dict`` wrote; raises ValueError on unknown keys.
+
+        Older configs carry ``tokens_per_stream``, which was never read,
+        and ``guide_mode``; they load when the mode is "mca", the only
+        guiding method there is.
+        """
+        doc = dict(doc)
+        doc.pop("tokens_per_stream", None)
+        mode = doc.pop("guide_mode", "mca")
+        if mode != "mca":
+            raise ValueError(f"guide_mode {mode!r} is not supported; only 'mca' guiding exists")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown model config keys: {', '.join(unknown)}")
         return cls(**doc)
 
 
 @dataclass
 class McaParams:
-    """Per-head projections for one guiding block plus its LayerNorm."""
+    """One guiding block: five packed (d, d) projections plus its LayerNorm.
 
-    w_q: list
-    w_k_a: list
-    w_v_a: list
-    w_k_b: list
-    w_v_b: list
+    Head h owns columns h*d_head:(h+1)*d_head of every projection.
+    """
+
+    w_q: Tensor
+    w_k_a: Tensor
+    w_v_a: Tensor
+    w_k_b: Tensor
+    w_v_b: Tensor
     gamma: Tensor
     beta: Tensor
-    eps: float = 1e-5
 
 
 @dataclass
@@ -89,16 +102,24 @@ class BranchOutput:
 
 def _uniform(rng, fan_in, shape):
     bound = 1.0 / math.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+    return rng.uniform(-bound, bound, size=shape)
+
+
+def _param(values):
+    return Tensor(values, requires_grad=True)
 
 
 class ModelParams:
     """All learned weights, registered in a fixed, documented order.
 
-    The order of ``named()`` is the initialization draw order and the
-    checkpoint serialization order: six stream projections, the three
-    guiding blocks (spot, ctx, fuse), the position-encoder kernel, then
-    the four prediction heads (fused, spot, ctx, global).
+    ``named()`` lists the trainable tensors: six stream projections, the
+    three guiding blocks (spot, ctx, fuse; each its five packed
+    projections, then gamma and beta), the position-encoder kernel, then
+    the four prediction heads (fused, spot, ctx, global), each weight then
+    bias. ``records()`` is the same list with every block's packed
+    projections split into per-head column blocks, head by head and, per
+    head, in ``MCA_WEIGHTS`` order. That is the initialization draw order
+    and the checkpoint record order.
     """
 
     def __init__(self, config, k_genes, seed=0):
@@ -110,40 +131,36 @@ class ModelParams:
         for scope in ("spot", "ctx"):
             for stream in STREAMS:
                 c = config.stream_dims[stream]
-                self.proj[(stream, scope)] = _uniform(rng, c, (c, d))
+                self.proj[(stream, scope)] = _param(_uniform(rng, c, (c, d)))
         self.mca_spot = self._init_mca(rng, config)
         self.mca_ctx = self._init_mca(rng, config)
         self.mca_fuse = self._init_mca(rng, config)
-        self.apeg_kernel = Tensor(np.zeros((3, 3, d)), requires_grad=True)
+        self.apeg_kernel = _param(np.zeros((3, 3, d)))
         self.heads = {}
         for name in ("fused", "spot", "ctx", "global"):
-            w = _uniform(rng, d, (d, self.k_genes))
-            b = Tensor(np.zeros((1, self.k_genes)), requires_grad=True)
+            w = _param(_uniform(rng, d, (d, self.k_genes)))
+            b = _param(np.zeros((1, self.k_genes)))
             self.heads[name] = (w, b)
 
     @staticmethod
     def _init_mca(rng, config):
         d, dh = config.d_model, config.d_head
-        lists = {name: [] for name in ("w_q", "w_k_a", "w_v_a", "w_k_b", "w_v_b")}
-        for _ in range(config.n_heads):
-            for name in lists:
-                lists[name].append(_uniform(rng, d, (d, dh)))
-        return McaParams(gamma=Tensor(np.ones(d), requires_grad=True),
-                         beta=Tensor(np.zeros(d), requires_grad=True),
-                         eps=config.eps, **lists)
+        packed = {name: np.empty((d, d)) for name in MCA_WEIGHTS}
+        for h in range(config.n_heads):
+            for name in MCA_WEIGHTS:
+                packed[name][:, h * dh:(h + 1) * dh] = _uniform(rng, d, (d, dh))
+        return McaParams(gamma=_param(np.ones(d)), beta=_param(np.zeros(d)),
+                         **{name: _param(values) for name, values in packed.items()})
 
     def named(self):
         items = []
         for scope in ("spot", "ctx"):
             for stream in STREAMS:
                 items.append((f"proj.{stream}.{scope}", self.proj[(stream, scope)]))
-        for label, mca in (("mca_spot", self.mca_spot), ("mca_ctx", self.mca_ctx),
-                           ("mca_fuse", self.mca_fuse)):
-            for h in range(self.config.n_heads):
-                for name in ("w_q", "w_k_a", "w_v_a", "w_k_b", "w_v_b"):
-                    items.append((f"{label}.h{h}.{name}", getattr(mca, name)[h]))
-            items.append((f"{label}.gamma", mca.gamma))
-            items.append((f"{label}.beta", mca.beta))
+        for label in MCA_BLOCKS:
+            block = getattr(self, label)
+            for name in MCA_WEIGHTS + ("gamma", "beta"):
+                items.append((f"{label}.{name}", getattr(block, name)))
         items.append(("apeg.kernel", self.apeg_kernel))
         for name in ("fused", "spot", "ctx", "global"):
             w, b = self.heads[name]
@@ -151,83 +168,42 @@ class ModelParams:
             items.append((f"head.{name}.b", b))
         return items
 
+    def records(self):
+        """(name, array) in record order; head blocks are writable column views."""
+        dh = self.config.d_head
+        items = []
+        for name, tensor in self.named():
+            label, _, leaf = name.partition(".")
+            if leaf not in MCA_WEIGHTS:
+                items.append((name, tensor.data))
+            elif leaf == MCA_WEIGHTS[0]:
+                block = getattr(self, label)
+                for h in range(self.config.n_heads):
+                    for weight in MCA_WEIGHTS:
+                        items.append((f"{label}.h{h}.{weight}",
+                                      getattr(block, weight).data[:, h * dh:(h + 1) * dh]))
+        return items
+
     def zero_grad(self):
         for _, tensor in self.named():
             tensor.zero_grad()
 
 
-def cross_attention(query, kv, w_q, w_k, w_v, kv_mask=None, attn_sink=None):
-    """One attention head: softmax((q W_q)(kv W_k)^T / sqrt(d_head)) (kv W_v).
+def mca(guide_a, query, guide_b, block, config, mask_a=None, mask_b=None, attn_sink=None):
+    """Multi-head cross-attention guiding ``query`` by two token streams.
 
-    Masked kv positions are excluded from the softmax (logits forced to
-    -inf) and receive exactly zero weight. ``attn_sink``, when given,
-    collects a copy of the attention weight matrix for inspection.
+    Each head attends from the query to guide a and to guide b with one
+    shared query projection; the two head-concatenated streams are summed
+    and layer-normalized, so the output has the query's shape.
+    ``attn_sink``, when given, receives one (T, S) weight matrix per head
+    for stream a, then one per head for stream b.
     """
-    q = ad.matmul(query, w_q)
-    k = ad.matmul(kv, w_k)
-    v = ad.matmul(kv, w_v)
-    scale = 1.0 / math.sqrt(w_q.shape[1])
-    logits = ad.mul(ad.matmul(q, ad.transpose(k)), scale)
-    attn = ad.softmax_rows(logits, col_mask=kv_mask)
-    if attn_sink is not None:
-        attn_sink.append(attn.data.copy())
-    return ad.matmul(attn, v)
-
-
-def _attend(scaled_q, kv, w_k, w_v, kv_mask, attn_sink):
-    logits = ad.matmul_nt(scaled_q, ad.matmul(kv, w_k))
-    attn = ad.softmax_rows(logits, col_mask=kv_mask)
-    if attn_sink is not None:
-        attn_sink.append(attn.data.copy())
-    return ad.matmul(attn, ad.matmul(kv, w_v))
-
-
-def mca_streams(guide_a, query, guide_b, params, mask_a=None, mask_b=None, attn_sink=None):
-    """The two concatenated-head streams (query guided by a, query guided by b).
-
-    The query projection of each head is shared by both guide streams.
-    """
-    heads_a = []
-    heads_b = []
-    for h in range(len(params.w_q)):
-        scale = 1.0 / math.sqrt(params.w_q[h].shape[1])
-        scaled_q = ad.mul(ad.matmul(query, params.w_q[h]), scale)
-        heads_a.append(_attend(scaled_q, guide_a, params.w_k_a[h], params.w_v_a[h],
-                               mask_a, attn_sink))
-        heads_b.append(_attend(scaled_q, guide_b, params.w_k_b[h], params.w_v_b[h],
-                               mask_b, attn_sink))
-    return ad.concat_cols(heads_a), ad.concat_cols(heads_b)
-
-
-def mca(guide_a, query, guide_b, params, mask_a=None, mask_b=None, attn_sink=None):
-    """Both guided streams summed and layer-normalized; shape of the query."""
-    phi_a, phi_b = mca_streams(guide_a, query, guide_b, params,
-                               mask_a=mask_a, mask_b=mask_b, attn_sink=attn_sink)
-    return ad.layer_norm(ad.add(phi_a, phi_b), params.gamma, params.beta, params.eps)
-
-
-def guided_block(guide_a, query, guide_b, params, guide_mode,
-                 mask_a=None, mask_q=None, mask_b=None, attn_sink=None):
-    """Apply the configured guiding method; returns (tokens, token_mask)."""
-    if guide_mode == "mca":
-        return mca(guide_a, query, guide_b, params, mask_a=mask_a, mask_b=mask_b,
-                   attn_sink=attn_sink), mask_q
-    if guide_mode == "sum":
-        if guide_a.shape != query.shape or guide_b.shape != query.shape:
-            raise ShapeError(
-                f"sum guiding needs equal stream shapes, got {guide_a.shape}, "
-                f"{query.shape}, {guide_b.shape}")
-        merged = ad.add(ad.add(query, guide_a), guide_b)
-        return ad.layer_norm(merged, params.gamma, params.beta, params.eps), mask_q
-    if guide_mode == "concat":
-        merged = ad.concat_rows([query, guide_a, guide_b])
-        parts = []
-        for tensor, mask in ((query, mask_q), (guide_a, mask_a), (guide_b, mask_b)):
-            parts.append(np.ones(tensor.shape[0], dtype=bool) if mask is None
-                         else np.asarray(mask, dtype=bool))
-        merged_mask = np.concatenate(parts)
-        return ad.layer_norm(merged, params.gamma, params.beta, params.eps), merged_mask
-    raise ValueError(f"unknown guide_mode {guide_mode!r}")
+    q = ad.matmul(query, block.w_q)
+    phi_a = ad.attention(q, ad.matmul(guide_a, block.w_k_a), ad.matmul(guide_a, block.w_v_a),
+                         config.n_heads, key_mask=mask_a, attn_sink=attn_sink)
+    phi_b = ad.attention(q, ad.matmul(guide_b, block.w_k_b), ad.matmul(guide_b, block.w_v_b),
+                         config.n_heads, key_mask=mask_b, attn_sink=attn_sink)
+    return ad.layer_norm(ad.add(phi_a, phi_b), block.gamma, block.beta, config.eps)
 
 
 def apeg_encode(tokens, positions, kernel):
@@ -297,53 +273,28 @@ def spot_branch(projected, params, config, token_mask=None, attn_sink=None):
     image = projected["img"]
     guide_a = image if config.no_edge_spot else projected["edge"]
     guide_b = image if config.no_nuclei_spot else projected["nuc"]
-    tokens, tmask = guided_block(guide_a, image, guide_b, params.mca_spot, config.guide_mode,
-                                 mask_a=None if config.no_edge_spot else token_mask,
-                                 mask_q=token_mask,
-                                 mask_b=None if config.no_nuclei_spot else token_mask,
-                                 attn_sink=attn_sink)
-    pooled = ad.mean_rows(tokens, tmask)
-    return BranchOutput(tokens, tmask, pooled, _head_apply(params, "spot", pooled))
-
-
-def _window_sequence(window, projected_ctx, stream, token_count, d_model):
-    blocks = []
-    mask = []
-    zero = Tensor(np.zeros((token_count, d_model)))
-    for member_row in window.member_indices:
-        for idx in member_row:
-            if idx is None:
-                blocks.append(zero)
-                mask.append(np.zeros(token_count, dtype=bool))
-            else:
-                tokens = projected_ctx[idx][stream]
-                blocks.append(tokens)
-                mask.append(np.ones(tokens.shape[0], dtype=bool))
-    return ad.concat_rows(blocks), np.concatenate(mask)
+    tokens = mca(guide_a, image, guide_b, params.mca_spot, config,
+                 mask_a=None if config.no_edge_spot else token_mask,
+                 mask_b=None if config.no_nuclei_spot else token_mask,
+                 attn_sink=attn_sink)
+    pooled = ad.mean_rows(tokens, token_mask)
+    return BranchOutput(tokens, token_mask, pooled, _head_apply(params, "spot", pooled))
 
 
 def context_branch(window, projected_ctx, params, config, attn_sink=None):
-    """Guided block over the concatenated D x D neighborhood token streams."""
-    if not window.mask.any():
+    """Guided block over the token streams of the window's present members,
+    concatenated in row-major window order; absent cells contribute no rows."""
+    members = [i for row in window.member_indices for i in row if i is not None]
+    if not members:
         raise ValueError("context window is fully masked")
-    d_model = config.d_model
-    sequences = {}
-    masks = {}
-    for stream in STREAMS:
-        count = next(projected_ctx[i][stream].shape[0]
-                     for row in window.member_indices for i in row if i is not None)
-        sequences[stream], masks[stream] = _window_sequence(
-            window, projected_ctx, stream, count, d_model)
+    sequences = {stream: ad.concat_rows([projected_ctx[i][stream] for i in members])
+                 for stream in STREAMS}
     image = sequences["img"]
     guide_a = image if config.no_edge_ctx else sequences["edge"]
-    mask_a = masks["img"] if config.no_edge_ctx else masks["edge"]
     guide_b = image if config.no_nuclei_ctx else sequences["nuc"]
-    mask_b = masks["img"] if config.no_nuclei_ctx else masks["nuc"]
-    tokens, tmask = guided_block(guide_a, image, guide_b, params.mca_ctx, config.guide_mode,
-                                 mask_a=mask_a, mask_q=masks["img"], mask_b=mask_b,
-                                 attn_sink=attn_sink)
-    pooled = ad.mean_rows(tokens, tmask)
-    return BranchOutput(tokens, tmask, pooled, _head_apply(params, "ctx", pooled))
+    tokens = mca(guide_a, image, guide_b, params.mca_ctx, config, attn_sink=attn_sink)
+    pooled = ad.mean_rows(tokens)
+    return BranchOutput(tokens, None, pooled, _head_apply(params, "ctx", pooled))
 
 
 def global_branch(dataset_tokens, grid_positions, params):
@@ -371,16 +322,12 @@ def fuse(spot_out, ctx_out, global_out, target_spot_index, params, config, attn_
     if not 0 <= target_spot_index < query.shape[0]:
         raise ValueError(f"target spot index {target_spot_index} out of range")
     if config.drop_spot:
-        guide_a, mask_a = query, global_out.token_mask
+        guide_a, mask_a = query, None
     else:
         guide_a, mask_a = spot_out.tokens, spot_out.token_mask
-    if config.drop_ctx:
-        guide_b, mask_b = query, global_out.token_mask
-    else:
-        guide_b, mask_b = ctx_out.tokens, ctx_out.token_mask
-    fused_tokens, _ = guided_block(guide_a, query, guide_b, params.mca_fuse, config.guide_mode,
-                                   mask_a=mask_a, mask_q=global_out.token_mask, mask_b=mask_b,
-                                   attn_sink=attn_sink)
+    guide_b = query if config.drop_ctx else ctx_out.tokens
+    fused_tokens = mca(guide_a, query, guide_b, params.mca_fuse, config, mask_a=mask_a,
+                       attn_sink=attn_sink)
     pooled = ad.row(fused_tokens, target_spot_index)
     return _head_apply(params, "fused", pooled)
 

@@ -43,6 +43,10 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
+        if self.d_context % 2 == 0:
+            raise ValueError(f"d_context must be odd, got {self.d_context}")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ValueError(f"grad_clip must be positive, got {self.grad_clip}")
 
     def to_dict(self):
         return asdict(self)

@@ -87,27 +87,34 @@ class TestMatmul:
         np.testing.assert_allclose(a.grad, (seed * scale) @ b.data.T, atol=1e-14)
         np.testing.assert_allclose(b.grad, a.data.T @ (seed * scale), atol=1e-14)
 
-    def test_matmul_nt_matches_explicit_transpose(self):
-        rng = np.random.default_rng(8)
-        a = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-        np.testing.assert_allclose(ad.matmul_nt(a, b).data,
-                                   ad.matmul(a, ad.transpose(b)).data, atol=1e-15)
-        err = grad_check(lambda t: ad.mean_all(ad.matmul_nt(t, b)), a)
-        assert err <= 1e-8
+
+def softmax_rows(x, col_mask=None):
+    """Row softmax of ``x`` (T, S), read off one attention head.
+
+    Pad S to d = 4**m columns: q = 2**m [x | 0], k = v = [I | 0]. The
+    head scale 1/sqrt(d) = 2**-m is exact, so the logits are exactly x
+    and the output's first S columns are exactly the weights.
+    """
+    x = ad.as_tensor(x)
+    s = x.shape[1]
+    m = max(1, math.ceil(math.log(s, 4)))
+    pad = np.eye(s, 4 ** m)
+    q = ad.matmul(x, Tensor(pad * 2.0 ** m))
+    out = ad.attention(q, Tensor(pad), Tensor(pad), 1, key_mask=col_mask)
+    return ad.matmul(out, Tensor(pad.T))
 
 
 class TestSoftmaxRows:
     def test_singleton_row(self):
-        out = ad.softmax_rows(Tensor([[42.0]]))
+        out = softmax_rows(Tensor([[42.0]]))
         np.testing.assert_array_equal(out.data, [[1.0]])
 
     def test_symmetry(self):
-        out = ad.softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
+        out = softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
         np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-16)
 
     def test_large_logits_match_high_precision_oracle(self):
-        out = ad.softmax_rows(Tensor([[1000.0, 1001.0]]))
+        out = softmax_rows(Tensor([[1000.0, 1001.0]]))
         np.testing.assert_allclose(out.data[0], softmax_row_oracle([1000.0, 1001.0]),
                                    rtol=0, atol=1e-15)
 
@@ -115,20 +122,20 @@ class TestSoftmaxRows:
         rng = np.random.default_rng(42)
         for _ in range(200):
             x = rng.normal(scale=rng.uniform(0.1, 100.0), size=(rng.integers(1, 6), rng.integers(1, 7)))
-            sums = ad.softmax_rows(Tensor(x)).data.sum(axis=1)
+            sums = softmax_rows(Tensor(x)).data.sum(axis=1)
             np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
 
     def test_masked_columns_get_exactly_zero(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(3, 5))
         mask = np.array([True, False, True, False, True])
-        out = ad.softmax_rows(Tensor(x), col_mask=mask).data
+        out = softmax_rows(Tensor(x), col_mask=mask).data
         assert (out[:, ~mask] == 0.0).all()
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
     def test_all_masked_raises(self):
         with pytest.raises(DegenerateAttentionError):
-            ad.softmax_rows(Tensor(np.zeros((2, 3))), col_mask=np.zeros(3, dtype=bool))
+            softmax_rows(Tensor(np.zeros((2, 3))), col_mask=np.zeros(3, dtype=bool))
 
     def test_gradient(self):
         rng = np.random.default_rng(11)
@@ -136,9 +143,46 @@ class TestSoftmaxRows:
         w = Tensor(rng.normal(size=(3, 4)))
 
         def f(t):
-            return ad.mean_all(ad.mul(ad.softmax_rows(t), w))
+            return ad.mean_all(ad.mul(softmax_rows(t), w))
 
         assert grad_check(f, x) <= 1e-6
+
+
+class TestAttention:
+    def test_gradients_with_key_mask(self):
+        rng = np.random.default_rng(12)
+        q = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+        k = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+        v = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 8)))
+        mask = np.array([True, False, True, True, False])
+
+        def f(_):
+            return ad.mean_all(ad.mul(ad.attention(q, k, v, 2, key_mask=mask), w))
+
+        for t in (q, k, v):
+            assert grad_check(f, t) <= 1e-6
+
+    def test_heads_split_by_columns(self):
+        rng = np.random.default_rng(13)
+        q, k, v = (rng.normal(size=(n, 6)) for n in (2, 4, 4))
+        packed = ad.attention(Tensor(q), Tensor(k), Tensor(v), 3).data
+        for h in range(3):
+            cols = slice(2 * h, 2 * h + 2)
+            one = ad.attention(Tensor(q[:, cols]), Tensor(k[:, cols]), Tensor(v[:, cols]), 1)
+            np.testing.assert_allclose(packed[:, cols], one.data, rtol=0, atol=1e-15)
+
+    def test_sink_gets_one_matrix_per_head(self):
+        rng = np.random.default_rng(14)
+        sink = []
+        ad.attention(Tensor(rng.normal(size=(2, 8))), Tensor(rng.normal(size=(3, 8))),
+                     Tensor(rng.normal(size=(3, 8))), 4, attn_sink=sink)
+        assert [a.shape for a in sink] == [(2, 3)] * 4
+
+    def test_rejects_heads_that_do_not_divide_width(self):
+        with pytest.raises(ShapeError):
+            ad.attention(Tensor(np.ones((2, 6))), Tensor(np.ones((3, 6))),
+                         Tensor(np.ones((3, 6))), 4)
 
 
 class TestLayerNorm:
@@ -212,13 +256,12 @@ class TestElementwiseAndShapes:
         with pytest.raises(ShapeError):
             Tensor(np.ones((2, 2)), requires_grad=True).backward()
 
-    def test_concat_cols_and_rows_gradients(self):
+    def test_concat_rows_gradients(self):
         rng = np.random.default_rng(9)
         a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-        assert grad_check(lambda t: ad.mean_all(ad.concat_cols([t, b])), a) <= 1e-8
         c = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         assert grad_check(lambda t: ad.mean_all(ad.concat_rows([a, c])), c) <= 1e-8
+        assert grad_check(lambda t: ad.mean_all(ad.mul(ad.concat_rows([t, c]), 2.0)), a) <= 1e-8
 
     def test_mean_rows_masked(self):
         x = Tensor(np.array([[1.0, 2.0], [10.0, 20.0], [100.0, 200.0]]), requires_grad=True)

@@ -7,8 +7,12 @@ from bgtriplex.autodiff import Tensor, grad_check, mean_all
 from bgtriplex.data import SpotRecord
 from bgtriplex.errors import FormatError
 from bgtriplex.features import (FeatureBundle, PrecomputedFeatureProvider,
-                                ToyFeatureProvider, feature_transform,
-                                load_feature_file, toy_extract, write_feature_file)
+                                ToyFeatureProvider, encode_bgft, feature_transform,
+                                load_feature_file, toy_extract)
+
+
+def write_bgft(path, array):
+    path.write_bytes(encode_bgft(array))
 
 
 def spot(r, c):
@@ -67,12 +71,12 @@ class TestBundleValidation:
 class TestBgftFormat:
     def test_minimal_file(self, tmp_path):
         path = tmp_path / "one.bgft"
-        write_feature_file(path, np.array([2.5]))
+        write_bgft(path, np.array([2.5]))
         np.testing.assert_array_equal(load_feature_file(path), [2.5])
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "t.bgft"
-        write_feature_file(path, np.arange(6.0).reshape(2, 3))
+        write_bgft(path, np.arange(6.0).reshape(2, 3))
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
         with pytest.raises(FormatError, match="truncated payload"):
@@ -86,7 +90,7 @@ class TestBgftFormat:
 
     def test_wrong_version(self, tmp_path):
         path = tmp_path / "v.bgft"
-        write_feature_file(path, np.ones(2))
+        write_bgft(path, np.ones(2))
         blob = bytearray(path.read_bytes())
         blob[4] = 9
         path.write_bytes(bytes(blob))
@@ -95,7 +99,7 @@ class TestBgftFormat:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "x.bgft"
-        write_feature_file(path, np.ones(2))
+        write_bgft(path, np.ones(2))
         path.write_bytes(path.read_bytes() + b"!")
         with pytest.raises(FormatError, match="trailing"):
             load_feature_file(path)
@@ -108,11 +112,11 @@ class TestBgftFormat:
             # float32-representable values round-trip bit-exactly
             values = rng.normal(size=shape).astype(np.float32).astype(np.float64)
             path = tmp_path / f"r{i}.bgft"
-            write_feature_file(path, values)
+            write_bgft(path, values)
             back = load_feature_file(path)
             assert back.shape == shape
             np.testing.assert_array_equal(back, values)
-            write_feature_file(tmp_path / "again.bgft", back)
+            write_bgft(tmp_path / "again.bgft", back)
             assert (tmp_path / "again.bgft").read_bytes() == path.read_bytes()
 
 
@@ -121,7 +125,7 @@ class TestPrecomputedProvider:
         rng = np.random.default_rng(3)
         s = spot(0, 0)
         for stream, dim in (("img", 4), ("edge", 3), ("nuc", 5)):
-            write_feature_file(tmp_path / f"{s.spot_id}.{stream}.spot.bgft",
+            write_bgft(tmp_path / f"{s.spot_id}.{stream}.spot.bgft",
                                rng.normal(size=(2, dim)).astype(np.float32))
         provider = PrecomputedFeatureProvider(tmp_path)
         spot_bundle = provider.bundle(s, "spot")
@@ -132,9 +136,9 @@ class TestPrecomputedProvider:
         rng = np.random.default_rng(4)
         s = spot(1, 1)
         for stream, dim in (("img", 4), ("edge", 3), ("nuc", 5)):
-            write_feature_file(tmp_path / f"{s.spot_id}.{stream}.spot.bgft",
+            write_bgft(tmp_path / f"{s.spot_id}.{stream}.spot.bgft",
                                rng.normal(size=(2, dim)).astype(np.float32))
-            write_feature_file(tmp_path / f"{s.spot_id}.{stream}.ctx.bgft",
+            write_bgft(tmp_path / f"{s.spot_id}.{stream}.ctx.bgft",
                                rng.normal(size=(3, dim)).astype(np.float32))
         provider = PrecomputedFeatureProvider(tmp_path)
         assert provider.bundle(s, "ctx").image_tokens.shape == (3, 4)

@@ -33,14 +33,15 @@ import pytest
 from conftest import checksum
 
 from bgtriplex import autodiff as ad
+from bgtriplex import model
 from bgtriplex.autodiff import Tensor, grad_check
 from bgtriplex.data import context_window, synth_dataset
-from bgtriplex.errors import DegenerateAttentionError, ShapeError
-from bgtriplex.model import (BranchOutput, McaParams, ModelConfig, ModelParams,
-                             apeg_encode, context_branch, cross_attention,
-                             forward_slide, fuse, global_branch, guided_block,
-                             mca, mca_streams, project_bundle, slide_forward,
+from bgtriplex.errors import DegenerateAttentionError
+from bgtriplex.model import (MCA_WEIGHTS, BranchOutput, McaParams, ModelConfig,
+                             ModelParams, apeg_encode, context_branch, forward_slide,
+                             fuse, global_branch, mca, project_bundle, slide_forward,
                              spot_branch)
+from bgtriplex.training import gene_targets, loss_total
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 STREAM_ORDER = ("img", "edge", "nuc")
@@ -135,18 +136,18 @@ NUMPY = SimpleNamespace(matmul=np.matmul, attention=_numpy_attention,
 
 # The network, wired from the model.py docstrings over either set of ops.
 
-def mca_ref(ops, guide_a, query, guide_b, block, eps, mask_a=None, mask_b=None):
+def mca_ref(ops, guide_a, query, guide_b, block, config, mask_a=None, mask_b=None):
     """Each head attends from the query to guide a and to guide b with one
     shared query projection; the two head-concatenated streams are summed
-    and layer-normalized."""
+    and layer-normalized. Head h owns columns h*d_head:(h+1)*d_head of
+    every packed projection."""
+    d_h = config.d_model // config.n_heads
     heads = []
-    for h in range(len(block.w_q)):
-        w_q = block.w_q[h].data
-        heads.append(ops.attention(query, guide_a, w_q, block.w_k_a[h].data,
-                                   block.w_v_a[h].data, mask_a)
-                     + ops.attention(query, guide_b, w_q, block.w_k_b[h].data,
-                                     block.w_v_b[h].data, mask_b))
-    return ops.layer_norm(np.hstack(heads), block.gamma.data, block.beta.data, eps)
+    for h in range(config.n_heads):
+        w = {name: getattr(block, name).data[:, h * d_h:(h + 1) * d_h] for name in MCA_WEIGHTS}
+        heads.append(ops.attention(query, guide_a, w["w_q"], w["w_k_a"], w["w_v_a"], mask_a)
+                     + ops.attention(query, guide_b, w["w_q"], w["w_k_b"], w["w_v_b"], mask_b))
+    return ops.layer_norm(np.hstack(heads), block.gamma.data, block.beta.data, config.eps)
 
 
 def head_ref(ops, params, name, pooled):
@@ -159,11 +160,11 @@ def project_ref(ops, bundle, params, scope):
             for stream, tokens in bundle.streams()}
 
 
-def branch_ref(ops, streams, params, name, eps, mask=None):
+def branch_ref(ops, streams, params, name, mask=None):
     """A spot or context branch: edge and nuclei guide the image stream,
     then a masked mean over tokens feeds the branch head."""
     block = params.mca_spot if name == "spot" else params.mca_ctx
-    tokens = mca_ref(ops, streams["edge"], streams["img"], streams["nuc"], block, eps,
+    tokens = mca_ref(ops, streams["edge"], streams["img"], streams["nuc"], block, params.config,
                      mask_a=mask, mask_b=mask)
     return tokens, head_ref(ops, params, name, ops.mean_rows(tokens, mask))
 
@@ -215,16 +216,15 @@ def forward_ref(ops, ds, params, d_context):
     and LayerNorm act row by row, so this is the target row of the fused
     tokens.
     """
-    eps = params.config.eps
     global_tokens = global_ref(ops, ds, params)
     preds = {name: [] for name in ("fused", "spot", "ctx", "global")}
     for s in range(ds.n_spots):
         spot_tokens, spot_pred = branch_ref(ops, project_ref(ops, ds.features[s], params, "spot"),
-                                            params, "spot", eps, mask=ds.features[s].mask)
+                                            params, "spot", mask=ds.features[s].mask)
         streams, mask = window_ref(ops, ds, params, s, d_context)
-        ctx_tokens, ctx_pred = branch_ref(ops, streams, params, "ctx", eps, mask=mask)
+        ctx_tokens, ctx_pred = branch_ref(ops, streams, params, "ctx", mask=mask)
         fused = mca_ref(ops, spot_tokens, global_tokens[s:s + 1], ctx_tokens, params.mca_fuse,
-                        eps, mask_a=ds.features[s].mask, mask_b=mask)
+                        params.config, mask_a=ds.features[s].mask, mask_b=mask)
         preds["fused"].append(head_ref(ops, params, "fused", fused))
         preds["spot"].append(spot_pred)
         preds["ctx"].append(ctx_pred)
@@ -233,8 +233,9 @@ def forward_ref(ops, ds, params, d_context):
 
 
 def init_oracle(config, k_genes, seed):
-    """``ModelParams.named()`` as its docstring orders it: one uniform
-    (+-1/sqrt(fan_in)) draw per weight matrix, in registration order;
+    """``ModelParams.records()`` as its docstring orders it: one uniform
+    (+-1/sqrt(fan_in)) draw per weight matrix, in record order, each
+    guiding-block projection drawn head by head;
     LayerNorm gains are ones, LayerNorm shifts, head biases and the
     position-encoder kernel are zeros."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(b"init")]))
@@ -257,28 +258,66 @@ def init_oracle(config, k_genes, seed):
     return named
 
 
-def random_mca_params(rng, d_model, n_heads, eps=1e-5):
-    d_h = d_model // n_heads
-    draw = lambda: [Tensor(rng.normal(size=(d_model, d_h))) for _ in range(n_heads)]
+def per_head_mca(guide_a, query, guide_b, block, config, mask_a=None, mask_b=None,
+                 attn_sink=None):
+    """``model.mca`` as a per-head composition of autodiff ops: each head's
+    projections are cut out of the packed ones and its output put back in
+    place by 0/1 column selectors (exact in float64), and attention is one
+    explicit matmul, masked row softmax and matmul per head and stream."""
+    d, d_h = config.d_model, config.d_model // config.n_heads
+    scale = 1.0 / math.sqrt(d_h)
+
+    def transpose(x):
+        return ad.compose(x.data.T, (x,), lambda g: x._accumulate(g.T))
+
+    def softmax_rows(x, mask):
+        z = x.data if mask is None else np.where(mask, x.data, -np.inf)
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        w = e / e.sum(axis=1, keepdims=True)
+        return ad.compose(w, (x,), lambda g: x._accumulate(
+            w * (g - (g * w).sum(axis=1, keepdims=True))))
+
+    def attend(q, guide, w_k, w_v, mask):
+        logits = ad.matmul(q, transpose(ad.matmul(guide, w_k)))
+        return ad.matmul(softmax_rows(logits, mask), ad.matmul(guide, w_v))
+
+    summed = None
+    for h in range(config.n_heads):
+        select = Tensor(np.eye(d)[:, h * d_h:(h + 1) * d_h])
+        w = {name: ad.matmul(getattr(block, name), select) for name in MCA_WEIGHTS}
+        q = ad.mul(ad.matmul(query, w["w_q"]), scale)
+        head = ad.add(attend(q, guide_a, w["w_k_a"], w["w_v_a"], mask_a),
+                      attend(q, guide_b, w["w_k_b"], w["w_v_b"], mask_b))
+        placed = ad.matmul(head, transpose(select))
+        summed = placed if summed is None else ad.add(summed, placed)
+    return ad.layer_norm(summed, block.gamma, block.beta, config.eps)
+
+
+CFG8 = ModelConfig(d_model=8, n_heads=2)
+
+
+def random_mca_params(rng, d_model):
+    draw = lambda: Tensor(rng.normal(size=(d_model, d_model)))
     return McaParams(w_q=draw(), w_k_a=draw(), w_v_a=draw(), w_k_b=draw(), w_v_b=draw(),
                      gamma=Tensor(rng.uniform(0.5, 1.5, d_model)),
-                     beta=Tensor(rng.normal(size=d_model)), eps=eps)
+                     beta=Tensor(rng.normal(size=d_model)))
 
 
 def tie_streams(params):
     """Make the two guide streams share key/value weights."""
-    for h in range(len(params.w_q)):
-        params.w_k_b[h] = params.w_k_a[h]
-        params.w_v_b[h] = params.w_v_a[h]
+    params.w_k_b = params.w_k_a
+    params.w_v_b = params.w_v_a
     return params
 
 
 def copy_mca(dst, src):
-    for name in ("w_q", "w_k_a", "w_v_a", "w_k_b", "w_v_b"):
-        for d, s in zip(getattr(dst, name), getattr(src, name)):
-            d.data[...] = s.data
-    dst.gamma.data[...] = src.gamma.data
-    dst.beta.data[...] = src.beta.data
+    for name in MCA_WEIGHTS + ("gamma", "beta"):
+        getattr(dst, name).data[...] = getattr(src, name).data
+
+
+def one_head(query, kv, w_q, w_k, w_v, kv_mask=None, attn_sink=None):
+    return ad.attention(ad.matmul(query, w_q), ad.matmul(kv, w_k), ad.matmul(kv, w_v), 1,
+                        key_mask=kv_mask, attn_sink=attn_sink)
 
 
 class TestCrossAttention:
@@ -287,7 +326,7 @@ class TestCrossAttention:
         query = Tensor(rng.normal(size=(3, 6)))
         kv = Tensor(rng.normal(size=(1, 6)))
         w_q, w_k, w_v = (Tensor(rng.normal(size=(6, 2))) for _ in range(3))
-        out = cross_attention(query, kv, w_q, w_k, w_v)
+        out = one_head(query, kv, w_q, w_k, w_v)
         expected = kv.data @ w_v.data
         np.testing.assert_allclose(out.data, np.repeat(expected, 3, axis=0), atol=1e-14)
 
@@ -297,7 +336,7 @@ class TestCrossAttention:
         one = rng.normal(size=(1, 6))
         kv = Tensor(np.vstack([one, one]))
         w_q, w_k, w_v = (Tensor(rng.normal(size=(6, 3))) for _ in range(3))
-        out = cross_attention(query, kv, w_q, w_k, w_v)
+        out = one_head(query, kv, w_q, w_k, w_v)
         np.testing.assert_allclose(out.data, np.repeat(one @ w_v.data, 2, axis=0), atol=1e-14)
 
     def test_matches_scalar_loop_oracle(self):
@@ -306,13 +345,14 @@ class TestCrossAttention:
         d_h = d_model // n_heads
         query = rng.normal(size=(2, d_model))
         kv = rng.normal(size=(4, d_model))
-        for _ in range(n_heads):
-            w_q = rng.normal(size=(d_model, d_h))
-            w_k = rng.normal(size=(d_model, d_h))
-            w_v = rng.normal(size=(d_model, d_h))
-            out = cross_attention(Tensor(query), Tensor(kv), Tensor(w_q), Tensor(w_k), Tensor(w_v))
-            np.testing.assert_allclose(out.data, attention_oracle(query, kv, w_q, w_k, w_v),
-                                       rtol=0, atol=1e-12)
+        w_q, w_k, w_v = (rng.normal(size=(d_model, d_model)) for _ in range(3))
+        out = ad.attention(Tensor(query @ w_q), Tensor(kv @ w_k), Tensor(kv @ w_v), n_heads)
+        for h in range(n_heads):
+            cols = slice(h * d_h, (h + 1) * d_h)
+            np.testing.assert_allclose(
+                out.data[:, cols],
+                attention_oracle(query, kv, w_q[:, cols], w_k[:, cols], w_v[:, cols]),
+                rtol=0, atol=1e-12)
 
     def test_fully_masked_kv_raises(self):
         rng = np.random.default_rng(3)
@@ -320,7 +360,7 @@ class TestCrossAttention:
         kv = Tensor(rng.normal(size=(3, 4)))
         w = [Tensor(rng.normal(size=(4, 2))) for _ in range(3)]
         with pytest.raises(DegenerateAttentionError):
-            cross_attention(query, kv, *w, kv_mask=np.zeros(3, dtype=bool))
+            one_head(query, kv, *w, kv_mask=np.zeros(3, dtype=bool))
 
     def test_masked_positions_get_zero_weight(self):
         rng = np.random.default_rng(4)
@@ -329,7 +369,7 @@ class TestCrossAttention:
         w = [Tensor(rng.normal(size=(4, 2))) for _ in range(3)]
         mask = np.array([True, False, True, False, True])
         sink = []
-        cross_attention(query, kv, *w, kv_mask=mask, attn_sink=sink)
+        one_head(query, kv, *w, kv_mask=mask, attn_sink=sink)
         attn = sink[0]
         assert (attn[:, ~mask] == 0.0).all()
         np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
@@ -338,74 +378,64 @@ class TestCrossAttention:
 class TestMca:
     def test_matches_composition_oracle(self):
         rng = np.random.default_rng(9)
-        d_model, n_heads = 8, 2
-        params = random_mca_params(rng, d_model, n_heads)
-        guide_a = Tensor(rng.normal(size=(3, d_model)))
-        query = Tensor(rng.normal(size=(2, d_model)))
-        guide_b = Tensor(rng.normal(size=(4, d_model)))
-        out = mca(guide_a, query, guide_b, params)
-        heads_a = ad.concat_cols([
-            cross_attention(query, guide_a, params.w_q[h], params.w_k_a[h], params.w_v_a[h])
-            for h in range(n_heads)])
-        heads_b = ad.concat_cols([
-            cross_attention(query, guide_b, params.w_q[h], params.w_k_b[h], params.w_v_b[h])
-            for h in range(n_heads)])
-        expected = ad.layer_norm(ad.add(heads_a, heads_b), params.gamma, params.beta,
-                                 params.eps)
+        params = random_mca_params(rng, 8)
+        guide_a = Tensor(rng.normal(size=(3, 8)))
+        query = Tensor(rng.normal(size=(2, 8)))
+        guide_b = Tensor(rng.normal(size=(4, 8)))
+        mask_b = np.array([True, False, True, True])
+        out = mca(guide_a, query, guide_b, params, CFG8, mask_b=mask_b)
+        expected = per_head_mca(guide_a, query, guide_b, params, CFG8, mask_b=mask_b)
         np.testing.assert_allclose(out.data, expected.data, atol=1e-13)
 
     def test_output_rows_have_zero_mean_with_unit_gamma(self):
         rng = np.random.default_rng(10)
-        params = random_mca_params(rng, 8, 2)
+        params = random_mca_params(rng, 8)
         params.gamma = Tensor(np.ones(8))
         params.beta = Tensor(np.zeros(8))
         out = mca(Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(4, 8))),
-                  Tensor(rng.normal(size=(2, 8))), params)
+                  Tensor(rng.normal(size=(2, 8))), params, CFG8)
         assert np.abs(out.data.mean(axis=1)).max() <= 1e-10
 
     def test_stream_symmetry_identity(self):
         """Tied stream weights and identical guides: pre-norm sum is twice one stream."""
         rng = np.random.default_rng(11)
-        params = tie_streams(random_mca_params(rng, 8, 2))
+        params = tie_streams(random_mca_params(rng, 8))
         guide = Tensor(rng.normal(size=(3, 8)))
-        query = Tensor(rng.normal(size=(2, 8)))
-        phi_a, phi_b = mca_streams(guide, query, guide, params)
+        q = ad.matmul(Tensor(rng.normal(size=(2, 8))), params.w_q)
+        phi_a, phi_b = (ad.attention(q, ad.matmul(guide, w_k), ad.matmul(guide, w_v), 2)
+                        for w_k, w_v in ((params.w_k_a, params.w_v_a),
+                                         (params.w_k_b, params.w_v_b)))
         np.testing.assert_allclose(ad.add(phi_a, phi_b).data, 2.0 * phi_a.data, atol=1e-12)
 
     def test_guide_permutation_invariance(self):
         rng = np.random.default_rng(12)
-        params = random_mca_params(rng, 8, 2)
+        params = random_mca_params(rng, 8)
         guide_a = rng.normal(size=(5, 8))
         query = Tensor(rng.normal(size=(3, 8)))
         guide_b = Tensor(rng.normal(size=(4, 8)))
-        base = mca(Tensor(guide_a), query, guide_b, params).data
+        base = mca(Tensor(guide_a), query, guide_b, params, CFG8).data
         perm = rng.permutation(5)
-        shuffled = mca(Tensor(guide_a[perm]), query, guide_b, params).data
+        shuffled = mca(Tensor(guide_a[perm]), query, guide_b, params, CFG8).data
         np.testing.assert_allclose(shuffled, base, rtol=0, atol=1e-12)
 
     def test_query_equivariance(self):
         rng = np.random.default_rng(13)
-        params = random_mca_params(rng, 8, 2)
+        params = random_mca_params(rng, 8)
         guide_a = Tensor(rng.normal(size=(4, 8)))
         guide_b = Tensor(rng.normal(size=(4, 8)))
         query = rng.normal(size=(5, 8))
-        base = mca(guide_a, Tensor(query), guide_b, params).data
+        base = mca(guide_a, Tensor(query), guide_b, params, CFG8).data
         perm = rng.permutation(5)
-        permuted = mca(guide_a, Tensor(query[perm]), guide_b, params).data
+        permuted = mca(guide_a, Tensor(query[perm]), guide_b, params, CFG8).data
         np.testing.assert_allclose(permuted, base[perm], rtol=0, atol=1e-12)
 
-    def test_guided_block_sum_and_concat_modes(self):
+    def test_sink_holds_stream_a_heads_then_stream_b_heads(self):
         rng = np.random.default_rng(14)
-        params = random_mca_params(rng, 8, 2)
-        a, q, b = (Tensor(rng.normal(size=(3, 8))) for _ in range(3))
-        summed, _ = guided_block(a, q, b, params, "sum")
-        expected = ad.layer_norm(ad.add(ad.add(q, a), b), params.gamma, params.beta, params.eps)
-        np.testing.assert_allclose(summed.data, expected.data, atol=1e-14)
-        merged, merged_mask = guided_block(a, q, b, params, "concat")
-        assert merged.shape == (9, 8)
-        assert merged_mask.shape == (9,)
-        with pytest.raises(ShapeError):
-            guided_block(Tensor(rng.normal(size=(2, 8))), q, b, params, "sum")
+        params = random_mca_params(rng, 8)
+        sink = []
+        mca(Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(2, 8))),
+            Tensor(rng.normal(size=(5, 8))), params, CFG8, attn_sink=sink)
+        assert [a.shape for a in sink] == [(2, 3), (2, 3), (2, 5), (2, 5)]
 
 
 class TestApeg:
@@ -476,7 +506,7 @@ class TestSpotBranch:
         ds, cfg, params, proj_spot, _ = small_setup
         out = spot_branch(proj_spot[4], params, cfg)
         tokens, prediction = branch_ref(SCALAR, project_ref(SCALAR, ds.features[4], params, "spot"),
-                                        params, "spot", cfg.eps)
+                                        params, "spot")
         assert_matches(out.tokens.data, tokens, "tokens")
         assert_matches(out.prediction.data, prediction, "prediction")
 
@@ -487,7 +517,7 @@ class TestSpotBranch:
         bundle = toy_extract(ds.spots[0], dataset_seed=50, grid_tokens=1)
         proj = project_bundle(bundle, params, "spot")
         out = spot_branch(proj, params, cfg)
-        direct = mca(proj["edge"], proj["img"], proj["nuc"], params.mca_spot)
+        direct = mca(proj["edge"], proj["img"], proj["nuc"], params.mca_spot, cfg)
         np.testing.assert_allclose(out.tokens.data, direct.data, atol=1e-14)
 
     def test_guidance_ablation_reduces_to_self_attention(self, small_setup):
@@ -496,7 +526,7 @@ class TestSpotBranch:
         out = spot_branch(proj_spot[0], params, cfg)
         assert np.isfinite(out.tokens.data).all()
         direct = mca(proj_spot[0]["img"], proj_spot[0]["img"], proj_spot[0]["img"],
-                     params.mca_spot)
+                     params.mca_spot, cfg)
         np.testing.assert_allclose(out.tokens.data, direct.data, atol=1e-14)
 
 
@@ -514,9 +544,8 @@ class TestContextBranch:
         ds, cfg, params, _, proj_ctx = small_setup
         out = context_branch(context_window(ds.spots, center, 3), proj_ctx, params, cfg)
         streams, mask = window_ref(SCALAR, ds, params, center, 3)
-        tokens, prediction = branch_ref(SCALAR, streams, params, "ctx", cfg.eps, mask=mask)
-        np.testing.assert_array_equal(out.token_mask, mask)
-        assert_matches(out.tokens.data[mask], tokens[mask], "tokens")
+        tokens, prediction = branch_ref(SCALAR, streams, params, "ctx", mask=mask)
+        assert_matches(out.tokens.data, tokens[mask], "tokens")
         assert_matches(out.prediction.data, prediction, "prediction")
 
     def test_d1_window_equals_spot_branch_with_tied_weights(self, small_setup):
@@ -541,11 +570,13 @@ class TestContextBranch:
         window = context_window(ds.spots, 0, 3)
         sink = []
         out = context_branch(window, proj_ctx, params, cfg, attn_sink=sink)
-        tokens_per_member = ds.features[0].image_tokens.shape[0]
-        expected_mask = np.repeat(window.mask.reshape(-1), tokens_per_member)
-        np.testing.assert_array_equal(out.token_mask, expected_mask)
+        streams, mask = window_ref(NUMPY, ds, params, 0, 3)
+        tokens, _ = branch_ref(NUMPY, streams, params, "ctx", mask=mask)
+        present = int(mask.sum())
+        assert out.token_mask is None and present < mask.size
+        assert_matches(out.tokens.data, tokens[mask], "present rows")
+        assert [attn.shape for attn in sink] == [(present, present)] * (2 * cfg.n_heads)
         for attn in sink:
-            assert (attn[:, ~expected_mask] == 0.0).all()
             np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -655,7 +686,7 @@ def forward_6x6():
 class TestForwardSlide:
     def test_minimal_slide_shapes(self):
         ds, _ = synth_dataset(1, 1, 4, 0.0, seed=7)
-        cfg = ModelConfig(d_model=16, n_heads=2, tokens_per_stream=1)
+        cfg = ModelConfig(d_model=16, n_heads=2)
         params = ModelParams(cfg, k_genes=4, seed=5)
         out = forward_slide(ds, params, cfg, d_context=1)
         for name in ("fused", "spot", "ctx", "global"):
@@ -705,6 +736,37 @@ class TestModelParams:
     def test_init_matches_documented_draw_order(self, config):
         params = ModelParams(config, k_genes=5, seed=1)
         expected = init_oracle(config, 5, 1)
-        assert [name for name, _ in params.named()] == [name for name, _ in expected]
-        for (name, tensor), (_, values) in zip(params.named(), expected):
-            np.testing.assert_array_equal(tensor.data, values, err_msg=name)
+        assert [name for name, _ in params.records()] == [name for name, _ in expected]
+        for (name, values), (_, drawn) in zip(params.records(), expected):
+            np.testing.assert_array_equal(values, drawn, err_msg=name)
+        drawn = dict(expected)
+        for label in model.MCA_BLOCKS:
+            for name in MCA_WEIGHTS:
+                heads = [drawn[f"{label}.h{h}.{name}"] for h in range(config.n_heads)]
+                np.testing.assert_array_equal(getattr(getattr(params, label), name).data,
+                                              np.hstack(heads), err_msg=f"{label}.{name}")
+
+    def test_gradients_match_per_head_reference_on_tiny_slide(self, monkeypatch):
+        ds, _ = synth_dataset(3, 3, 6, 0.05, seed=31)
+        cfg = ModelConfig(d_model=16, n_heads=4)
+        targets, _, _ = gene_targets([ds], 4)
+
+        def loss_and_grads():
+            params = ModelParams(cfg, k_genes=4, seed=6)
+            rng = np.random.default_rng(6)
+            for _, values in params.records():
+                values[...] = rng.normal(0.0, 0.5, values.shape)
+            loss = None
+            for s, preds in slide_forward(ds, params, cfg, 3, spot_indices=[0, 4, 7]):
+                term = loss_total(preds, targets[0][s], 0.3)
+                loss = term if loss is None else ad.add(loss, term)
+            loss.backward()
+            return loss.item(), {name: t.grad for name, t in params.named()}
+
+        loss, grads = loss_and_grads()
+        monkeypatch.setattr(model, "mca", per_head_mca)
+        ref_loss, ref_grads = loss_and_grads()
+        assert abs(loss - ref_loss) <= 1e-12
+        for name, grad in grads.items():
+            assert np.abs(grad).max() > 0.0, name
+            assert_matches(grad, ref_grads[name], name)

@@ -2,8 +2,8 @@
 
 Covers exactly the operations the expression model needs: matrix
 multiplication, multi-head attention (optionally key-masked), layer
-normalization, elementwise arithmetic, row concatenation, masked row
-pooling and row selection. Gradients are accumulated by walking the
+normalization, elementwise arithmetic, row concatenation, row pooling
+and row selection. Gradients are accumulated by walking the
 recorded operation graph in reverse topological order; all reductions
 run in numpy's deterministic order so repeated runs are bit-identical.
 """
@@ -88,32 +88,7 @@ class Tensor:
         self._accumulate(np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
-
-    # Operator sugar; the module-level functions carry the contracts.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+                node._backward(node.grad)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -139,7 +114,7 @@ def compose(data, parents, backward):
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
-        out._backward = lambda: backward(out.grad)
+        out._backward = backward
     return out
 
 
@@ -185,8 +160,7 @@ def matmul(a, b):
         out.requires_grad = True
         out._parents = (a, b)
 
-        def backward():
-            g = out.grad
+        def backward(g):
             if a.requires_grad:
                 a._accumulate(g @ b.data.T)
             if b.requires_grad:
@@ -212,8 +186,7 @@ def add(a, b):
         out.requires_grad = True
         out._parents = (a, b)
 
-        def backward():
-            g = out.grad
+        def backward(g):
             if a.requires_grad:
                 _accum_shaped(a, g)
             if b.requires_grad:
@@ -233,8 +206,7 @@ def sub(a, b):
         out.requires_grad = True
         out._parents = (a, b)
 
-        def backward():
-            g = out.grad
+        def backward(g):
             if a.requires_grad:
                 _accum_shaped(a, g)
             if b.requires_grad:
@@ -251,7 +223,7 @@ def mul(a, b):
         if a.requires_grad:
             out.requires_grad = True
             out._parents = (a,)
-            out._backward = lambda: a._accumulate(out.grad * scale)
+            out._backward = lambda g: a._accumulate(g * scale)
         return out
     if isinstance(a, numbers.Number):
         return mul(as_tensor(b), a)
@@ -264,8 +236,7 @@ def mul(a, b):
         out.requires_grad = True
         out._parents = (a, b)
 
-        def backward():
-            g = out.grad
+        def backward(g):
             if a.requires_grad:
                 _accum_shaped(a, g * b.data)
             if b.requires_grad:
@@ -283,9 +254,12 @@ def attention(q, k, v, n_heads, key_mask=None, attn_sink=None):
     (T, d) output: softmax(q_h k_h^T / sqrt(d_head)) v_h, with the row
     maximum subtracted before exponentiation. ``key_mask`` (length S)
     marks the keys that may receive weight; masked keys get exactly zero
-    weight, and a mask with no key left raises. ``attn_sink``, when given,
-    is extended by one (T, S) weight matrix per head, in head order.
-    Backward reuses the weights and the head-split q, k and v.
+    weight, and a mask with no key left raises. The model passes no mask,
+    since every branch attends over all of its tokens; the mask stays as
+    the primitive that lets context windows be padded to a fixed D x D
+    member grid without the padded keys receiving weight. ``attn_sink``,
+    when given, is extended by one (T, S) weight matrix per head, in head
+    order. Backward reuses the weights and the head-split q, k and v.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if (q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape
@@ -352,8 +326,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         out.requires_grad = True
         out._parents = (x, gamma, beta)
 
-        def backward():
-            g = out.grad
+        def backward(g):
             if gamma.requires_grad:
                 gamma._accumulate((g * xhat).sum(axis=0))
             if beta.requires_grad:
@@ -383,8 +356,7 @@ def concat_rows(parts):
         out.requires_grad = True
         out._parents = tuple(parts)
 
-        def backward():
-            g = out.grad
+        def backward(g):
             offset = 0
             for p in parts:
                 rows = p.shape[0]
@@ -396,37 +368,17 @@ def concat_rows(parts):
     return out
 
 
-def mean_rows(x, row_mask=None):
-    """Mean over (optionally masked) rows, returned as a 1 x n tensor."""
+def mean_rows(x):
+    """Mean over rows, returned as a 1 x n tensor."""
     x = as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"mean_rows: need a 2-D tensor, got shape {x.shape}")
-    if row_mask is None:
-        count = x.shape[0]
-        out = Tensor(x.data.sum(axis=0, keepdims=True) / count)
-        if x.requires_grad:
-            out.requires_grad = True
-            out._parents = (x,)
-            out._backward = lambda: x._accumulate(
-                np.broadcast_to(out.grad / count, x.data.shape))
-        return out
-    mask = np.asarray(row_mask, dtype=bool).reshape(-1)
-    if mask.shape[0] != x.shape[0]:
-        raise ShapeError(f"mean_rows: mask length {mask.shape[0]} != rows {x.shape[0]}")
-    count = int(mask.sum())
-    if count == 0:
-        raise ValueError("mean_rows: every row is masked")
-    out = Tensor(x.data[mask].sum(axis=0, keepdims=True) / count)
+    count = x.shape[0]
+    out = Tensor(x.data.sum(axis=0, keepdims=True) / count)
     if x.requires_grad:
         out.requires_grad = True
         out._parents = (x,)
-
-        def backward():
-            g = np.zeros_like(x.data)
-            g[mask] = out.grad / count
-            x._accumulate(g)
-
-        out._backward = backward
+        out._backward = lambda g: x._accumulate(np.broadcast_to(g / count, x.data.shape))
     return out
 
 
@@ -437,7 +389,7 @@ def mean_all(x):
     if x.requires_grad:
         out.requires_grad = True
         out._parents = (x,)
-        out._backward = lambda: x._accumulate(np.full_like(x.data, out.grad / x.data.size))
+        out._backward = lambda g: x._accumulate(np.full_like(x.data, g / x.data.size))
     return out
 
 
@@ -453,10 +405,10 @@ def row(x, index):
         out.requires_grad = True
         out._parents = (x,)
 
-        def backward():
-            g = np.zeros_like(x.data)
-            g[index] = out.grad[0]
-            x._accumulate(g)
+        def backward(g):
+            dx = np.zeros_like(x.data)
+            dx[index] = g[0]
+            x._accumulate(dx)
 
         out._backward = backward
     return out

@@ -112,10 +112,28 @@ def _build_config(config_path, overrides):
     return train_cfg, model_cfg, doc
 
 
-def _load_slides(manifests, provider):
+def _load_slides(manifests, provider, model_cfg, doc):
+    """Load every slide and fit ``model_cfg.stream_dims`` to the feature widths.
+
+    Unset widths are taken from the first bundle; every bundle of every
+    slide must then have them, or the run stops before any output.
+    """
     if not manifests:
         raise click.UsageError("at least one --manifest is required")
-    return [load_dataset(m, provider=provider) for m in manifests]
+    datasets = [load_dataset(m, provider=provider) for m in manifests]
+    if "stream_dims" not in doc["model"]:
+        model_cfg.stream_dims = _stream_widths(datasets[0].features[0])
+    for manifest, ds in zip(manifests, datasets):
+        for bundle in ds.features + ds.features_ctx:
+            widths = _stream_widths(bundle)
+            if widths != model_cfg.stream_dims:
+                raise click.UsageError(f"{manifest}: feature widths {widths} do not match "
+                                       f"stream_dims {model_cfg.stream_dims}")
+    return datasets
+
+
+def _stream_widths(bundle):
+    return {name: tokens.shape[1] for name, tokens in bundle.streams()}
 
 
 def _echo_header(command, train_cfg, model_cfg, extra=None):
@@ -148,7 +166,7 @@ def synth(rows, cols, genes, noise_sd, seed, slide_id, grid_tokens, out_dir, for
     toy_meta = {
         "dataset_seed": derive_seed(seed, "features", slide_id),
         "grid_tokens": int(grid_tokens),
-        "stream_dims": {name: tok.shape[1] for name, tok in dataset.features[0].streams()},
+        "stream_dims": _stream_widths(dataset.features[0]),
     }
     manifest = save_dataset(dataset, out, toy_meta=toy_meta)
     click.echo(f"wrote {manifest}")
@@ -186,10 +204,10 @@ def cmd_train(manifests, out_dir, config_path, provider, **overrides):
     """Train on one or more slides; writes checkpoint.bgck and loss.csv."""
     train_cfg, model_cfg, doc = _build_config(config_path, overrides)
     provider = provider or doc["provider"]
+    datasets = _load_slides(manifests, provider, model_cfg, doc)
+    _echo_header("train", train_cfg, model_cfg, {"provider": provider})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    datasets = _load_slides(manifests, provider)
-    _echo_header("train", train_cfg, model_cfg, {"provider": provider})
 
     targets, indices, names = gene_targets(datasets, train_cfg.k_genes)
     params = ModelParams(model_cfg, k_genes=len(indices), seed=train_cfg.seed)
@@ -244,10 +262,10 @@ def cmd_cv(manifests, out_dir, pcch_selector, config_path, provider, **overrides
     train_cfg, model_cfg, doc = _build_config(config_path, overrides)
     provider = provider or doc["provider"]
     selector = pcch_selector or doc["pcch_selector"]
+    datasets = _load_slides(manifests, provider, model_cfg, doc)
+    _echo_header("cv", train_cfg, model_cfg, {"provider": provider, "folds": len(datasets)})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    datasets = _load_slides(manifests, provider)
-    _echo_header("cv", train_cfg, model_cfg, {"provider": provider, "folds": len(datasets)})
     workers = int(os.environ.get("BGT_THREADS", "1"))
     reports, aggregate = cross_validate(datasets, train_cfg, model_cfg,
                                         pcch_selector=selector, workers=workers)

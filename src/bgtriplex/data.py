@@ -75,11 +75,10 @@ class SpotDataset:
 
 @dataclass
 class ContextWindow:
-    """Spot indices of a d x d neighborhood; mask flags absent cells."""
+    """Spot indices of a d x d neighborhood, row-major; absent cells are None."""
 
     center: int
     member_indices: list
-    mask: np.ndarray
 
 
 def _split_row(line, lineno, n_cols):
@@ -202,7 +201,7 @@ def select_top_k_genes(norm, gene_names, k):
 
 
 def context_window(spots, center_index, d):
-    """The d x d grid neighborhood of a spot; absent cells are masked."""
+    """The d x d grid neighborhood of a spot; absent cells are None."""
     if d < 1 or d % 2 == 0:
         raise ValueError(f"window size must be odd and >= 1, got {d}")
     if not 0 <= center_index < len(spots):
@@ -210,16 +209,9 @@ def context_window(spots, center_index, d):
     by_grid = {(s.array_row, s.array_col): i for i, s in enumerate(spots)}
     center = spots[center_index]
     half = d // 2
-    members = []
-    mask = np.zeros((d, d), dtype=bool)
-    for r in range(d):
-        members.append([])
-        for c in range(d):
-            pos = (center.array_row + r - half, center.array_col + c - half)
-            idx = by_grid.get(pos)
-            members[r].append(idx)
-            mask[r, c] = idx is not None
-    return ContextWindow(center_index, members, mask)
+    members = [[by_grid.get((center.array_row + r - half, center.array_col + c - half))
+                for c in range(d)] for r in range(d)]
+    return ContextWindow(center_index, members)
 
 
 def synth_dataset(rows, cols, n_genes, noise_sd, seed, slide_id="synth",

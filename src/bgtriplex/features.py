@@ -28,12 +28,14 @@ _STREAM_CODE = {"img": 11, "edge": 23, "nuc": 37}
 
 @dataclass
 class FeatureBundle:
-    """Three token matrices (tokens x dim) for one field of view."""
+    """Three token matrices (tokens x dim) for one field of view.
+
+    Every token is real: each branch attends over and pools all of them.
+    """
 
     image_tokens: np.ndarray
     edge_tokens: np.ndarray
     nuclei_tokens: np.ndarray
-    mask: np.ndarray | None = None
 
     def __post_init__(self):
         for name, tokens in self.streams():
@@ -41,8 +43,6 @@ class FeatureBundle:
                 raise ValueError(f"{name} tokens must be a non-empty 2-D matrix, got {tokens.shape}")
             if not np.isfinite(tokens).all():
                 raise ValueError(f"{name} tokens contain non-finite entries")
-        if self.mask is not None and len(self.mask) != self.image_tokens.shape[0]:
-            raise ValueError("mask length must equal token count")
 
     def streams(self):
         return (
@@ -163,7 +163,7 @@ def load_feature_file(path):
 
 def encode_bgft(array):
     """A tensor as BGFT: magic, u32 version, u32 ndim, u32 extents, f32 payload."""
-    arr = np.ascontiguousarray(array, dtype=np.float64)
+    arr = np.asarray(array, dtype=np.float64)
     header = _BGFT_MAGIC + struct.pack("<II", 1, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     return header + arr.astype("<f4").tobytes()

@@ -8,7 +8,7 @@ are excluded from the averages (and counted) rather than scored as zero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class MetricsReport:
     top_gene_indices: list
     gene_names: list
     excluded_genes: int = 0
-    top_selector: str = "predictive"
 
     def to_json_dict(self):
         per_gene = [None if not np.isfinite(v) else float(v) for v in self.pcc_per_gene]
@@ -132,7 +131,6 @@ def evaluate_predictions(pred, truth, gene_names, n_top=50, selector="predictive
         top_gene_indices=top,
         gene_names=list(gene_names),
         excluded_genes=int((~defined).sum()),
-        top_selector=selector,
     )
 
 

@@ -21,7 +21,6 @@ from .errors import ShapeError
 from .features import STREAMS, TOY_STREAM_DIMS, feature_transform
 from .seeding import substream
 
-BRANCHES = ("spot", "ctx", "global")
 MCA_BLOCKS = ("mca_spot", "mca_ctx", "mca_fuse")
 MCA_WEIGHTS = ("w_q", "w_k_a", "w_v_a", "w_k_b", "w_v_b")
 
@@ -49,10 +48,6 @@ class ModelConfig:
     @property
     def d_head(self):
         return self.d_model // self.n_heads
-
-    def active_branches(self):
-        dropped = {"spot": self.drop_spot, "ctx": self.drop_ctx, "global": self.drop_global}
-        return [b for b in BRANCHES if not dropped[b]]
 
     def to_dict(self):
         return asdict(self)
@@ -95,7 +90,6 @@ class McaParams:
 @dataclass
 class BranchOutput:
     tokens: Tensor
-    token_mask: np.ndarray | None
     pooled: Tensor | None
     prediction: Tensor | None
 
@@ -189,7 +183,7 @@ class ModelParams:
             tensor.zero_grad()
 
 
-def mca(guide_a, query, guide_b, block, config, mask_a=None, mask_b=None, attn_sink=None):
+def mca(guide_a, query, guide_b, block, config, attn_sink=None):
     """Multi-head cross-attention guiding ``query`` by two token streams.
 
     Each head attends from the query to guide a and to guide b with one
@@ -200,9 +194,9 @@ def mca(guide_a, query, guide_b, block, config, mask_a=None, mask_b=None, attn_s
     """
     q = ad.matmul(query, block.w_q)
     phi_a = ad.attention(q, ad.matmul(guide_a, block.w_k_a), ad.matmul(guide_a, block.w_v_a),
-                         config.n_heads, key_mask=mask_a, attn_sink=attn_sink)
+                         config.n_heads, attn_sink=attn_sink)
     phi_b = ad.attention(q, ad.matmul(guide_b, block.w_k_b), ad.matmul(guide_b, block.w_v_b),
-                         config.n_heads, key_mask=mask_b, attn_sink=attn_sink)
+                         config.n_heads, attn_sink=attn_sink)
     return ad.layer_norm(ad.add(phi_a, phi_b), block.gamma, block.beta, config.eps)
 
 
@@ -268,17 +262,14 @@ def project_bundle(bundle, params, scope):
             for stream, tokens in bundle.streams()}
 
 
-def spot_branch(projected, params, config, token_mask=None, attn_sink=None):
+def spot_branch(projected, params, config, attn_sink=None):
     """Guided block over one spot's token streams plus its pooled prediction."""
     image = projected["img"]
     guide_a = image if config.no_edge_spot else projected["edge"]
     guide_b = image if config.no_nuclei_spot else projected["nuc"]
-    tokens = mca(guide_a, image, guide_b, params.mca_spot, config,
-                 mask_a=None if config.no_edge_spot else token_mask,
-                 mask_b=None if config.no_nuclei_spot else token_mask,
-                 attn_sink=attn_sink)
-    pooled = ad.mean_rows(tokens, token_mask)
-    return BranchOutput(tokens, token_mask, pooled, _head_apply(params, "spot", pooled))
+    tokens = mca(guide_a, image, guide_b, params.mca_spot, config, attn_sink=attn_sink)
+    pooled = ad.mean_rows(tokens)
+    return BranchOutput(tokens, pooled, _head_apply(params, "spot", pooled))
 
 
 def context_branch(window, projected_ctx, params, config, attn_sink=None):
@@ -286,7 +277,7 @@ def context_branch(window, projected_ctx, params, config, attn_sink=None):
     concatenated in row-major window order; absent cells contribute no rows."""
     members = [i for row in window.member_indices for i in row if i is not None]
     if not members:
-        raise ValueError("context window is fully masked")
+        raise ValueError("context window has no present member")
     sequences = {stream: ad.concat_rows([projected_ctx[i][stream] for i in members])
                  for stream in STREAMS}
     image = sequences["img"]
@@ -294,7 +285,7 @@ def context_branch(window, projected_ctx, params, config, attn_sink=None):
     guide_b = image if config.no_nuclei_ctx else sequences["nuc"]
     tokens = mca(guide_a, image, guide_b, params.mca_ctx, config, attn_sink=attn_sink)
     pooled = ad.mean_rows(tokens)
-    return BranchOutput(tokens, None, pooled, _head_apply(params, "ctx", pooled))
+    return BranchOutput(tokens, pooled, _head_apply(params, "ctx", pooled))
 
 
 def global_branch(dataset_tokens, grid_positions, params):
@@ -304,7 +295,7 @@ def global_branch(dataset_tokens, grid_positions, params):
     prediction are row lookups performed by the caller.
     """
     tokens = apeg_encode(dataset_tokens, grid_positions, params.apeg_kernel)
-    return BranchOutput(tokens, None, None, None)
+    return BranchOutput(tokens, None, None)
 
 
 def global_prediction(global_out, spot_index, params):
@@ -321,13 +312,9 @@ def fuse(spot_out, ctx_out, global_out, target_spot_index, params, config, attn_
     query = global_out.tokens
     if not 0 <= target_spot_index < query.shape[0]:
         raise ValueError(f"target spot index {target_spot_index} out of range")
-    if config.drop_spot:
-        guide_a, mask_a = query, None
-    else:
-        guide_a, mask_a = spot_out.tokens, spot_out.token_mask
+    guide_a = query if config.drop_spot else spot_out.tokens
     guide_b = query if config.drop_ctx else ctx_out.tokens
-    fused_tokens = mca(guide_a, query, guide_b, params.mca_fuse, config, mask_a=mask_a,
-                       attn_sink=attn_sink)
+    fused_tokens = mca(guide_a, query, guide_b, params.mca_fuse, config, attn_sink=attn_sink)
     pooled = ad.row(fused_tokens, target_spot_index)
     return _head_apply(params, "fused", pooled)
 
@@ -355,8 +342,7 @@ def slide_forward(dataset, params, config, d_context, spot_indices=None):
     spot_scope = range(n) if (config.drop_global and need_spot) else indices
     if need_spot:
         for s in spot_scope:
-            spot_outs[s] = spot_branch(proj_spot[s], params, config,
-                                       token_mask=dataset.features[s].mask)
+            spot_outs[s] = spot_branch(proj_spot[s], params, config)
     ctx_scope = range(n) if (config.drop_global and not need_spot) else indices
     if need_ctx:
         for s in ctx_scope:
@@ -366,11 +352,9 @@ def slide_forward(dataset, params, config, d_context, spot_indices=None):
     if config.drop_global:
         source = spot_outs if need_spot else ctx_outs
         query = ad.concat_rows([source[s].pooled for s in range(n)])
-        global_out = BranchOutput(query, None, None, None)
+        global_out = BranchOutput(query, None, None)
     else:
-        pooled_img = [ad.mean_rows(proj_spot[s]["img"], dataset.features[s].mask)
-                      for s in range(n)]
-        dataset_tokens = ad.concat_rows(pooled_img)
+        dataset_tokens = ad.concat_rows([ad.mean_rows(proj_spot[s]["img"]) for s in range(n)])
         global_out = global_branch(dataset_tokens, dataset.grid_positions(), params)
 
     results = []

@@ -94,14 +94,17 @@ def loss_total(predictions, g, lambda_, detach_fused=True):
     """Fused MSE plus the per-branch terms for every active branch.
 
     ``predictions`` maps 'fused' plus any of 'spot'/'ctx'/'global' to
-    prediction tensors.
+    prediction tensors. Returns (total, terms): ``terms`` maps the same
+    keys to the scalar tensors that were summed, in that order.
     """
-    total = loss_fused(predictions["fused"], g)
+    terms = {"fused": loss_fused(predictions["fused"], g)}
+    total = terms["fused"]
     for branch in ("spot", "ctx", "global"):
         if branch in predictions:
-            total = ad.add(total, loss_branch(predictions[branch], g, predictions["fused"],
-                                              lambda_, detach_fused=detach_fused))
-    return total
+            terms[branch] = loss_branch(predictions[branch], g, predictions["fused"],
+                                        lambda_, detach_fused=detach_fused)
+            total = ad.add(total, terms[branch])
+    return total, terms
 
 
 def adam_step(named_params, state, lr):
@@ -216,14 +219,12 @@ def train(datasets, params, cfg, targets=None, progress=None):
                                         cfg.d_context, spot_indices=spots)
                 for s, preds in results:
                     g = targets[d_idx][s]
-                    total = loss_total(preds, g, cfg.lambda_, detach_fused=cfg.distill_detach)
+                    total, terms = loss_total(preds, g, cfg.lambda_,
+                                              detach_fused=cfg.distill_detach)
                     batch_loss = total if batch_loss is None else ad.add(batch_loss, total)
                     sums["total"] += total.item()
-                    sums["fused"] += loss_fused(preds["fused"], g).item()
-                    for branch in ("spot", "ctx", "global"):
-                        if branch in preds:
-                            sums[branch] += loss_branch(preds[branch], g, preds["fused"],
-                                                        cfg.lambda_).item()
+                    for name, term in terms.items():
+                        sums[name] += term.item()
                     seen += 1
             batch_loss = ad.mul(batch_loss, 1.0 / len(batch))
             _check_finite(params, batch_loss.item())

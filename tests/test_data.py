@@ -6,6 +6,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgtriplex.data import (ExpressionMatrix, SpotRecord, context_window,
                             load_dataset, load_expression_matrix, load_spot_table,
@@ -262,17 +264,21 @@ class TestSelectTopK:
             select_top_k_genes(np.ones((2, 3)), ["a", "b", "c"], 4)
 
 
+def present(window):
+    return sum(idx is not None for row in window.member_indices for idx in row)
+
+
 class TestContextWindow:
     def test_degenerate_window(self):
         spots = grid_records(2, 2)
         win = context_window(spots, 3, 1)
         assert win.member_indices == [[3]]
-        assert win.mask.all()
+        assert present(win) == 1
 
     def test_corner_of_3x3(self):
         spots = grid_records(3, 3)
         win = context_window(spots, 0, 3)
-        assert int(win.mask.sum()) == 4
+        assert present(win) == 4
         assert win.member_indices[1][1] == 0
         assert win.member_indices[1][2] == 1
         assert win.member_indices[2][1] == 3
@@ -283,7 +289,7 @@ class TestContextWindow:
         spots = grid_records(5, 5)
         center = 12
         win = context_window(spots, center, 3)
-        assert int(win.mask.sum()) == 9
+        assert present(win) == 9
         assert win.member_indices[1][1] == center
 
     def test_even_d_rejected(self):
@@ -304,7 +310,26 @@ class TestContextWindow:
                             for dc in range(-half, half + 1)
                             if 0 <= spot.array_row + dr < rows and 0 <= spot.array_col + dc < cols
                         )
-                        assert int(win.mask.sum()) == in_grid
+                        assert present(win) == in_grid
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=30)
+           .flatmap(lambda cells: st.permutations(sorted(cells))),
+           st.sampled_from([1, 3, 5, 7]), st.data())
+    def test_membership_on_irregular_grids(self, cells, d, data):
+        spots = [SpotRecord(f"s{i}", r, c, 0.0, 0.0) for i, (r, c) in enumerate(cells)]
+        center = data.draw(st.integers(0, len(spots) - 1), label="center")
+        win = context_window(spots, center, d)
+        row, col, half = spots[center].array_row, spots[center].array_col, d // 2
+        assert win.center == center and len(win.member_indices) == d
+        for r, cells_in_row in enumerate(win.member_indices):
+            assert len(cells_in_row) == d
+            for c, idx in enumerate(cells_in_row):
+                at = (row + r - half, col + c - half)
+                expected = cells.index(at) if at in cells else None
+                assert idx == expected
+        in_reach = sum(1 for r, c in cells if abs(r - row) <= half and abs(c - col) <= half)
+        assert present(win) == in_reach
 
 
 class TestSynthDataset:

@@ -193,8 +193,7 @@ def window_ref(ops, ds, params, center, d):
 def global_ref(ops, ds, params):
     """One mean image token per spot plus the 3x3 channelwise kernel applied
     over grid neighbors: tap (a, b) reads the spot at offset (a-1, b-1)."""
-    pooled = [ops.mean_rows(project_ref(ops, b, params, "spot")["img"], b.mask)[0]
-              for b in ds.features]
+    pooled = [ops.mean_rows(project_ref(ops, b, params, "spot")["img"])[0] for b in ds.features]
     at = {(s.array_row, s.array_col): i for i, s in enumerate(ds.spots)}
     kernel = params.apeg_kernel.data
     out = []
@@ -220,11 +219,11 @@ def forward_ref(ops, ds, params, d_context):
     preds = {name: [] for name in ("fused", "spot", "ctx", "global")}
     for s in range(ds.n_spots):
         spot_tokens, spot_pred = branch_ref(ops, project_ref(ops, ds.features[s], params, "spot"),
-                                            params, "spot", mask=ds.features[s].mask)
+                                            params, "spot")
         streams, mask = window_ref(ops, ds, params, s, d_context)
         ctx_tokens, ctx_pred = branch_ref(ops, streams, params, "ctx", mask=mask)
         fused = mca_ref(ops, spot_tokens, global_tokens[s:s + 1], ctx_tokens, params.mca_fuse,
-                        params.config, mask_a=ds.features[s].mask, mask_b=mask)
+                        params.config, mask_b=mask)
         preds["fused"].append(head_ref(ops, params, "fused", fused))
         preds["spot"].append(spot_pred)
         preds["ctx"].append(ctx_pred)
@@ -258,36 +257,34 @@ def init_oracle(config, k_genes, seed):
     return named
 
 
-def per_head_mca(guide_a, query, guide_b, block, config, mask_a=None, mask_b=None,
-                 attn_sink=None):
+def per_head_mca(guide_a, query, guide_b, block, config, attn_sink=None):
     """``model.mca`` as a per-head composition of autodiff ops: each head's
     projections are cut out of the packed ones and its output put back in
     place by 0/1 column selectors (exact in float64), and attention is one
-    explicit matmul, masked row softmax and matmul per head and stream."""
+    explicit matmul, row softmax and matmul per head and stream."""
     d, d_h = config.d_model, config.d_model // config.n_heads
     scale = 1.0 / math.sqrt(d_h)
 
     def transpose(x):
         return ad.compose(x.data.T, (x,), lambda g: x._accumulate(g.T))
 
-    def softmax_rows(x, mask):
-        z = x.data if mask is None else np.where(mask, x.data, -np.inf)
-        e = np.exp(z - z.max(axis=1, keepdims=True))
+    def softmax_rows(x):
+        e = np.exp(x.data - x.data.max(axis=1, keepdims=True))
         w = e / e.sum(axis=1, keepdims=True)
         return ad.compose(w, (x,), lambda g: x._accumulate(
             w * (g - (g * w).sum(axis=1, keepdims=True))))
 
-    def attend(q, guide, w_k, w_v, mask):
+    def attend(q, guide, w_k, w_v):
         logits = ad.matmul(q, transpose(ad.matmul(guide, w_k)))
-        return ad.matmul(softmax_rows(logits, mask), ad.matmul(guide, w_v))
+        return ad.matmul(softmax_rows(logits), ad.matmul(guide, w_v))
 
     summed = None
     for h in range(config.n_heads):
         select = Tensor(np.eye(d)[:, h * d_h:(h + 1) * d_h])
         w = {name: ad.matmul(getattr(block, name), select) for name in MCA_WEIGHTS}
         q = ad.mul(ad.matmul(query, w["w_q"]), scale)
-        head = ad.add(attend(q, guide_a, w["w_k_a"], w["w_v_a"], mask_a),
-                      attend(q, guide_b, w["w_k_b"], w["w_v_b"], mask_b))
+        head = ad.add(attend(q, guide_a, w["w_k_a"], w["w_v_a"]),
+                      attend(q, guide_b, w["w_k_b"], w["w_v_b"]))
         placed = ad.matmul(head, transpose(select))
         summed = placed if summed is None else ad.add(summed, placed)
     return ad.layer_norm(summed, block.gamma, block.beta, config.eps)
@@ -382,9 +379,8 @@ class TestMca:
         guide_a = Tensor(rng.normal(size=(3, 8)))
         query = Tensor(rng.normal(size=(2, 8)))
         guide_b = Tensor(rng.normal(size=(4, 8)))
-        mask_b = np.array([True, False, True, True])
-        out = mca(guide_a, query, guide_b, params, CFG8, mask_b=mask_b)
-        expected = per_head_mca(guide_a, query, guide_b, params, CFG8, mask_b=mask_b)
+        out = mca(guide_a, query, guide_b, params, CFG8)
+        expected = per_head_mca(guide_a, query, guide_b, params, CFG8)
         np.testing.assert_allclose(out.data, expected.data, atol=1e-13)
 
     def test_output_rows_have_zero_mean_with_unit_gamma(self):
@@ -573,7 +569,7 @@ class TestContextBranch:
         streams, mask = window_ref(NUMPY, ds, params, 0, 3)
         tokens, _ = branch_ref(NUMPY, streams, params, "ctx", mask=mask)
         present = int(mask.sum())
-        assert out.token_mask is None and present < mask.size
+        assert present < mask.size
         assert_matches(out.tokens.data, tokens[mask], "present rows")
         assert [attn.shape for attn in sink] == [(present, present)] * (2 * cfg.n_heads)
         for attn in sink:
@@ -634,16 +630,16 @@ class TestFuse:
         params.heads["fused"][0].data[...] = 0.0
         params.heads["fused"][1].data[...] = 4.25
         rng = np.random.default_rng(40)
-        spot_out = BranchOutput(Tensor(rng.normal(size=(2, 16))), None, None, None)
-        ctx_out = BranchOutput(Tensor(rng.normal(size=(3, 16))), None, None, None)
-        global_out = BranchOutput(Tensor(rng.normal(size=(4, 16))), None, None, None)
+        spot_out = BranchOutput(Tensor(rng.normal(size=(2, 16))), None, None)
+        ctx_out = BranchOutput(Tensor(rng.normal(size=(3, 16))), None, None)
+        global_out = BranchOutput(Tensor(rng.normal(size=(4, 16))), None, None)
         pred = fuse(spot_out, ctx_out, global_out, 2, params, cfg)
         np.testing.assert_allclose(pred.data, [[4.25]], atol=1e-15)
 
     def test_target_index_out_of_range(self, small_setup):
         ds, cfg, params, _, _ = small_setup
         rng = np.random.default_rng(41)
-        mk = lambda rows: BranchOutput(Tensor(rng.normal(size=(rows, 16))), None, None, None)
+        mk = lambda rows: BranchOutput(Tensor(rng.normal(size=(rows, 16))), None, None)
         with pytest.raises(ValueError):
             fuse(mk(2), mk(3), mk(4), 4, params, cfg)
 
@@ -758,7 +754,7 @@ class TestModelParams:
                 values[...] = rng.normal(0.0, 0.5, values.shape)
             loss = None
             for s, preds in slide_forward(ds, params, cfg, 3, spot_indices=[0, 4, 7]):
-                term = loss_total(preds, targets[0][s], 0.3)
+                term, _ = loss_total(preds, targets[0][s], 0.3)
                 loss = term if loss is None else ad.add(loss, term)
             loss.backward()
             return loss.item(), {name: t.grad for name, t in params.named()}

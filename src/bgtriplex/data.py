@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,12 @@ class ExpressionMatrix:
 
 @dataclass
 class SpotDataset:
+    """One slide: spots, expression and per-spot feature bundles.
+
+    Treated as immutable once built: the grid index and the pooled image
+    tokens are computed on first use and kept for the slide's lifetime.
+    """
+
     spots: list
     expr: ExpressionMatrix
     features: list
@@ -71,6 +78,16 @@ class SpotDataset:
 
     def grid_positions(self):
         return [(s.array_row, s.array_col) for s in self.spots]
+
+    @cached_property
+    def grid_index(self):
+        """``grid_index(spots)`` of this slide."""
+        return grid_index(self.spots)
+
+    @cached_property
+    def pooled_image_tokens(self):
+        """(n_spots, img dim): the mean spot-scope image token of every spot."""
+        return np.array([b.image_tokens.mean(axis=0) for b in self.features])
 
 
 @dataclass
@@ -159,7 +176,8 @@ def load_expression_matrix(path, spot_ids=None):
         rows[spot_id] = values
         order.append(spot_id)
     if spot_ids is not None:
-        unknown = [s for s in order if s not in set(spot_ids)]
+        known = set(spot_ids)
+        unknown = [s for s in order if s not in known]
         if unknown:
             raise ParseError(f"unknown spot_id {unknown[0]!r} not present in the spot table")
         missing = [s for s in spot_ids if s not in rows]
@@ -200,13 +218,22 @@ def select_top_k_genes(norm, gene_names, k):
     return indices, [gene_names[j] for j in indices]
 
 
-def context_window(spots, center_index, d):
-    """The d x d grid neighborhood of a spot; absent cells are None."""
+def grid_index(spots):
+    """Spot index by (array_row, array_col)."""
+    return {(s.array_row, s.array_col): i for i, s in enumerate(spots)}
+
+
+def context_window(spots, center_index, d, by_grid=None):
+    """The d x d grid neighborhood of a spot; absent cells are None.
+
+    ``by_grid`` is ``grid_index(spots)``; it is built here when not given.
+    """
     if d < 1 or d % 2 == 0:
         raise ValueError(f"window size must be odd and >= 1, got {d}")
     if not 0 <= center_index < len(spots):
         raise ValueError(f"center index {center_index} out of range")
-    by_grid = {(s.array_row, s.array_col): i for i, s in enumerate(spots)}
+    if by_grid is None:
+        by_grid = grid_index(spots)
     center = spots[center_index]
     half = d // 2
     members = [[by_grid.get((center.array_row + r - half, center.array_col + c - half))
@@ -305,5 +332,5 @@ def load_dataset(manifest_path, provider="precomputed"):
     else:
         raise ValueError(f"unknown provider {provider!r}")
     bundles = [prov.bundle(s, "spot") for s in spots]
-    ctx_bundles = [prov.bundle(s, "ctx") for s in spots]
+    ctx_bundles = [prov.bundle(s, "ctx", spot_bundle=b) for s, b in zip(spots, bundles)]
     return SpotDataset(spots, expr, bundles, doc["slide_id"], features_ctx=ctx_bundles)

@@ -127,9 +127,13 @@ class ToyFeatureProvider:
         self.grid_tokens = int(grid_tokens)
         self.stream_dims = dict(TOY_STREAM_DIMS if stream_dims is None else stream_dims)
 
-    def bundle(self, spot, scope="spot"):
+    def bundle(self, spot, scope="spot", spot_bundle=None):
+        """The spot's bundle; extraction ignores the scope, so a given
+        ``spot_bundle`` (this spot's spot-scope bundle) is returned as is."""
         if scope not in SCOPES:
             raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
+        if spot_bundle is not None:
+            return spot_bundle
         return toy_extract(spot, self.dataset_seed, self.grid_tokens, self.stream_dims)
 
 
@@ -139,13 +143,21 @@ class PrecomputedFeatureProvider:
     def __init__(self, prefix):
         self.prefix = Path(prefix)
 
-    def bundle(self, spot, scope="spot"):
+    def bundle(self, spot, scope="spot", spot_bundle=None):
+        """The spot's bundle in ``scope``. A context-scope stream with no
+        file of its own takes the array of ``spot_bundle`` (this spot's
+        spot-scope bundle, already read) when given, else reads the
+        spot-scope file."""
         if scope not in SCOPES:
             raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
+        fallback = dict(spot_bundle.streams()) if spot_bundle is not None else {}
         tokens = {}
         for stream in STREAMS:
             path = self.prefix / f"{spot.spot_id}.{stream}.{scope}.bgft"
             if scope == "ctx" and not path.exists():
+                if stream in fallback:
+                    tokens[stream] = fallback[stream]
+                    continue
                 path = self.prefix / f"{spot.spot_id}.{stream}.spot.bgft"
             tokens[stream] = load_feature_file(path)
         return FeatureBundle(tokens["img"], tokens["edge"], tokens["nuc"])

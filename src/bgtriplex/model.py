@@ -3,15 +3,20 @@
 A spot branch and an in-context branch run multi-head cross-attention in
 which edge and nuclei token streams guide the image stream; a global
 branch position-encodes one pooled image token per spot over the slide
-grid. Branch outputs are fused by the same cross-attention block, with
-the global tokens as the query, and linear heads map pooled tokens to
-per-gene predictions.
+grid. Each spot's branch outputs are fused by the same cross-attention
+block, with that spot's global token as the query, and linear heads map
+pooled tokens to per-gene predictions.
+
+A forward pass projects only the feature bundles it reads, so the cost
+per spot does not grow with the slide. Inference (``forward_slide``)
+runs on detached weights and builds no autodiff graph.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -182,6 +187,19 @@ class ModelParams:
         for _, tensor in self.named():
             tensor.zero_grad()
 
+    def detached(self):
+        """A view of these weights that records no graph: every tensor
+        shares its array, but none requires a gradient."""
+        view = copy.copy(self)
+        view.proj = {key: tensor.detach() for key, tensor in self.proj.items()}
+        for label in MCA_BLOCKS:
+            block = getattr(self, label)
+            setattr(view, label, replace(block, **{f.name: getattr(block, f.name).detach()
+                                                   for f in fields(block)}))
+        view.apeg_kernel = self.apeg_kernel.detach()
+        view.heads = {name: (w.detach(), b.detach()) for name, (w, b) in self.heads.items()}
+        return view
+
 
 def mca(guide_a, query, guide_b, block, config, attn_sink=None):
     """Multi-head cross-attention guiding ``query`` by two token streams.
@@ -289,7 +307,8 @@ def context_branch(window, projected_ctx, params, config, attn_sink=None):
 
 
 def global_branch(dataset_tokens, grid_positions, params):
-    """Position-encode one pooled image token per spot over the slide grid.
+    """Position-encode one pooled, projected image token per spot over the
+    slide grid.
 
     The returned tokens keep one row per spot; per-spot pooling and
     prediction are row lookups performed by the caller.
@@ -304,75 +323,88 @@ def global_prediction(global_out, spot_index, params):
 
 
 def fuse(spot_out, ctx_out, global_out, target_spot_index, params, config, attn_sink=None):
-    """Fuse the branches with the global tokens as the attention query.
+    """Fuse one spot's branches; the query is its row of the global tokens.
 
-    A dropped guide branch is replaced by the query stream, mirroring the
-    guidance ablations. Returns the fused prediction for the target spot.
+    The query is the single row ``target_spot_index`` of
+    ``global_out.tokens``, so the attention weights ``attn_sink`` receives
+    are (1, S). A dropped guide branch is replaced by the whole global
+    token stream, mirroring the guidance ablations. Returns the fused
+    prediction for the target spot.
     """
-    query = global_out.tokens
-    if not 0 <= target_spot_index < query.shape[0]:
-        raise ValueError(f"target spot index {target_spot_index} out of range")
-    guide_a = query if config.drop_spot else spot_out.tokens
-    guide_b = query if config.drop_ctx else ctx_out.tokens
-    fused_tokens = mca(guide_a, query, guide_b, params.mca_fuse, config, attn_sink=attn_sink)
-    pooled = ad.row(fused_tokens, target_spot_index)
-    return _head_apply(params, "fused", pooled)
+    stream = global_out.tokens
+    query = ad.row(stream, target_spot_index)
+    guide_a = stream if config.drop_spot else spot_out.tokens
+    guide_b = stream if config.drop_ctx else ctx_out.tokens
+    fused = mca(guide_a, query, guide_b, params.mca_fuse, config, attn_sink=attn_sink)
+    return _head_apply(params, "fused", fused)
 
 
 def slide_forward(dataset, params, config, d_context, spot_indices=None):
-    """Differentiable forward pass; returns per-spot prediction tensors.
+    """Differentiable forward pass; returns (spot, {branch: prediction}) pairs.
 
-    The global query is computed once per call and shared by every
-    requested spot. With ``drop_global`` the query becomes the stack of
-    pooled spot-branch (or, failing that, context-branch) tokens.
+    A call projects only what it reads, each bundle once: the spot-scope
+    bundles of the requested spots and the context-scope bundles of their
+    window members. The global tokens are the slide's pooled raw image
+    tokens times the (linear, bias-free) spot-scope image projection,
+    position-encoded. Each spot is fused from its own global row. With
+    ``drop_global`` the global stream is the stack of pooled spot-branch
+    (or, failing that, context-branch) tokens; when it also replaces a
+    dropped guide, that branch runs on every spot.
     """
     from .data import context_window
 
     n = dataset.n_spots
     indices = list(range(n)) if spot_indices is None else list(spot_indices)
-    need_spot = not config.drop_spot
-    need_ctx = not config.drop_ctx
-
-    proj_spot = [project_bundle(b, params, "spot") for b in dataset.features]
-    proj_ctx = ([project_bundle(b, params, "ctx") for b in dataset.features_ctx]
-                if need_ctx else None)
+    if not all(0 <= s < n for s in indices):
+        raise ValueError(f"spot indices must lie in [0, {n})")
+    spot_scope = range(n) if config.drop_global and config.drop_ctx else indices
+    ctx_scope = range(n) if config.drop_global and config.drop_spot else indices
 
     spot_outs = {}
+    if not config.drop_spot:
+        spot_outs = {s: spot_branch(project_bundle(dataset.features[s], params, "spot"),
+                                    params, config)
+                     for s in dict.fromkeys(spot_scope)}
     ctx_outs = {}
-    spot_scope = range(n) if (config.drop_global and need_spot) else indices
-    if need_spot:
-        for s in spot_scope:
-            spot_outs[s] = spot_branch(proj_spot[s], params, config)
-    ctx_scope = range(n) if (config.drop_global and not need_spot) else indices
-    if need_ctx:
-        for s in ctx_scope:
-            window = context_window(dataset.spots, s, d_context)
-            ctx_outs[s] = context_branch(window, proj_ctx, params, config)
+    if not config.drop_ctx:
+        windows = {s: context_window(dataset.spots, s, d_context, dataset.grid_index)
+                   for s in dict.fromkeys(ctx_scope)}
+        members = dict.fromkeys(i for w in windows.values()
+                                for row in w.member_indices for i in row if i is not None)
+        proj_ctx = {i: project_bundle(dataset.features_ctx[i], params, "ctx") for i in members}
+        ctx_outs = {s: context_branch(w, proj_ctx, params, config) for s, w in windows.items()}
 
     if config.drop_global:
-        source = spot_outs if need_spot else ctx_outs
-        query = ad.concat_rows([source[s].pooled for s in range(n)])
-        global_out = BranchOutput(query, None, None)
+        source = ctx_outs if config.drop_spot else spot_outs
+        row_of = {s: k for k, s in enumerate(source)}
+        global_out = BranchOutput(ad.concat_rows([out.pooled for out in source.values()]),
+                                  None, None)
     else:
-        dataset_tokens = ad.concat_rows([ad.mean_rows(proj_spot[s]["img"]) for s in range(n)])
-        global_out = global_branch(dataset_tokens, dataset.grid_positions(), params)
+        row_of = range(n)
+        pooled = ad.matmul(dataset.pooled_image_tokens, params.proj[("img", "spot")])
+        global_out = global_branch(pooled, dataset.grid_positions(), params)
 
     results = []
     for s in indices:
         preds = {}
-        if need_spot:
+        if not config.drop_spot:
             preds["spot"] = spot_outs[s].prediction
-        if need_ctx:
+        if not config.drop_ctx:
             preds["ctx"] = ctx_outs[s].prediction
         if not config.drop_global:
             preds["global"] = global_prediction(global_out, s, params)
-        preds["fused"] = fuse(spot_outs.get(s), ctx_outs.get(s), global_out, s, params, config)
+        preds["fused"] = fuse(spot_outs.get(s), ctx_outs.get(s), global_out, row_of[s],
+                              params, config)
         results.append((s, preds))
     return results
 
 
 def forward_slide(dataset, params, config, d_context):
-    """Whole-slide forward pass returning numpy prediction matrices."""
-    results = slide_forward(dataset, params, config, d_context)
+    """Whole-slide forward pass returning numpy prediction matrices.
+
+    It runs on ``params.detached()``, so it builds no graph and leaves
+    every gradient buffer untouched.
+    """
+    results = slide_forward(dataset, params.detached(), config, d_context)
     names = ["fused"] + [b for b in ("spot", "ctx", "global") if b in results[0][1]]
     return {name: np.vstack([preds[name].data for _, preds in results]) for name in names}

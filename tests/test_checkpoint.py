@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_model import init_oracle
 
 from bgtriplex.checkpoint import load_checkpoint, save_checkpoint
@@ -51,6 +53,36 @@ def test_round_trip(tmp_path):
         np.testing.assert_array_equal(back.data, values.data.astype(np.float32), err_msg=name)
     save_checkpoint(tmp_path / "b.bgck", loaded, 3, GENES)
     assert (tmp_path / "b.bgck").read_bytes() == path.read_bytes()
+
+
+FLAGS = ("drop_spot", "drop_ctx", "drop_global", "no_edge_spot", "no_nuclei_spot",
+         "no_edge_ctx", "no_nuclei_ctx")
+
+configs = st.builds(
+    lambda n_heads, d_head, dims, flags, eps: ModelConfig(
+        d_model=n_heads * d_head, n_heads=n_heads, stream_dims=dims, eps=eps, **flags),
+    st.integers(1, 3), st.integers(1, 3),
+    st.fixed_dictionaries({stream: st.integers(1, 4) for stream in ("img", "edge", "nuc")}),
+    st.fixed_dictionaries({flag: st.booleans() for flag in FLAGS}).filter(
+        lambda f: not (f["drop_spot"] and f["drop_ctx"] and f["drop_global"])),
+    st.floats(1e-12, 1e-2))
+
+
+@settings(max_examples=15, deadline=None)
+@given(configs, st.integers(0, 4).map(lambda k: 2 * k + 1),
+       st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True),
+       st.integers(0, 2 ** 32 - 1))
+def test_round_trip_property(tmp_path_factory, config, d_context, genes, seed):
+    params = ModelParams(config, k_genes=len(genes), seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, values in params.records():
+        values[...] = rng.normal(size=values.shape).astype(np.float32)
+    path = tmp_path_factory.mktemp("bgck") / "p.bgck"
+    save_checkpoint(path, params, d_context, genes)
+    loaded, back_context, back_genes = load_checkpoint(path)
+    assert (loaded.config, back_context, back_genes) == (config, d_context, genes)
+    for (name, values), (_, back) in zip(params.named(), loaded.named()):
+        np.testing.assert_array_equal(back.data, values.data, err_msg=name)
 
 
 @pytest.mark.parametrize("config", [TINY, ModelConfig()])

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgtriplex.data import (ExpressionMatrix, SpotRecord, context_window,
+from bgtriplex import features
+from bgtriplex.data import (ExpressionMatrix, SpotRecord, context_window, grid_index,
                             load_dataset, load_expression_matrix, load_spot_table,
                             log1p_normalize, save_dataset, select_top_k_genes,
                             synth_dataset, write_expression_matrix, write_spot_table)
@@ -187,9 +188,9 @@ class TestExpressionMatrix:
 
     def test_unknown_spot_id(self, tmp_path):
         path = tmp_path / "expr.tsv"
-        path.write_text("spot_id\tG1\nA\t1\nB\t2\n")
-        with pytest.raises(ParseError, match="unknown spot_id"):
-            load_expression_matrix(path, spot_ids=["A"])
+        path.write_text("spot_id\tG1\nA\t1\nC\t2\nB\t3\n")
+        with pytest.raises(ParseError, match="unknown spot_id 'C'"):
+            load_expression_matrix(path, spot_ids=["A", "B"])
 
     def test_missing_spot_row(self, tmp_path):
         path = tmp_path / "expr.tsv"
@@ -320,6 +321,7 @@ class TestContextWindow:
         spots = [SpotRecord(f"s{i}", r, c, 0.0, 0.0) for i, (r, c) in enumerate(cells)]
         center = data.draw(st.integers(0, len(spots) - 1), label="center")
         win = context_window(spots, center, d)
+        assert context_window(spots, center, d, grid_index(spots)) == win
         row, col, half = spots[center].array_row, spots[center].array_col, d // 2
         assert win.center == center and len(win.member_indices) == d
         for r, cells_in_row in enumerate(win.member_indices):
@@ -402,3 +404,30 @@ class TestManifestRoundTrip:
         from_toy = load_dataset(manifest, provider="toy")
         for ba, bb in zip(from_files.features, from_toy.features):
             np.testing.assert_array_equal(ba.image_tokens, bb.image_tokens)
+
+    def test_one_ctx_stream_file_reads_each_file_once(self, tmp_path, monkeypatch):
+        ds, _ = synth_dataset(2, 3, 4, 0.05, seed=37)
+        manifest = save_dataset(ds, tmp_path / "slide")
+        rng = np.random.default_rng(37)
+        edge_ctx = [rng.uniform(size=(5, 6)).astype(np.float32).astype(np.float64)
+                    for _ in ds.spots]
+        for spot, values in zip(ds.spots, edge_ctx):
+            path = tmp_path / "slide" / "features" / f"{spot.spot_id}.edge.ctx.bgft"
+            path.write_bytes(features.encode_bgft(values))
+        reads = []
+        real_load = features.load_feature_file
+
+        def counting_load(path):
+            reads.append(path.name)
+            return real_load(path)
+
+        monkeypatch.setattr(features, "load_feature_file", counting_load)
+        back = load_dataset(manifest)
+        assert len(reads) == len(set(reads)) == 4 * ds.n_spots
+        for bundle, ctx_bundle, loaded, loaded_ctx, edge in zip(
+                ds.features, ds.features_ctx, back.features, back.features_ctx, edge_ctx):
+            for (stream, values), (_, got) in zip(bundle.streams(), loaded.streams()):
+                np.testing.assert_array_equal(got, values, err_msg=stream)
+            np.testing.assert_array_equal(loaded_ctx.image_tokens, ctx_bundle.image_tokens)
+            np.testing.assert_array_equal(loaded_ctx.nuclei_tokens, ctx_bundle.nuclei_tokens)
+            np.testing.assert_array_equal(loaded_ctx.edge_tokens, edge)

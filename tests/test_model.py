@@ -290,6 +290,42 @@ def per_head_mca(guide_a, query, guide_b, block, config, attn_sink=None):
     return ad.layer_norm(summed, block.gamma, block.beta, config.eps)
 
 
+def full_slide_forward(ds, params, config, d_context, spot_indices):
+    """``model.slide_forward`` computed over the whole slide: every bundle
+    projected in both scopes, every branch run for every spot, the global
+    tokens pooled from projected image tokens, and the fusion block run
+    on all n global query rows before the target row is kept."""
+    n = ds.n_spots
+    proj_spot = [project_bundle(b, params, "spot") for b in ds.features]
+    proj_ctx = [project_bundle(b, params, "ctx") for b in ds.features_ctx]
+    spot_outs = [spot_branch(p, params, config) for p in proj_spot]
+    ctx_outs = [context_branch(context_window(ds.spots, s, d_context), proj_ctx, params, config)
+                for s in range(n)]
+    if config.drop_global:
+        source = ctx_outs if config.drop_spot else spot_outs
+        stream = ad.concat_rows([out.pooled for out in source])
+    else:
+        pooled = ad.concat_rows([ad.mean_rows(p["img"]) for p in proj_spot])
+        stream = global_branch(pooled, ds.grid_positions(), params).tokens
+    head = lambda name, pooled: ad.add(ad.matmul(pooled, params.heads[name][0]),
+                                       params.heads[name][1])
+    results = []
+    for s in spot_indices:
+        guide_a = stream if config.drop_spot else spot_outs[s].tokens
+        guide_b = stream if config.drop_ctx else ctx_outs[s].tokens
+        fused = mca(guide_a, stream, guide_b, params.mca_fuse, config)
+        preds = {}
+        if not config.drop_spot:
+            preds["spot"] = spot_outs[s].prediction
+        if not config.drop_ctx:
+            preds["ctx"] = ctx_outs[s].prediction
+        if not config.drop_global:
+            preds["global"] = head("global", ad.row(stream, s))
+        preds["fused"] = head("fused", ad.row(fused, s))
+        results.append((s, preds))
+    return results
+
+
 CFG8 = ModelConfig(d_model=8, n_heads=2)
 
 
@@ -636,6 +672,14 @@ class TestFuse:
         pred = fuse(spot_out, ctx_out, global_out, 2, params, cfg)
         np.testing.assert_allclose(pred.data, [[4.25]], atol=1e-15)
 
+    def test_sink_holds_one_query_row_per_head_and_stream(self, small_setup):
+        _, cfg, params, _, _ = small_setup
+        rng = np.random.default_rng(42)
+        mk = lambda rows: BranchOutput(Tensor(rng.normal(size=(rows, 16))), None, None)
+        sink = []
+        fuse(mk(2), mk(3), mk(9), 4, params, cfg, attn_sink=sink)
+        assert [a.shape for a in sink] == [(1, 2)] * cfg.n_heads + [(1, 3)] * cfg.n_heads
+
     def test_target_index_out_of_range(self, small_setup):
         ds, cfg, params, _, _ = small_setup
         rng = np.random.default_rng(41)
@@ -725,6 +769,86 @@ class TestForwardSlide:
         ref = forward_ref(NUMPY, ds, params, 3)
         for name in ("fused", "spot", "ctx", "global"):
             assert_matches(out[name], ref[name], name)
+
+
+class TestSlideForwardCost:
+    def test_forward_slide_builds_no_graph(self, monkeypatch):
+        ds, _ = synth_dataset(3, 3, 6, 0.05, seed=19)
+        cfg = ModelConfig(d_model=16, n_heads=2)
+        params = ModelParams(cfg, k_genes=3, seed=3)
+        returned = []
+        real_forward = model.slide_forward
+
+        def recording_forward(*args, **kwargs):
+            returned.extend(real_forward(*args, **kwargs))
+            return returned
+
+        monkeypatch.setattr(model, "slide_forward", recording_forward)
+        out = forward_slide(ds, params, cfg, d_context=3)
+        assert len(returned) == ds.n_spots
+        for _, preds in returned:
+            assert set(preds) == set(out)
+            assert not any(p.requires_grad or p._parents for p in preds.values())
+        assert all(tensor.grad is None and tensor.requires_grad for _, tensor in params.named())
+
+    @pytest.mark.parametrize("flags", [{}, {"drop_ctx": True}, {"drop_global": True}])
+    def test_spot_index_out_of_range(self, flags):
+        ds, _ = synth_dataset(2, 2, 6, 0.05, seed=19)
+        cfg = ModelConfig(d_model=16, n_heads=2, **flags)
+        params = ModelParams(cfg, k_genes=3, seed=3)
+        for bad in (-1, 4):
+            with pytest.raises(ValueError, match="spot indices"):
+                slide_forward(ds, params, cfg, 3, spot_indices=[0, bad])
+
+    def test_step_projects_each_read_bundle_once(self, monkeypatch):
+        ds, _ = synth_dataset(5, 5, 6, 0.05, seed=23)
+        cfg = ModelConfig(d_model=16, n_heads=2)
+        params = ModelParams(cfg, k_genes=3, seed=3)
+        calls = []
+        real_project = model.project_bundle
+
+        def counting_project(bundle, p, scope):
+            calls.append((scope, id(bundle)))
+            return real_project(bundle, p, scope)
+
+        monkeypatch.setattr(model, "project_bundle", counting_project)
+        batch = [0, 12, 13, 24]
+        slide_forward(ds, params, cfg, 3, spot_indices=batch)
+        members = {i for s in batch for row in context_window(ds.spots, s, 3).member_indices
+                   for i in row if i is not None}
+        expected = ([("spot", id(ds.features[s])) for s in batch]
+                    + [("ctx", id(ds.features_ctx[i])) for i in members])
+        assert len(calls) == len(batch) + len(members) < 2 * ds.n_spots
+        assert sorted(calls) == sorted(expected)
+
+    @pytest.mark.parametrize("flags", [{}, {"drop_global": True},
+                                       {"drop_global": True, "drop_spot": True},
+                                       {"drop_global": True, "drop_ctx": True}])
+    def test_step_gradients_match_full_slide_reference(self, flags):
+        ds, _ = synth_dataset(3, 4, 6, 0.05, seed=29)
+        cfg = ModelConfig(d_model=16, n_heads=4, **flags)
+        targets, _, _ = gene_targets([ds], 4)
+
+        def loss_and_grads(forward):
+            params = ModelParams(cfg, k_genes=4, seed=6)
+            rng = np.random.default_rng(6)
+            for _, values in params.records():
+                values[...] = rng.normal(0.0, 0.5, values.shape)
+            loss = None
+            for s, preds in forward(ds, params, cfg, 3, spot_indices=[0, 5, 6, 11]):
+                term, _ = loss_total(preds, targets[0][s], 0.3)
+                loss = term if loss is None else ad.add(loss, term)
+            loss.backward()
+            return loss.item(), {name: t.grad for name, t in params.named()}
+
+        loss, grads = loss_and_grads(slide_forward)
+        ref_loss, ref_grads = loss_and_grads(full_slide_forward)
+        assert abs(loss - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
+        for name, grad in grads.items():
+            assert (grad is None) == (ref_grads[name] is None), name
+            if grad is not None:
+                assert np.abs(grad).max() > 0.0, name
+                assert_matches(grad, ref_grads[name], name)
 
 
 class TestModelParams:

@@ -1,9 +1,9 @@
 """Dense float64 tensors with reverse-mode gradients.
 
 Covers exactly the operations the expression model needs: matrix
-multiplication, multi-head attention (optionally key-masked), layer
+multiplication, multi-head attention over blocks of rows, layer
 normalization, elementwise arithmetic, row concatenation, row pooling
-and row selection. Gradients are accumulated by walking the
+and row gathering. Gradients are accumulated by walking the
 recorded operation graph in reverse topological order; all reductions
 run in numpy's deterministic order so repeated runs are bit-identical.
 """
@@ -15,7 +15,7 @@ import numbers
 
 import numpy as np
 
-from .errors import DegenerateAttentionError, NumericsError, ShapeError
+from .errors import NumericsError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -24,13 +24,12 @@ __all__ = [
     "matmul",
     "attention",
     "add",
-    "sub",
     "mul",
     "layer_norm",
     "concat_rows",
     "mean_rows",
     "mean_all",
-    "row",
+    "take_rows",
     "grad_check",
 ]
 
@@ -81,14 +80,21 @@ class Tensor:
         self.grad += g
 
     def backward(self):
-        """Accumulate d(self)/d(leaf) into every reachable ``grad`` buffer."""
+        """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
+
+        The walk consumes the graph: once an op node has passed its
+        gradient on, it drops that gradient, its saved values and its links
+        to its inputs, so memory falls as the walk proceeds.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar output, got shape {self.shape}")
         order = _topo_order(self)
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad, node._backward, node._parents = None, None, ()
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -170,50 +176,32 @@ def matmul(a, b):
     return out
 
 
-def _accum_shaped(tensor, g):
-    if g.shape != tensor.data.shape:
-        g = _sum_to_shape(g, tensor.data.shape)
-    tensor._accumulate(g)
+def _broadcast_op(a, b, value, grad_a, grad_b):
+    """``value(a, b)`` under numpy broadcasting. Backward passes
+    ``grad_a(g)`` and ``grad_b(g)``, each summed back to its operand's shape."""
+    a, b = as_tensor(a), as_tensor(b)
+    try:
+        out = Tensor(value(a.data, b.data))
+    except ValueError as exc:
+        raise ShapeError(f"incompatible shapes {a.shape} and {b.shape}") from exc
+    if a.requires_grad or b.requires_grad:
+        out.requires_grad = True
+        out._parents = (a, b)
+
+        def backward(g):
+            for operand, grad in ((a, grad_a), (b, grad_b)):
+                if operand.requires_grad:
+                    g_op = grad(g)
+                    if g_op.shape != operand.data.shape:
+                        g_op = _sum_to_shape(g_op, operand.data.shape)
+                    operand._accumulate(g_op)
+
+        out._backward = backward
+    return out
 
 
 def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = Tensor(a.data + b.data)
-    except ValueError as exc:
-        raise ShapeError(f"incompatible shapes {a.shape} and {b.shape}") from exc
-    if a.requires_grad or b.requires_grad:
-        out.requires_grad = True
-        out._parents = (a, b)
-
-        def backward(g):
-            if a.requires_grad:
-                _accum_shaped(a, g)
-            if b.requires_grad:
-                _accum_shaped(b, g)
-
-        out._backward = backward
-    return out
-
-
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = Tensor(a.data - b.data)
-    except ValueError as exc:
-        raise ShapeError(f"incompatible shapes {a.shape} and {b.shape}") from exc
-    if a.requires_grad or b.requires_grad:
-        out.requires_grad = True
-        out._parents = (a, b)
-
-        def backward(g):
-            if a.requires_grad:
-                _accum_shaped(a, g)
-            if b.requires_grad:
-                _accum_shaped(b, -g)
-
-        out._backward = backward
-    return out
+    return _broadcast_op(a, b, np.add, lambda g: g, lambda g: g)
 
 
 def mul(a, b):
@@ -228,79 +216,56 @@ def mul(a, b):
     if isinstance(a, numbers.Number):
         return mul(as_tensor(b), a)
     a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = Tensor(a.data * b.data)
-    except ValueError as exc:
-        raise ShapeError(f"incompatible shapes {a.shape} and {b.shape}") from exc
-    if a.requires_grad or b.requires_grad:
-        out.requires_grad = True
-        out._parents = (a, b)
-
-        def backward(g):
-            if a.requires_grad:
-                _accum_shaped(a, g * b.data)
-            if b.requires_grad:
-                _accum_shaped(b, g * a.data)
-
-        out._backward = backward
-    return out
+    return _broadcast_op(a, b, np.multiply, lambda g: g * b.data, lambda g: g * a.data)
 
 
-def attention(q, k, v, n_heads, key_mask=None, attn_sink=None):
-    """Scaled dot-product attention for every head at once.
+def attention(q, k, v, n_heads, groups=1, attn_sink=None):
+    """Scaled dot-product attention for every head and block of rows at once.
 
-    ``q`` is (T, d); ``k`` and ``v`` are (S, d). Head h reads columns
+    ``q`` is (G*T, d); ``k`` and ``v`` are (G*S, d), for ``groups`` G.
+    Rows split into G consecutive blocks, and block g of ``q`` attends only
+    to block g of ``k`` and ``v``. Head h reads columns
     h*d_head:(h+1)*d_head of all three and writes the same columns of the
-    (T, d) output: softmax(q_h k_h^T / sqrt(d_head)) v_h, with the row
-    maximum subtracted before exponentiation. ``key_mask`` (length S)
-    marks the keys that may receive weight; masked keys get exactly zero
-    weight, and a mask with no key left raises. The model passes no mask,
-    since every branch attends over all of its tokens; the mask stays as
-    the primitive that lets context windows be padded to a fixed D x D
-    member grid without the padded keys receiving weight. ``attn_sink``,
-    when given, is extended by one (T, S) weight matrix per head, in head
-    order. Backward reuses the weights and the head-split q, k and v.
+    (G*T, d) output: softmax(q_h k_h^T / sqrt(d_head)) v_h, with the row
+    maximum subtracted before exponentiation. ``attn_sink``, when given,
+    is extended by one (T, S) weight matrix per block and head, block by
+    block. Backward reuses the weights and the head-split q, k and v.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if (q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape
-            or k.shape[1] != q.shape[1] or q.shape[1] % n_heads):
+            or k.shape[1] != q.shape[1] or q.shape[1] % n_heads
+            or groups < 1 or q.shape[0] % groups or k.shape[0] % groups):
         raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} "
-                         f"do not split into {n_heads} heads")
-    (t, d), s = q.shape, k.shape[0]
+                         f"do not split into {groups} blocks of {n_heads} heads")
+    d = q.shape[1]
     d_head = d // n_heads
     scale = 1.0 / math.sqrt(d_head)
 
     def split(x):
-        return x.reshape(x.shape[0], n_heads, d_head).transpose(1, 0, 2)
+        return x.reshape(groups, -1, n_heads, d_head).transpose(0, 2, 1, 3)
 
     def merge(x):
-        return x.transpose(1, 0, 2).reshape(x.shape[1], d)
+        return x.transpose(0, 2, 1, 3).reshape(-1, d)
 
     qh, kh, vh = split(q.data) * scale, split(k.data), split(v.data)
-    weights = qh @ kh.transpose(0, 2, 1)
-    if key_mask is not None:
-        mask = np.asarray(key_mask, dtype=bool).reshape(-1)
-        if mask.shape[0] != s:
-            raise ShapeError(f"attention: mask length {mask.shape[0]} != keys {s}")
-        if not mask.any():
-            raise DegenerateAttentionError("attention: every key is masked")
-        weights[:, :, ~mask] = -np.inf
-    weights -= weights.max(axis=2, keepdims=True)
+    weights = qh @ kh.swapaxes(2, 3)
+    weights -= weights.max(axis=3, keepdims=True)
     np.exp(weights, out=weights)
-    weights /= weights.sum(axis=2, keepdims=True)
+    weights /= weights.sum(axis=3, keepdims=True)
     if attn_sink is not None:
-        attn_sink.extend(weights.copy())
+        attn_sink.extend(weights.reshape(-1, *weights.shape[2:]).copy())
 
     def backward(g):
         gh = split(g)
         if v.requires_grad:
-            v._accumulate(merge(weights.transpose(0, 2, 1) @ gh))
-        d_weights = gh @ vh.transpose(0, 2, 1)
-        d_logits = weights * (d_weights - (d_weights * weights).sum(axis=2, keepdims=True))
+            v._accumulate(merge(weights.swapaxes(2, 3) @ gh))
+        d_logits = gh @ vh.swapaxes(2, 3)
+        d_logits -= (d_logits * weights).sum(axis=3, keepdims=True)
+        d_logits *= weights
         if q.requires_grad:
             q._accumulate(merge(d_logits @ kh) * scale)
         if k.requires_grad:
-            k._accumulate(merge(d_logits.transpose(0, 2, 1) @ qh))
+            k._accumulate(merge(d_logits.swapaxes(2, 3) @ qh))
 
     return compose(merge(weights @ vh), (q, k, v), backward)
 
@@ -368,17 +333,17 @@ def concat_rows(parts):
     return out
 
 
-def mean_rows(x):
-    """Mean over rows, returned as a 1 x n tensor."""
+def mean_rows(x, groups=1):
+    """Mean over each of ``groups`` equal, consecutive blocks of rows: (groups, n)."""
     x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"mean_rows: need a 2-D tensor, got shape {x.shape}")
-    count = x.shape[0]
-    out = Tensor(x.data.sum(axis=0, keepdims=True) / count)
+    if x.data.ndim != 2 or groups < 1 or x.shape[0] % groups:
+        raise ShapeError(f"mean_rows: cannot split shape {x.shape} into {groups} row blocks")
+    count = x.shape[0] // groups
+    out = Tensor(x.data.reshape(groups, count, -1).sum(axis=1) / count)
     if x.requires_grad:
         out.requires_grad = True
         out._parents = (x,)
-        out._backward = lambda g: x._accumulate(np.broadcast_to(g / count, x.data.shape))
+        out._backward = lambda g: x._accumulate(np.repeat(g / count, count, axis=0))
     return out
 
 
@@ -393,22 +358,24 @@ def mean_all(x):
     return out
 
 
-def row(x, index):
-    """Select one row as a 1 x n tensor."""
+def take_rows(x, index):
+    """Rows ``index`` of a 2-D tensor, in that order; an index may repeat."""
     x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"row: need a 2-D tensor, got shape {x.shape}")
-    if not 0 <= index < x.shape[0]:
-        raise ValueError(f"row: index {index} out of range for {x.shape[0]} rows")
-    out = Tensor(x.data[index:index + 1, :])
+    index = np.asarray(index, dtype=np.intp)
+    if x.data.ndim != 2 or index.ndim != 1:
+        raise ShapeError(f"take_rows: need a 2-D tensor and a 1-D index, got {x.shape} "
+                         f"and {index.shape}")
+    if index.size and not (index.min() >= 0 and index.max() < x.shape[0]):
+        raise ValueError(f"take_rows: index out of range for {x.shape[0]} rows")
+    out = Tensor(x.data[index])
     if x.requires_grad:
         out.requires_grad = True
         out._parents = (x,)
 
         def backward(g):
-            dx = np.zeros_like(x.data)
-            dx[index] = g[0]
-            x._accumulate(dx)
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            np.add.at(x.grad, index, g)
 
         out._backward = backward
     return out

@@ -12,6 +12,7 @@ evaluation.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 
 from .errors import FormatError
@@ -21,10 +22,17 @@ from .model import ModelConfig, ModelParams
 _MAGIC = b"BGCK"
 
 
+def _check_window(d_context):
+    if (not isinstance(d_context, numbers.Integral) or isinstance(d_context, bool)
+            or d_context < 1 or d_context % 2 == 0):
+        raise ValueError(f"d_context must be a positive odd integer, got {d_context!r}")
+    return int(d_context)
+
+
 def save_checkpoint(path, params, d_context, genes):
     meta = {
         "model": params.config.to_dict(),
-        "d_context": int(d_context),
+        "d_context": _check_window(d_context),
         "genes": list(genes),
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
@@ -53,7 +61,7 @@ def load_checkpoint(path):
     try:
         meta = json.loads(blob[12:meta_end].decode("utf-8"))
         config = ModelConfig.from_dict(meta["model"])
-        d_context = int(meta["d_context"])
+        d_context = _check_window(meta["d_context"])
         genes = list(meta["genes"])
     except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"invalid metadata blob at byte 12: {exc}") from exc

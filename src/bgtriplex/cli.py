@@ -172,11 +172,10 @@ def synth(rows, cols, genes, noise_sd, seed, slide_id, grid_tokens, out_dir, for
     click.echo(f"wrote {manifest}")
 
 
-def _train_summary(checkpoint_path, manifests, provider, pcch_selector):
+def _train_summary(checkpoint_path, datasets, pcch_selector):
     params, d_context, genes = load_checkpoint(checkpoint_path)
     pcc_values = []
-    for manifest in manifests:
-        ds = load_dataset(manifest, provider=provider)
+    for ds in datasets:
         target = _targets_for_genes(ds, genes)
         pred = forward_slide(ds, params, params.config, d_context)["fused"]
         pcc_values.append(evaluate_predictions(pred, target, genes,
@@ -216,8 +215,7 @@ def cmd_train(manifests, out_dir, config_path, provider, **overrides):
                     f"epoch {s.epoch} lr {s.lr:.6g} loss_total {s.loss_total:.6f}"))
     write_loss_log(out / "loss.csv", log)
     save_checkpoint(out / "checkpoint.bgck", params, train_cfg.d_context, names)
-    train_pcc_m = _train_summary(out / "checkpoint.bgck", manifests, provider,
-                                 doc["pcch_selector"])
+    train_pcc_m = _train_summary(out / "checkpoint.bgck", datasets, doc["pcch_selector"])
     final_loss = log[-1].loss_total if log else float("nan")
     with open(out / "run.json", "w", encoding="utf-8") as fh:
         json.dump({"final_loss_total": final_loss, "train_pcc_m": train_pcc_m,
@@ -258,7 +256,13 @@ def cmd_eval(checkpoint, manifest, provider, pcch_selector, report_path):
 @_config_options
 @guarded
 def cmd_cv(manifests, out_dir, pcch_selector, config_path, provider, **overrides):
-    """Leave-one-slide-out cross-validation over the given manifests."""
+    """Leave-one-slide-out cross-validation over the given manifests.
+
+    ``BGT_THREADS`` (default 1) folds run at once.
+    """
+    threads = os.environ.get("BGT_THREADS", "1")
+    if not threads.isdecimal() or int(threads) < 1:
+        raise click.UsageError(f"BGT_THREADS must be a positive integer, got {threads!r}")
     train_cfg, model_cfg, doc = _build_config(config_path, overrides)
     provider = provider or doc["provider"]
     selector = pcch_selector or doc["pcch_selector"]
@@ -266,9 +270,8 @@ def cmd_cv(manifests, out_dir, pcch_selector, config_path, provider, **overrides
     _echo_header("cv", train_cfg, model_cfg, {"provider": provider, "folds": len(datasets)})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    workers = int(os.environ.get("BGT_THREADS", "1"))
     reports, aggregate = cross_validate(datasets, train_cfg, model_cfg,
-                                        pcch_selector=selector, workers=workers)
+                                        pcch_selector=selector, workers=int(threads))
     for i, report in enumerate(reports):
         write_report(out / f"fold{i}.json", report)
     with open(out / "aggregate.json", "w", encoding="utf-8") as fh:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .features import FeatureBundle, ToyFeatureProvider, encode_bgft
+from .features import STREAMS, FeatureBundle, ToyFeatureProvider, encode_bgft
 from .seeding import derive_seed, substream
 
 SPOT_COLUMNS = ("spot_id", "array_row", "array_col", "px_x", "px_y")
@@ -53,8 +53,9 @@ class ExpressionMatrix:
 class SpotDataset:
     """One slide: spots, expression and per-spot feature bundles.
 
-    Treated as immutable once built: the grid index and the pooled image
-    tokens are computed on first use and kept for the slide's lifetime.
+    Treated as immutable once built: the grid index, the stacked tokens
+    and the pooled image tokens are computed on first use and kept for the
+    slide's lifetime.
     """
 
     spots: list
@@ -83,6 +84,18 @@ class SpotDataset:
     def grid_index(self):
         """``grid_index(spots)`` of this slide."""
         return grid_index(self.spots)
+
+    @cached_property
+    def token_stacks(self):
+        """{(stream, scope): (tokens, offsets)}: every spot's tokens stacked in
+        spot order; spot s owns rows offsets[s]:offsets[s + 1]."""
+        stacks = {}
+        for scope, bundles in (("spot", self.features), ("ctx", self.features_ctx)):
+            for k, stream in enumerate(STREAMS):
+                tokens = [bundle.streams()[k][1] for bundle in bundles]
+                offsets = np.cumsum([0] + [t.shape[0] for t in tokens])
+                stacks[(stream, scope)] = (np.concatenate(tokens), offsets)
+        return stacks
 
     @cached_property
     def pooled_image_tokens(self):

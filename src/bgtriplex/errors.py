@@ -17,9 +17,5 @@ class NumericsError(ArithmeticError):
     """A numeric contract was violated (non-finite value where one is required)."""
 
 
-class DegenerateAttentionError(NumericsError):
-    """Every key/value position of an attention row is masked out."""
-
-
 class UndefinedMetricError(ValueError):
     """A metric average has no defined entries to average over."""

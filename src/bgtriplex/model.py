@@ -7,8 +7,9 @@ grid. Each spot's branch outputs are fused by the same cross-attention
 block, with that spot's global token as the query, and linear heads map
 pooled tokens to per-gene predictions.
 
-A forward pass projects only the feature bundles it reads, so the cost
-per spot does not grow with the slide. Inference (``forward_slide``)
+A forward pass projects only the tokens it reads, so the cost per spot
+does not grow with the slide, and runs each branch as single ops over
+spots whose sequences have the same shape. Inference (``forward_slide``)
 runs on detached weights and builds no autodiff graph.
 """
 
@@ -28,6 +29,10 @@ from .seeding import substream
 
 MCA_BLOCKS = ("mca_spot", "mca_ctx", "mca_fuse")
 MCA_WEIGHTS = ("w_q", "w_k_a", "w_v_a", "w_k_b", "w_v_b")
+# Spots per batched op within a shape group. It bounds the attention
+# weights one op holds (spots x heads x window rows squared) when a whole
+# slide runs; a training batch rarely fills it.
+CHUNK_SPOTS = 8
 
 
 @dataclass
@@ -90,13 +95,6 @@ class McaParams:
     w_v_b: Tensor
     gamma: Tensor
     beta: Tensor
-
-
-@dataclass
-class BranchOutput:
-    tokens: Tensor
-    pooled: Tensor | None
-    prediction: Tensor | None
 
 
 def _uniform(rng, fan_in, shape):
@@ -201,20 +199,20 @@ class ModelParams:
         return view
 
 
-def mca(guide_a, query, guide_b, block, config, attn_sink=None):
-    """Multi-head cross-attention guiding ``query`` by two token streams.
 
-    Each head attends from the query to guide a and to guide b with one
-    shared query projection; the two head-concatenated streams are summed
-    and layer-normalized, so the output has the query's shape.
-    ``attn_sink``, when given, receives one (T, S) weight matrix per head
-    for stream a, then one per head for stream b.
+
+def guided_attention(q, guides, block, config, attn_sink=None):
+    """Multi-head cross-attention from projected queries to two guides.
+
+    ``guides`` holds (keys, values, groups) for guide a, then guide b: block
+    g of ``groups`` equal row blocks of ``q`` attends only to block g of the
+    guide's. Each head attends to both guides with the same queries; the
+    two head-concatenated streams are summed and layer-normalized.
+    ``attn_sink``, when given, receives guide a's weights (one (T, S)
+    matrix per block and head), then guide b's.
     """
-    q = ad.matmul(query, block.w_q)
-    phi_a = ad.attention(q, ad.matmul(guide_a, block.w_k_a), ad.matmul(guide_a, block.w_v_a),
-                         config.n_heads, attn_sink=attn_sink)
-    phi_b = ad.attention(q, ad.matmul(guide_b, block.w_k_b), ad.matmul(guide_b, block.w_v_b),
-                         config.n_heads, attn_sink=attn_sink)
+    phi_a, phi_b = (ad.attention(q, k, v, config.n_heads, groups, attn_sink)
+                    for k, v, groups in guides)
     return ad.layer_norm(ad.add(phi_a, phi_b), block.gamma, block.beta, config.eps)
 
 
@@ -270,83 +268,118 @@ def apeg_encode(tokens, positions, kernel):
     return ad.compose(tokens.data + gathered, (tokens, kernel), backward)
 
 
-def _head_apply(params, name, pooled):
-    w, b = params.heads[name]
-    return ad.add(ad.matmul(pooled, w), b)
+def _ranges(starts, counts):
+    """The row ranges starts[i]:starts[i] + counts[i], concatenated."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts + counts - ends, counts) + np.arange(ends[-1])
 
 
-def project_bundle(bundle, params, scope):
-    return {stream: feature_transform(tokens, params.proj[(stream, scope)])
-            for stream, tokens in bundle.streams()}
+@dataclass
+class BranchOutput:
+    """A branch's stacked tokens for a block of spots, and their per-spot
+    means (None for the global stream)."""
+
+    tokens: Tensor
+    pooled: Tensor | None
 
 
-def spot_branch(projected, params, config, attn_sink=None):
-    """Guided block over one spot's token streams plus its pooled prediction."""
-    image = projected["img"]
-    guide_a = image if config.no_edge_spot else projected["edge"]
-    guide_b = image if config.no_nuclei_spot else projected["nuc"]
-    tokens = mca(guide_a, image, guide_b, params.mca_spot, config, attn_sink=attn_sink)
-    pooled = ad.mean_rows(tokens)
-    return BranchOutput(tokens, pooled, _head_apply(params, "spot", pooled))
+@dataclass
+class BranchInputs:
+    """What the spot or context branch reads, projected once per member spot.
+
+    ``q`` holds the image tokens through the query weights and ``guides``
+    the (keys, values) of guide a, then guide b. ``rows`` holds, for q,
+    guide a and guide b, each target's row index into them.
+    """
+
+    block: McaParams
+    q: Tensor
+    guides: tuple
+    rows: tuple
 
 
-def context_branch(window, projected_ctx, params, config, attn_sink=None):
-    """Guided block over the token streams of the window's present members,
-    concatenated in row-major window order; absent cells contribute no rows."""
-    members = [i for row in window.member_indices for i in row if i is not None]
-    if not members:
-        raise ValueError("context window has no present member")
-    sequences = {stream: ad.concat_rows([projected_ctx[i][stream] for i in members])
-                 for stream in STREAMS}
-    image = sequences["img"]
-    guide_a = image if config.no_edge_ctx else sequences["edge"]
-    guide_b = image if config.no_nuclei_ctx else sequences["nuc"]
-    tokens = mca(guide_a, image, guide_b, params.mca_ctx, config, attn_sink=attn_sink)
-    pooled = ad.mean_rows(tokens)
-    return BranchOutput(tokens, pooled, _head_apply(params, "ctx", pooled))
+def branch_inputs(dataset, params, config, scope, members):
+    """Project what the ``scope`` ("spot" or "ctx") branch reads.
+
+    ``members`` maps each target spot to the spots whose ``scope`` tokens,
+    concatenated in order, form its sequence: the spot itself, or its
+    present window members in row-major order. Each stream read (edge and
+    nuclei guide the image tokens unless ablated) is projected by one
+    matmul over the distinct members' stacked tokens, then through the
+    block's query or key and value weights: once per member, however many
+    sequences hold it.
+    """
+    block = params.mca_spot if scope == "spot" else params.mca_ctx
+    no_edge, no_nuclei = ((config.no_edge_spot, config.no_nuclei_spot) if scope == "spot"
+                          else (config.no_edge_ctx, config.no_nuclei_ctx))
+    streams = ("img", "img" if no_edge else "edge", "img" if no_nuclei else "nuc")
+    distinct = np.array(list(dict.fromkeys(i for spots in members.values() for i in spots)))
+    position = {spot: m for m, spot in enumerate(distinct.tolist())}
+    positions = {t: [position[i] for i in spots] for t, spots in members.items()}
+    projected, rows = {}, {}
+    for stream in dict.fromkeys(streams):
+        tokens, offsets = dataset.token_stacks[(stream, scope)]
+        counts = offsets[distinct + 1] - offsets[distinct]
+        projected[stream] = feature_transform(tokens[_ranges(offsets[distinct], counts)],
+                                              params.proj[(stream, scope)])
+        starts = np.cumsum(counts) - counts
+        rows[stream] = {t: _ranges(starts[p], counts[p]) for t, p in positions.items()}
+    guides = tuple((ad.matmul(projected[stream], w_k), ad.matmul(projected[stream], w_v))
+                   for stream, w_k, w_v in ((streams[1], block.w_k_a, block.w_v_a),
+                                            (streams[2], block.w_k_b, block.w_v_b)))
+    return BranchInputs(block, ad.matmul(projected["img"], block.w_q), guides,
+                        tuple(rows[stream] for stream in streams))
 
 
-def global_branch(dataset_tokens, grid_positions, params):
+def guided_branch(inputs, targets, config, attn_sink=None):
+    """Tokens (G*T, d) and pooled means (G, d) of one branch for G targets.
+
+    The targets' q, guide-a and guide-b sequences must have equal lengths;
+    each target attends only within its own sequences.
+    """
+    q_rows, *guide_rows = (np.concatenate([rows[t] for t in targets]) for rows in inputs.rows)
+    guides = [(ad.take_rows(k, index), ad.take_rows(v, index), len(targets))
+              for (k, v), index in zip(inputs.guides, guide_rows)]
+    tokens = guided_attention(ad.take_rows(inputs.q, q_rows), guides, inputs.block, config,
+                              attn_sink)
+    return BranchOutput(tokens, ad.mean_rows(tokens, len(targets)))
+
+
+def global_branch(tokens, grid_positions, params):
     """Position-encode one pooled, projected image token per spot over the
-    slide grid.
+    slide grid; row s stays spot s's global token."""
+    return BranchOutput(apeg_encode(tokens, grid_positions, params.apeg_kernel), None)
 
-    The returned tokens keep one row per spot; per-spot pooling and
-    prediction are row lookups performed by the caller.
+
+def fuse(spot_out, ctx_out, global_out, rows, params, config, attn_sink=None):
+    """Fused tokens (G, d) of G spots whose branch outputs share one shape.
+
+    Spot g's query is row ``rows[g]`` of ``global_out.tokens``, and it
+    attends to block g of the spot-branch and context-branch tokens. A
+    dropped branch (None) is replaced by the whole global token stream,
+    which every query row attends to, mirroring the guidance ablations.
     """
-    tokens = apeg_encode(dataset_tokens, grid_positions, params.apeg_kernel)
-    return BranchOutput(tokens, None, None)
+    block, stream = params.mca_fuse, global_out.tokens
+    guides = []
+    for out, w_k, w_v in ((spot_out, block.w_k_a, block.w_v_a),
+                          (ctx_out, block.w_k_b, block.w_v_b)):
+        tokens, groups = (stream, 1) if out is None else (out.tokens, len(rows))
+        guides.append((ad.matmul(tokens, w_k), ad.matmul(tokens, w_v), groups))
+    return guided_attention(ad.matmul(ad.take_rows(stream, rows), block.w_q), guides, block,
+                            config, attn_sink)
 
 
-def global_prediction(global_out, spot_index, params):
-    pooled = ad.row(global_out.tokens, spot_index)
-    return _head_apply(params, "global", pooled)
+def forward_batch(dataset, params, config, d_context, spot_indices=None):
+    """Differentiable forward pass; returns {branch: (B, k_genes) predictions},
+    row b for ``spot_indices[b]`` (every spot when None).
 
-
-def fuse(spot_out, ctx_out, global_out, target_spot_index, params, config, attn_sink=None):
-    """Fuse one spot's branches; the query is its row of the global tokens.
-
-    The query is the single row ``target_spot_index`` of
-    ``global_out.tokens``, so the attention weights ``attn_sink`` receives
-    are (1, S). A dropped guide branch is replaced by the whole global
-    token stream, mirroring the guidance ablations. Returns the fused
-    prediction for the target spot.
-    """
-    stream = global_out.tokens
-    query = ad.row(stream, target_spot_index)
-    guide_a = stream if config.drop_spot else spot_out.tokens
-    guide_b = stream if config.drop_ctx else ctx_out.tokens
-    fused = mca(guide_a, query, guide_b, params.mca_fuse, config, attn_sink=attn_sink)
-    return _head_apply(params, "fused", fused)
-
-
-def slide_forward(dataset, params, config, d_context, spot_indices=None):
-    """Differentiable forward pass; returns (spot, {branch: prediction}) pairs.
-
-    A call projects only what it reads, each bundle once: the spot-scope
-    bundles of the requested spots and the context-scope bundles of their
-    window members. The global tokens are the slide's pooled raw image
-    tokens times the (linear, bias-free) spot-scope image projection,
-    position-encoded. Each spot is fused from its own global row. With
+    Spots are grouped by the lengths of their spot and context sequences;
+    each group runs in chunks of at most ``CHUNK_SPOTS`` spots, whose
+    branches and fusion run as single ops over stacked rows, each spot
+    attending and pooling over exactly its own rows. A spot's fusion
+    query is its global token: the slide's pooled raw image tokens times
+    the (linear, bias-free) spot-scope image projection, position-encoded.
+    A dropped guide branch is replaced by the whole global stream. With
     ``drop_global`` the global stream is the stack of pooled spot-branch
     (or, failing that, context-branch) tokens; when it also replaces a
     dropped guide, that branch runs on every spot.
@@ -355,48 +388,59 @@ def slide_forward(dataset, params, config, d_context, spot_indices=None):
 
     n = dataset.n_spots
     indices = list(range(n)) if spot_indices is None else list(spot_indices)
-    if not all(0 <= s < n for s in indices):
-        raise ValueError(f"spot indices must lie in [0, {n})")
-    spot_scope = range(n) if config.drop_global and config.drop_ctx else indices
-    ctx_scope = range(n) if config.drop_global and config.drop_spot else indices
-
-    spot_outs = {}
+    if not indices or not all(0 <= s < n for s in indices):
+        raise ValueError(f"spot indices must be a non-empty list in [0, {n})")
+    wide = config.drop_global and (config.drop_spot or config.drop_ctx)
+    scope = list(range(n)) if wide else list(dict.fromkeys(indices))
+    branches = {}
     if not config.drop_spot:
-        spot_outs = {s: spot_branch(project_bundle(dataset.features[s], params, "spot"),
-                                    params, config)
-                     for s in dict.fromkeys(spot_scope)}
-    ctx_outs = {}
+        branches["spot"] = branch_inputs(dataset, params, config, "spot", {s: [s] for s in scope})
     if not config.drop_ctx:
-        windows = {s: context_window(dataset.spots, s, d_context, dataset.grid_index)
-                   for s in dict.fromkeys(ctx_scope)}
-        members = dict.fromkeys(i for w in windows.values()
-                                for row in w.member_indices for i in row if i is not None)
-        proj_ctx = {i: project_bundle(dataset.features_ctx[i], params, "ctx") for i in members}
-        ctx_outs = {s: context_branch(w, proj_ctx, params, config) for s, w in windows.items()}
+        windows = (context_window(dataset.spots, s, d_context, dataset.grid_index) for s in scope)
+        branches["ctx"] = branch_inputs(dataset, params, config, "ctx", {
+            w.center: [i for row in w.member_indices for i in row if i is not None]
+            for w in windows})
+    groups = {}
+    for s in scope:
+        shape = tuple(len(rows[s]) for inputs in branches.values() for rows in inputs.rows)
+        groups.setdefault(shape, []).append(s)
+    chunks = [group[i:i + CHUNK_SPOTS] for group in groups.values()
+              for i in range(0, len(group), CHUNK_SPOTS)]
+    rank = {s: r for r, s in enumerate(s for chunk in chunks for s in chunk)}
+    outs = ({name: guided_branch(inputs, chunk, config) for name, inputs in branches.items()}
+            for chunk in chunks)
 
     if config.drop_global:
-        source = ctx_outs if config.drop_spot else spot_outs
-        row_of = {s: k for k, s in enumerate(source)}
-        global_out = BranchOutput(ad.concat_rows([out.pooled for out in source.values()]),
-                                  None, None)
+        outs = list(outs)
+        source = "ctx" if config.drop_spot else "spot"
+        global_out = BranchOutput(ad.concat_rows([out[source].pooled for out in outs]), None)
+        row_of = rank
     else:
-        row_of = range(n)
         pooled = ad.matmul(dataset.pooled_image_tokens, params.proj[("img", "spot")])
         global_out = global_branch(pooled, dataset.grid_positions(), params)
+        row_of = range(n)
+    stacked = {"fused": [], **{name: [] for name in branches}}
+    for chunk, out in zip(chunks, outs):
+        stacked["fused"].append(fuse(out.get("spot"), out.get("ctx"), global_out,
+                                     [row_of[s] for s in chunk], params, config))
+        for name, branch_out in out.items():
+            stacked[name].append(branch_out.pooled)
 
-    results = []
-    for s in indices:
-        preds = {}
-        if not config.drop_spot:
-            preds["spot"] = spot_outs[s].prediction
-        if not config.drop_ctx:
-            preds["ctx"] = ctx_outs[s].prediction
-        if not config.drop_global:
-            preds["global"] = global_prediction(global_out, s, params)
-        preds["fused"] = fuse(spot_outs.get(s), ctx_outs.get(s), global_out, row_of[s],
-                              params, config)
-        results.append((s, preds))
-    return results
+    order = [rank[s] for s in indices]
+    preds = {name: ad.take_rows(ad.concat_rows(parts), order) for name, parts in stacked.items()}
+    if not config.drop_global:
+        preds["global"] = ad.take_rows(global_out.tokens, indices)
+    return {name: ad.add(ad.matmul(x, params.heads[name][0]), params.heads[name][1])
+            for name, x in preds.items()}
+
+
+def slide_forward(dataset, params, config, d_context, spot_indices=None):
+    """``forward_batch`` split per spot: [(spot, {branch: (1, k_genes)
+    prediction})] in ``spot_indices`` order."""
+    preds = forward_batch(dataset, params, config, d_context, spot_indices)
+    indices = range(dataset.n_spots) if spot_indices is None else spot_indices
+    return [(s, {name: ad.take_rows(p, [b]) for name, p in preds.items()})
+            for b, s in enumerate(indices)]
 
 
 def forward_slide(dataset, params, config, d_context):
@@ -405,6 +449,5 @@ def forward_slide(dataset, params, config, d_context):
     It runs on ``params.detached()``, so it builds no graph and leaves
     every gradient buffer untouched.
     """
-    results = slide_forward(dataset, params.detached(), config, d_context)
-    names = ["fused"] + [b for b in ("spot", "ctx", "global") if b in results[0][1]]
-    return {name: np.vstack([preds[name].data for _, preds in results]) for name in names}
+    return {name: p.data for name, p in
+            forward_batch(dataset, params.detached(), config, d_context).items()}

@@ -3,7 +3,8 @@
 Each branch is trained against a convex combination of the true label
 and the (detached) fused prediction; the total objective is the fused
 MSE plus the per-branch terms. Batches are target spots; the gradient of
-a step is the mean of per-spot totals over the batch.
+a step is the mean of per-spot totals over the batch, taken as one loss
+over each slide's stacked predictions.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .autodiff import Tensor
 from .data import log1p_normalize, select_top_k_genes
 from .errors import NumericsError
 from .metrics import MetricsReport, evaluate_predictions
-from .model import forward_slide, slide_forward
+from .model import forward_batch, forward_slide
 from .seeding import substream
 
 
@@ -65,7 +66,7 @@ class AdamState:
 
 
 def _mse(a, b):
-    diff = ad.sub(ad.as_tensor(a), ad.as_tensor(b))
+    diff = ad.add(ad.as_tensor(a), ad.mul(ad.as_tensor(b), -1.0))
     return ad.mean_all(ad.mul(diff, diff))
 
 
@@ -94,8 +95,10 @@ def loss_total(predictions, g, lambda_, detach_fused=True):
     """Fused MSE plus the per-branch terms for every active branch.
 
     ``predictions`` maps 'fused' plus any of 'spot'/'ctx'/'global' to
-    prediction tensors. Returns (total, terms): ``terms`` maps the same
-    keys to the scalar tensors that were summed, in that order.
+    prediction tensors. Each MSE averages over every entry, so over (B, k)
+    stacked predictions every term is the mean of the B per-spot terms.
+    Returns (total, terms): ``terms`` maps the same keys to the scalar
+    tensors that were summed, in that order.
     """
     terms = {"fused": loss_fused(predictions["fused"], g)}
     total = terms["fused"]
@@ -215,18 +218,16 @@ def train(datasets, params, cfg, targets=None, progress=None):
             params.zero_grad()
             batch_loss = None
             for d_idx, spots in _group_by_slide(batch):
-                results = slide_forward(datasets[d_idx], params, params.config,
-                                        cfg.d_context, spot_indices=spots)
-                for s, preds in results:
-                    g = targets[d_idx][s]
-                    total, terms = loss_total(preds, g, cfg.lambda_,
-                                              detach_fused=cfg.distill_detach)
-                    batch_loss = total if batch_loss is None else ad.add(batch_loss, total)
-                    sums["total"] += total.item()
-                    for name, term in terms.items():
-                        sums[name] += term.item()
-                    seen += 1
-            batch_loss = ad.mul(batch_loss, 1.0 / len(batch))
+                preds = forward_batch(datasets[d_idx], params, params.config, cfg.d_context,
+                                      spot_indices=spots)
+                total, terms = loss_total(preds, targets[d_idx][spots], cfg.lambda_,
+                                          detach_fused=cfg.distill_detach)
+                share = ad.mul(total, len(spots) / len(batch))
+                batch_loss = share if batch_loss is None else ad.add(batch_loss, share)
+                sums["total"] += total.item() * len(spots)
+                for name, term in terms.items():
+                    sums[name] += term.item() * len(spots)
+                seen += len(spots)
             _check_finite(params, batch_loss.item())
             batch_loss.backward()
             if cfg.grad_clip is not None:

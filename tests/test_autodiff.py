@@ -9,7 +9,7 @@ import pytest
 
 from bgtriplex import autodiff as ad
 from bgtriplex.autodiff import Tensor, grad_check
-from bgtriplex.errors import DegenerateAttentionError, NumericsError, ShapeError
+from bgtriplex.errors import NumericsError, ShapeError
 
 
 def matmul_oracle(a, b):
@@ -89,7 +89,7 @@ class TestMatmul:
         np.testing.assert_allclose(b.grad, a.data.T @ (seed * scale), atol=1e-14)
 
 
-def softmax_rows(x, col_mask=None):
+def softmax_rows(x):
     """Row softmax of ``x`` (T, S), read off one attention head.
 
     Pad S to d = 4**m columns: q = 2**m [x | 0], k = v = [I | 0]. The
@@ -101,7 +101,7 @@ def softmax_rows(x, col_mask=None):
     m = max(1, math.ceil(math.log(s, 4)))
     pad = np.eye(s, 4 ** m)
     q = ad.matmul(x, Tensor(pad * 2.0 ** m))
-    out = ad.attention(q, Tensor(pad), Tensor(pad), 1, key_mask=col_mask)
+    out = ad.attention(q, Tensor(pad), Tensor(pad), 1)
     return ad.matmul(out, Tensor(pad.T))
 
 
@@ -126,18 +126,6 @@ class TestSoftmaxRows:
             sums = softmax_rows(Tensor(x)).data.sum(axis=1)
             np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
 
-    def test_masked_columns_get_exactly_zero(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(3, 5))
-        mask = np.array([True, False, True, False, True])
-        out = softmax_rows(Tensor(x), col_mask=mask).data
-        assert (out[:, ~mask] == 0.0).all()
-        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_all_masked_raises(self):
-        with pytest.raises(DegenerateAttentionError):
-            softmax_rows(Tensor(np.zeros((2, 3))), col_mask=np.zeros(3, dtype=bool))
-
     def test_gradient(self):
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -150,19 +138,34 @@ class TestSoftmaxRows:
 
 
 class TestAttention:
-    def test_gradients_with_key_mask(self):
+    def test_gradients_with_groups(self):
         rng = np.random.default_rng(12)
-        q = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
-        k = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
-        v = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 8)))
-        mask = np.array([True, False, True, True, False])
+        q = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
+        k = Tensor(rng.normal(size=(9, 8)), requires_grad=True)
+        v = Tensor(rng.normal(size=(9, 8)), requires_grad=True)
+        w = Tensor(rng.normal(size=(6, 8)))
 
         def f(_):
-            return ad.mean_all(ad.mul(ad.attention(q, k, v, 2, key_mask=mask), w))
+            return ad.mean_all(ad.mul(ad.attention(q, k, v, 2, groups=3), w))
 
         for t in (q, k, v):
             assert grad_check(f, t) <= 1e-6
+
+    def test_each_block_attends_only_within_itself(self):
+        rng = np.random.default_rng(15)
+        q, k, v = (rng.normal(size=(n, 8)) for n in (6, 12, 12))
+        sink = []
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 2, groups=3, attn_sink=sink).data
+        assert [a.shape for a in sink] == [(2, 4)] * 6
+        for g in range(3):
+            alone = ad.attention(Tensor(q[2 * g:2 * g + 2]), Tensor(k[4 * g:4 * g + 4]),
+                                 Tensor(v[4 * g:4 * g + 4]), 2)
+            np.testing.assert_allclose(out[2 * g:2 * g + 2], alone.data, rtol=0, atol=1e-15)
+
+    def test_rejects_rows_that_do_not_split_into_groups(self):
+        with pytest.raises(ShapeError):
+            ad.attention(Tensor(np.ones((4, 6))), Tensor(np.ones((3, 6))),
+                         Tensor(np.ones((3, 6))), 2, groups=2)
 
     def test_heads_split_by_columns(self):
         rng = np.random.default_rng(13)
@@ -266,10 +269,42 @@ class TestElementwiseAndShapes:
 
     def test_row_select(self):
         x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        out = ad.row(x, 1)
+        out = ad.take_rows(x, [1])
         np.testing.assert_array_equal(out.data, [[2.0, 3.0]])
-        with pytest.raises(ValueError):
-            ad.row(x, 3)
+        for bad in ([3], [-1]):
+            with pytest.raises(ValueError):
+                ad.take_rows(x, bad)
+
+    def test_take_rows_gradient_with_repeated_indices(self):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(6, 3)))
+        index = [2, 0, 2, 3, 2, 0]
+        np.testing.assert_array_equal(ad.take_rows(x, index).data, x.data[index])
+        assert grad_check(lambda t: ad.mean_all(ad.mul(ad.take_rows(t, index), w)), x) <= 1e-8
+        x.zero_grad()
+        ad.mean_all(ad.mul(ad.take_rows(x, index), w)).backward()
+        np.testing.assert_allclose(x.grad[1], 0.0)
+        np.testing.assert_allclose(x.grad[2], (w.data[0] + w.data[2] + w.data[4]) / 18,
+                                   rtol=0, atol=1e-15)
+
+    def test_mean_rows_over_groups(self):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3)))
+        out = ad.mean_rows(x, groups=2)
+        np.testing.assert_allclose(out.data, [x.data[:3].mean(axis=0), x.data[3:].mean(axis=0)],
+                                   rtol=0, atol=1e-15)
+        assert grad_check(lambda t: ad.mean_all(ad.mul(ad.mean_rows(t, groups=2), w)), x) <= 1e-8
+        with pytest.raises(ShapeError):
+            ad.mean_rows(x, groups=4)
+
+    def test_backward_releases_the_graph(self):
+        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        hidden = ad.mul(ad.take_rows(x, [0, 2]), 3.0)
+        ad.mean_all(hidden).backward()
+        np.testing.assert_allclose(x.grad, [[0.75, 0.75], [0.0, 0.0], [0.75, 0.75]])
+        assert hidden.grad is None and hidden._parents == () and hidden._backward is None
 
     def test_detach_blocks_gradient(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)
@@ -288,8 +323,8 @@ class TestElementwiseAndShapes:
         try:
             h = ad.matmul(x, w)
             h = ad.attention(h, h, h, 2)
-            h = ad.layer_norm(ad.sub(ad.add(h, x), ad.mul(h, x)), gamma, beta)
-            h = ad.concat_rows([ad.mean_rows(h), ad.row(h, 1), ad.mul(h, 0.5)])
+            h = ad.layer_norm(ad.add(ad.add(h, x), ad.mul(ad.mul(h, x), -1.0)), gamma, beta)
+            h = ad.concat_rows([ad.mean_rows(h), ad.take_rows(h, [1, 1]), ad.mul(h, 0.5)])
             doubled = ad.compose(2.0 * h.data, (h,), lambda g, h=h: h._accumulate(2.0 * g))
             ad.mean_all(doubled).backward()
             del h, doubled
@@ -311,7 +346,7 @@ class TestGradCheck:
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
 
         def f(t):
-            diff = ad.sub(ad.matmul(t, w), target)
+            diff = ad.add(ad.matmul(t, w), ad.mul(target, -1.0))
             return ad.mean_all(ad.mul(diff, diff))
 
         assert grad_check(f, x) <= 1e-6

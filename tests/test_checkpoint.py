@@ -112,6 +112,22 @@ def test_unsupported_metadata_rejected(tmp_path, extra):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("d_context", [4, 0, -1, 3.0, 2.5, "3", True, None])
+def test_window_size_must_be_positive_odd_integer_on_load(tmp_path, d_context):
+    path = tmp_path / "w.bgck"
+    path.write_bytes(bgck_bytes(TINY.to_dict(), d_context, GENES, TINY_RECORDS))
+    with pytest.raises(FormatError, match="d_context must be a positive odd integer"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("d_context", [4, 0, 3.0, True])
+def test_window_size_must_be_positive_odd_integer_on_save(tmp_path, d_context):
+    path = tmp_path / "w.bgck"
+    with pytest.raises(ValueError, match="d_context must be a positive odd integer"):
+        save_checkpoint(path, drawn_params(TINY, 4), d_context, GENES)
+    assert not path.exists()
+
+
 def field_spans(blob):
     """(start, end) of each header field, then of each field of every record."""
     meta_end = 12 + struct.unpack_from("<I", blob, 8)[0]

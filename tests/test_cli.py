@@ -114,6 +114,18 @@ def test_export_map_rerun_is_byte_identical(manifest, checkpoint, tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-1", "1.5", ""])
+def test_bad_thread_count_exits_2_before_output(manifest, tmp_path, threads):
+    out = tmp_path / "cv"
+    result = CliRunner().invoke(main, ["cv", "--manifest", str(manifest), "--manifest",
+                                       str(manifest), "-o", str(out), "--epochs", "1"],
+                                env={"BGT_THREADS": threads})
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert "BGT_THREADS" in result.output
+    assert not out.exists()
+
+
 def test_cv_rerun_with_two_threads_is_byte_identical(manifest, tmp_path):
     other = synth(tmp_path / "other", "--slide-id", "other")
     files = ["cv/fold0.json", "cv/fold1.json", "cv/aggregate.json"]

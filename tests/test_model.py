@@ -35,12 +35,13 @@ from conftest import checksum
 from bgtriplex import autodiff as ad
 from bgtriplex import model
 from bgtriplex.autodiff import Tensor, grad_check
-from bgtriplex.data import context_window, synth_dataset
-from bgtriplex.errors import DegenerateAttentionError
-from bgtriplex.model import (MCA_WEIGHTS, BranchOutput, McaParams, ModelConfig,
-                             ModelParams, apeg_encode, context_branch, forward_slide,
-                             fuse, global_branch, mca, project_bundle, slide_forward,
-                             spot_branch)
+from bgtriplex.data import (ExpressionMatrix, SpotDataset, context_window, load_dataset,
+                            save_dataset, synth_dataset)
+from bgtriplex.features import FeatureBundle, encode_bgft
+from bgtriplex.model import (CHUNK_SPOTS, MCA_WEIGHTS, BranchOutput, McaParams, ModelConfig,
+                             ModelParams, apeg_encode, branch_inputs, forward_batch,
+                             forward_slide, fuse, global_branch, guided_attention,
+                             guided_branch, slide_forward)
 from bgtriplex.training import gene_targets, loss_total
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -290,40 +291,85 @@ def per_head_mca(guide_a, query, guide_b, block, config, attn_sink=None):
     return ad.layer_norm(summed, block.gamma, block.beta, config.eps)
 
 
-def full_slide_forward(ds, params, config, d_context, spot_indices):
-    """``model.slide_forward`` computed over the whole slide: every bundle
-    projected in both scopes, every branch run for every spot, the global
-    tokens pooled from projected image tokens, and the fusion block run
-    on all n global query rows before the target row is kept."""
-    n = ds.n_spots
-    proj_spot = [project_bundle(b, params, "spot") for b in ds.features]
-    proj_ctx = [project_bundle(b, params, "ctx") for b in ds.features_ctx]
-    spot_outs = [spot_branch(p, params, config) for p in proj_spot]
-    ctx_outs = [context_branch(context_window(ds.spots, s, d_context), proj_ctx, params, config)
-                for s in range(n)]
+def mca(guide_a, query, guide_b, block, config, attn_sink=None):
+    """``model.guided_attention`` for one query sequence and two guide
+    sequences, each projected here and attended as a single block."""
+    guides = [(ad.matmul(guide, w_k), ad.matmul(guide, w_v), 1)
+              for guide, w_k, w_v in ((guide_a, block.w_k_a, block.w_v_a),
+                                      (guide_b, block.w_k_b, block.w_v_b))]
+    return guided_attention(ad.matmul(query, block.w_q), guides, block, config, attn_sink)
+
+
+def project(bundle, params, scope):
+    return {stream: ad.matmul(tokens, params.proj[(stream, scope)])
+            for stream, tokens in bundle.streams()}
+
+
+def head(params, name, pooled):
+    return ad.add(ad.matmul(pooled, params.heads[name][0]), params.heads[name][1])
+
+
+def window_members(ds, center, d):
+    return [i for row in context_window(ds.spots, center, d).member_indices
+            for i in row if i is not None]
+
+
+def branch(streams, params, config, name, mca=mca):
+    """One spot or window's branch from its projected streams: edge and
+    nuclei guide the image stream unless ablated to image guidance.
+    Returns (tokens, pooled, prediction)."""
+    block = params.mca_spot if name == "spot" else params.mca_ctx
+    image = streams["img"]
+    tokens = mca(image if getattr(config, f"no_edge_{name}") else streams["edge"], image,
+                 image if getattr(config, f"no_nuclei_{name}") else streams["nuc"],
+                 block, config)
+    pooled = ad.mean_rows(tokens)
+    return tokens, pooled, head(params, name, pooled)
+
+
+def full_slide_forward(ds, params, config, d_context, spot_indices, mca=mca):
+    """``model.slide_forward`` computed spot by spot over the whole slide:
+    every bundle projected in both scopes, each spot's branches run on
+    their own, one window at a time, the global tokens pooled from
+    projected image tokens, and the fusion block run on all n global
+    query rows before the target row is kept."""
+    proj_spot = [project(b, params, "spot") for b in ds.features]
+    proj_ctx = [project(b, params, "ctx") for b in ds.features_ctx]
+    spot_outs = [branch(p, params, config, "spot", mca) for p in proj_spot]
+    ctx_outs = []
+    for s in range(ds.n_spots):
+        members = window_members(ds, s, d_context)
+        streams = {stream: ad.concat_rows([proj_ctx[i][stream] for i in members])
+                   for stream in STREAM_ORDER}
+        ctx_outs.append(branch(streams, params, config, "ctx", mca))
     if config.drop_global:
         source = ctx_outs if config.drop_spot else spot_outs
-        stream = ad.concat_rows([out.pooled for out in source])
+        stream = ad.concat_rows([pooled for _, pooled, _ in source])
     else:
         pooled = ad.concat_rows([ad.mean_rows(p["img"]) for p in proj_spot])
         stream = global_branch(pooled, ds.grid_positions(), params).tokens
-    head = lambda name, pooled: ad.add(ad.matmul(pooled, params.heads[name][0]),
-                                       params.heads[name][1])
     results = []
     for s in spot_indices:
-        guide_a = stream if config.drop_spot else spot_outs[s].tokens
-        guide_b = stream if config.drop_ctx else ctx_outs[s].tokens
+        guide_a = stream if config.drop_spot else spot_outs[s][0]
+        guide_b = stream if config.drop_ctx else ctx_outs[s][0]
         fused = mca(guide_a, stream, guide_b, params.mca_fuse, config)
         preds = {}
         if not config.drop_spot:
-            preds["spot"] = spot_outs[s].prediction
+            preds["spot"] = spot_outs[s][2]
         if not config.drop_ctx:
-            preds["ctx"] = ctx_outs[s].prediction
+            preds["ctx"] = ctx_outs[s][2]
         if not config.drop_global:
-            preds["global"] = head("global", ad.row(stream, s))
-        preds["fused"] = head("fused", ad.row(fused, s))
+            preds["global"] = head(params, "global", ad.take_rows(stream, [s]))
+        preds["fused"] = head(params, "fused", ad.take_rows(fused, [s]))
         results.append((s, preds))
     return results
+
+
+def run_branch(ds, params, config, scope, members, attn_sink=None):
+    """``model.guided_branch`` for targets of one shape: (tokens, prediction)."""
+    out = guided_branch(branch_inputs(ds, params, config, scope, members), list(members), config,
+                        attn_sink)
+    return out.tokens, head(params, scope, out.pooled)
 
 
 CFG8 = ModelConfig(d_model=8, n_heads=2)
@@ -348,9 +394,8 @@ def copy_mca(dst, src):
         getattr(dst, name).data[...] = getattr(src, name).data
 
 
-def one_head(query, kv, w_q, w_k, w_v, kv_mask=None, attn_sink=None):
-    return ad.attention(ad.matmul(query, w_q), ad.matmul(kv, w_k), ad.matmul(kv, w_v), 1,
-                        key_mask=kv_mask, attn_sink=attn_sink)
+def one_head(query, kv, w_q, w_k, w_v):
+    return ad.attention(ad.matmul(query, w_q), ad.matmul(kv, w_k), ad.matmul(kv, w_v), 1)
 
 
 class TestCrossAttention:
@@ -386,26 +431,6 @@ class TestCrossAttention:
                 out.data[:, cols],
                 attention_oracle(query, kv, w_q[:, cols], w_k[:, cols], w_v[:, cols]),
                 rtol=0, atol=1e-12)
-
-    def test_fully_masked_kv_raises(self):
-        rng = np.random.default_rng(3)
-        query = Tensor(rng.normal(size=(2, 4)))
-        kv = Tensor(rng.normal(size=(3, 4)))
-        w = [Tensor(rng.normal(size=(4, 2))) for _ in range(3)]
-        with pytest.raises(DegenerateAttentionError):
-            one_head(query, kv, *w, kv_mask=np.zeros(3, dtype=bool))
-
-    def test_masked_positions_get_zero_weight(self):
-        rng = np.random.default_rng(4)
-        query = Tensor(rng.normal(size=(2, 4)))
-        kv = Tensor(rng.normal(size=(5, 4)))
-        w = [Tensor(rng.normal(size=(4, 2))) for _ in range(3)]
-        mask = np.array([True, False, True, False, True])
-        sink = []
-        one_head(query, kv, *w, kv_mask=mask, attn_sink=sink)
-        attn = sink[0]
-        assert (attn[:, ~mask] == 0.0).all()
-        np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestMca:
@@ -521,64 +546,69 @@ def small_setup():
     ds, _ = synth_dataset(3, 3, 8, 0.05, seed=13)
     cfg = ModelConfig(d_model=16, n_heads=2)
     params = ModelParams(cfg, k_genes=5, seed=1)
-    proj_spot = [project_bundle(b, params, "spot") for b in ds.features]
-    proj_ctx = [project_bundle(b, params, "ctx") for b in ds.features_ctx]
+    proj_spot = [project(b, params, "spot") for b in ds.features]
+    proj_ctx = [project(b, params, "ctx") for b in ds.features_ctx]
     return ds, cfg, params, proj_spot, proj_ctx
+
+
+def one_spot_dataset(ds, bundle):
+    expr = ExpressionMatrix(ds.expr.genes, ds.expr.values[:1])
+    return SpotDataset(ds.spots[:1], expr, [bundle], "one")
 
 
 class TestSpotBranch:
     def test_golden(self, small_setup):
-        ds, cfg, params, proj_spot, _ = small_setup
+        ds, cfg, params, _, _ = small_setup
         ref = load_reference("spot_branch", ds)
-        out = spot_branch(proj_spot[4], params, cfg)
-        assert_matches(out.tokens.data, ref["tokens"], "tokens")
-        assert_matches(out.prediction.data, ref["prediction"], "prediction")
+        tokens, prediction = run_branch(ds, params, cfg, "spot", {4: [4]})
+        assert_matches(tokens.data, ref["tokens"], "tokens")
+        assert_matches(prediction.data, ref["prediction"], "prediction")
 
     def test_matches_scalar_oracle(self, small_setup):
-        ds, cfg, params, proj_spot, _ = small_setup
-        out = spot_branch(proj_spot[4], params, cfg)
+        ds, cfg, params, _, _ = small_setup
+        out_tokens, out_prediction = run_branch(ds, params, cfg, "spot", {4: [4]})
         tokens, prediction = branch_ref(SCALAR, project_ref(SCALAR, ds.features[4], params, "spot"),
                                         params, "spot")
-        assert_matches(out.tokens.data, tokens, "tokens")
-        assert_matches(out.prediction.data, prediction, "prediction")
+        assert_matches(out_tokens.data, tokens, "tokens")
+        assert_matches(out_prediction.data, prediction, "prediction")
 
     def test_single_token_equals_plain_mca(self, small_setup):
         ds, cfg, params, _, _ = small_setup
         from bgtriplex.features import toy_extract
 
         bundle = toy_extract(ds.spots[0], dataset_seed=50, grid_tokens=1)
-        proj = project_bundle(bundle, params, "spot")
-        out = spot_branch(proj, params, cfg)
+        proj = project(bundle, params, "spot")
+        tokens, _ = run_branch(one_spot_dataset(ds, bundle), params, cfg, "spot", {0: [0]})
         direct = mca(proj["edge"], proj["img"], proj["nuc"], params.mca_spot, cfg)
-        np.testing.assert_allclose(out.tokens.data, direct.data, atol=1e-14)
+        np.testing.assert_allclose(tokens.data, direct.data, atol=1e-14)
 
     def test_guidance_ablation_reduces_to_self_attention(self, small_setup):
         ds, _, params, proj_spot, _ = small_setup
         cfg = ModelConfig(d_model=16, n_heads=2, no_edge_spot=True, no_nuclei_spot=True)
-        out = spot_branch(proj_spot[0], params, cfg)
-        assert np.isfinite(out.tokens.data).all()
+        tokens, _ = run_branch(ds, params, cfg, "spot", {0: [0]})
+        assert np.isfinite(tokens.data).all()
         direct = mca(proj_spot[0]["img"], proj_spot[0]["img"], proj_spot[0]["img"],
                      params.mca_spot, cfg)
-        np.testing.assert_allclose(out.tokens.data, direct.data, atol=1e-14)
+        np.testing.assert_allclose(tokens.data, direct.data, atol=1e-14)
 
 
 class TestContextBranch:
     def test_golden(self, small_setup):
-        ds, cfg, params, _, proj_ctx = small_setup
+        ds, cfg, params, _, _ = small_setup
         ref = load_reference("context_branch", ds)
-        window = context_window(ds.spots, 4, 3)
-        out = context_branch(window, proj_ctx, params, cfg)
-        assert_matches(out.tokens.data, ref["tokens"], "tokens")
-        assert_matches(out.prediction.data, ref["prediction"], "prediction")
+        tokens, prediction = run_branch(ds, params, cfg, "ctx", {4: window_members(ds, 4, 3)})
+        assert_matches(tokens.data, ref["tokens"], "tokens")
+        assert_matches(prediction.data, ref["prediction"], "prediction")
 
     @pytest.mark.parametrize("center", [4, 0])
     def test_matches_scalar_oracle(self, small_setup, center):
-        ds, cfg, params, _, proj_ctx = small_setup
-        out = context_branch(context_window(ds.spots, center, 3), proj_ctx, params, cfg)
+        ds, cfg, params, _, _ = small_setup
+        out_tokens, out_prediction = run_branch(ds, params, cfg, "ctx",
+                                                {center: window_members(ds, center, 3)})
         streams, mask = window_ref(SCALAR, ds, params, center, 3)
         tokens, prediction = branch_ref(SCALAR, streams, params, "ctx", mask=mask)
-        assert_matches(out.tokens.data, tokens[mask], "tokens")
-        assert_matches(out.prediction.data, prediction, "prediction")
+        assert_matches(out_tokens.data, tokens[mask], "tokens")
+        assert_matches(out_prediction.data, prediction, "prediction")
 
     def test_d1_window_equals_spot_branch_with_tied_weights(self, small_setup):
         ds, cfg, params, proj_spot, _ = small_setup
@@ -588,25 +618,22 @@ class TestContextBranch:
             tied.proj[(stream, "ctx")].data[...] = tied.proj[(stream, "spot")].data
         tied.heads["ctx"][0].data[...] = tied.heads["spot"][0].data
         tied.heads["ctx"][1].data[...] = tied.heads["spot"][1].data
-        proj_spot_tied = [project_bundle(b, tied, "spot") for b in ds.features]
-        proj_ctx_tied = [project_bundle(b, tied, "ctx") for b in ds.features_ctx]
-        window = context_window(ds.spots, 4, 1)
-        ctx_out = context_branch(window, proj_ctx_tied, tied, cfg)
-        spot_out = spot_branch(proj_spot_tied[4], tied, cfg)
-        np.testing.assert_allclose(ctx_out.tokens.data, spot_out.tokens.data, atol=1e-14)
-        np.testing.assert_allclose(ctx_out.prediction.data, spot_out.prediction.data,
-                                   atol=1e-14)
+        ctx_tokens, ctx_prediction = run_branch(ds, tied, cfg, "ctx",
+                                                {4: window_members(ds, 4, 1)})
+        spot_tokens, spot_prediction = run_branch(ds, tied, cfg, "spot", {4: [4]})
+        np.testing.assert_allclose(ctx_tokens.data, spot_tokens.data, atol=1e-14)
+        np.testing.assert_allclose(ctx_prediction.data, spot_prediction.data, atol=1e-14)
 
     def test_corner_window_masks_absent_members(self, small_setup):
-        ds, cfg, params, _, proj_ctx = small_setup
-        window = context_window(ds.spots, 0, 3)
+        ds, cfg, params, _, _ = small_setup
         sink = []
-        out = context_branch(window, proj_ctx, params, cfg, attn_sink=sink)
+        out_tokens, _ = run_branch(ds, params, cfg, "ctx", {0: window_members(ds, 0, 3)},
+                                   attn_sink=sink)
         streams, mask = window_ref(NUMPY, ds, params, 0, 3)
         tokens, _ = branch_ref(NUMPY, streams, params, "ctx", mask=mask)
         present = int(mask.sum())
         assert present < mask.size
-        assert_matches(out.tokens.data, tokens[mask], "present rows")
+        assert_matches(out_tokens.data, tokens[mask], "present rows")
         assert [attn.shape for attn in sink] == [(present, present)] * (2 * cfg.n_heads)
         for attn in sink:
             np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
@@ -665,27 +692,23 @@ class TestFuse:
         params = ModelParams(cfg, k_genes=1, seed=2)
         params.heads["fused"][0].data[...] = 0.0
         params.heads["fused"][1].data[...] = 4.25
-        rng = np.random.default_rng(40)
-        spot_out = BranchOutput(Tensor(rng.normal(size=(2, 16))), None, None)
-        ctx_out = BranchOutput(Tensor(rng.normal(size=(3, 16))), None, None)
-        global_out = BranchOutput(Tensor(rng.normal(size=(4, 16))), None, None)
-        pred = fuse(spot_out, ctx_out, global_out, 2, params, cfg)
-        np.testing.assert_allclose(pred.data, [[4.25]], atol=1e-15)
+        pred = forward_slide(ds, params, cfg, d_context=3)["fused"]
+        np.testing.assert_allclose(pred, np.full((ds.n_spots, 1), 4.25), atol=1e-15)
 
     def test_sink_holds_one_query_row_per_head_and_stream(self, small_setup):
         _, cfg, params, _, _ = small_setup
         rng = np.random.default_rng(42)
-        mk = lambda rows: BranchOutput(Tensor(rng.normal(size=(rows, 16))), None, None)
+        mk = lambda rows: BranchOutput(Tensor(rng.normal(size=(rows, 16))), None)
         sink = []
-        fuse(mk(2), mk(3), mk(9), 4, params, cfg, attn_sink=sink)
-        assert [a.shape for a in sink] == [(1, 2)] * cfg.n_heads + [(1, 3)] * cfg.n_heads
+        fuse(mk(4), mk(6), mk(9), [4, 7], params, cfg, attn_sink=sink)
+        assert [a.shape for a in sink] == [(1, 2)] * 2 * cfg.n_heads + [(1, 3)] * 2 * cfg.n_heads
 
     def test_target_index_out_of_range(self, small_setup):
-        ds, cfg, params, _, _ = small_setup
+        _, cfg, params, _, _ = small_setup
         rng = np.random.default_rng(41)
-        mk = lambda rows: BranchOutput(Tensor(rng.normal(size=(rows, 16))), None, None)
+        mk = lambda rows: BranchOutput(Tensor(rng.normal(size=(rows, 16))), None)
         with pytest.raises(ValueError):
-            fuse(mk(2), mk(3), mk(4), 4, params, cfg)
+            fuse(mk(2), mk(3), mk(4), [4], params, cfg)
 
     def test_branch_removal_changes_fused_prediction(self):
         # init-scale weights make attention near-uniform (the query barely
@@ -776,19 +799,19 @@ class TestSlideForwardCost:
         ds, _ = synth_dataset(3, 3, 6, 0.05, seed=19)
         cfg = ModelConfig(d_model=16, n_heads=2)
         params = ModelParams(cfg, k_genes=3, seed=3)
-        returned = []
-        real_forward = model.slide_forward
+        returned = {}
+        real_forward = model.forward_batch
 
         def recording_forward(*args, **kwargs):
-            returned.extend(real_forward(*args, **kwargs))
+            returned.update(real_forward(*args, **kwargs))
             return returned
 
-        monkeypatch.setattr(model, "slide_forward", recording_forward)
+        monkeypatch.setattr(model, "forward_batch", recording_forward)
         out = forward_slide(ds, params, cfg, d_context=3)
-        assert len(returned) == ds.n_spots
-        for _, preds in returned:
-            assert set(preds) == set(out)
-            assert not any(p.requires_grad or p._parents for p in preds.values())
+        assert set(returned) == set(out)
+        for preds in returned.values():
+            assert preds.shape[0] == ds.n_spots
+            assert not (preds.requires_grad or preds._parents)
         assert all(tensor.grad is None and tensor.requires_grad for _, tensor in params.named())
 
     @pytest.mark.parametrize("flags", [{}, {"drop_ctx": True}, {"drop_global": True}])
@@ -805,21 +828,43 @@ class TestSlideForwardCost:
         cfg = ModelConfig(d_model=16, n_heads=2)
         params = ModelParams(cfg, k_genes=3, seed=3)
         calls = []
-        real_project = model.project_bundle
+        real_transform = model.feature_transform
 
-        def counting_project(bundle, p, scope):
-            calls.append((scope, id(bundle)))
-            return real_project(bundle, p, scope)
+        def counting_transform(tokens, projection):
+            calls.append((tokens.shape[0], id(projection)))
+            return real_transform(tokens, projection)
 
-        monkeypatch.setattr(model, "project_bundle", counting_project)
+        monkeypatch.setattr(model, "feature_transform", counting_transform)
         batch = [0, 12, 13, 24]
         slide_forward(ds, params, cfg, 3, spot_indices=batch)
-        members = {i for s in batch for row in context_window(ds.spots, s, 3).member_indices
-                   for i in row if i is not None}
-        expected = ([("spot", id(ds.features[s])) for s in batch]
-                    + [("ctx", id(ds.features_ctx[i])) for i in members])
-        assert len(calls) == len(batch) + len(members) < 2 * ds.n_spots
+        members = {i for s in batch for i in window_members(ds, s, 3)}
+        rows = {"spot": 4 * len(batch), "ctx": 4 * len(members)}
+        expected = [(rows[scope], id(params.proj[(stream, scope)]))
+                    for scope in ("spot", "ctx") for stream in STREAM_ORDER]
         assert sorted(calls) == sorted(expected)
+        assert len(members) < ds.n_spots
+
+    @pytest.mark.parametrize("batch,groups", [([6], 1), ([6, 7, 8, 11], 1),
+                                              ([6, 7, 8, 11, 12, 13, 16, 17], 1),
+                                              ([0, 1, 6], 3), ([0, 4, 20, 24, 2, 10, 12], 3)])
+    def test_attention_calls_follow_shape_groups_not_batch_size(self, monkeypatch, batch,
+                                                                 groups):
+        # on a 5x5 slide at D=3, corner, edge and interior windows differ in shape
+        ds, _ = synth_dataset(5, 5, 6, 0.05, seed=23)
+        cfg = ModelConfig(d_model=16, n_heads=2)
+        params = ModelParams(cfg, k_genes=3, seed=3)
+        calls = []
+        real_attention = ad.attention
+
+        def counting_attention(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return real_attention(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "attention", counting_attention)
+        slide_forward(ds, params, cfg, 3, spot_indices=batch)
+        assert len(batch) <= CHUNK_SPOTS
+        # two guides in each of the spot branch, the context branch and fusion
+        assert len(calls) == 6 * groups
 
     @pytest.mark.parametrize("flags", [{}, {"drop_global": True},
                                        {"drop_global": True, "drop_spot": True},
@@ -851,6 +896,84 @@ class TestSlideForwardCost:
                 assert_matches(grad, ref_grads[name], name)
 
 
+@pytest.fixture(scope="module")
+def grouping_slides(tmp_path_factory):
+    """Slides whose spots fall into several shape groups, with a batch that
+    spans them: (slide, d_context, batch)."""
+    five, _ = synth_dataset(5, 5, 6, 0.05, seed=29)
+    eight, _ = synth_dataset(8, 8, 6, 0.05, seed=31)
+    interior = [r * 8 + c for r in range(2, 6) for c in range(2, 6)][:10]
+    return {"5x5": (five, 3, [0, 1, 6, 12, 24, 7, 2, 18, 11]),
+            "8x8": (eight, 5, interior + [0, 63, 3, 9, 1]),
+            "varied": (varied_slide(tmp_path_factory.mktemp("varied")), 3,
+                       list(np.random.default_rng(3).permutation(16)))}
+
+
+def varied_slide(out_dir):
+    """A precomputed 4x4 slide whose token counts differ by spot, stream and
+    scope: every spot has its own spot-scope files, every other spot its own
+    context-scope files."""
+    ds, _ = synth_dataset(4, 4, 6, 0.05, seed=37)
+    rng = np.random.default_rng(37)
+    dims = {stream: tokens.shape[1] for stream, tokens in ds.features[0].streams()}
+    draw = lambda stream: rng.uniform(size=(rng.integers(1, 4), dims[stream]))
+    bundles = [FeatureBundle(*(draw(stream) for stream in STREAM_ORDER)) for _ in ds.spots]
+    manifest = save_dataset(SpotDataset(ds.spots, ds.expr, bundles, "varied"), out_dir)
+    for spot in ds.spots[::2]:
+        for stream in STREAM_ORDER:
+            path = out_dir / "features" / f"{spot.spot_id}.{stream}.ctx.bgft"
+            path.write_bytes(encode_bgft(draw(stream)))
+    return load_dataset(manifest)
+
+
+class TestGroupedForward:
+    @pytest.mark.parametrize("flags", [{}, {"drop_global": True},
+                                       {"drop_global": True, "drop_spot": True},
+                                       {"drop_global": True, "drop_ctx": True},
+                                       {"drop_spot": True},
+                                       {"no_edge_spot": True, "no_nuclei_ctx": True}])
+    @pytest.mark.parametrize("slide", ["5x5", "8x8", "varied"])
+    def test_step_matches_spot_by_spot_reference(self, grouping_slides, slide, flags):
+        ds, d_context, batch = grouping_slides[slide]
+        cfg = ModelConfig(d_model=16, n_heads=4, **flags)
+        targets, _, _ = gene_targets([ds], 4)
+
+        def run(forward):
+            params = ModelParams(cfg, k_genes=4, seed=6)
+            rng = np.random.default_rng(6)
+            for _, values in params.records():
+                values[...] = rng.normal(0.0, 0.5, values.shape)
+            results = forward(ds, params, cfg, d_context, spot_indices=batch)
+            loss = None
+            for s, preds in results:
+                term, _ = loss_total(preds, targets[0][s], 0.3)
+                loss = term if loss is None else ad.add(loss, term)
+            outputs = [(s, {name: p.data for name, p in preds.items()}) for s, preds in results]
+            loss.backward()
+            return outputs, {name: t.grad for name, t in params.named()}
+
+        outputs, grads = run(slide_forward)
+        ref_outputs, ref_grads = run(full_slide_forward)
+        assert [s for s, _ in outputs] == [s for s, _ in ref_outputs] == batch
+        for (s, preds), (_, ref) in zip(outputs, ref_outputs):
+            assert set(preds) == set(ref)
+            for name in preds:
+                assert_matches(preds[name], ref[name], f"spot {s} {name}")
+        for name, grad in grads.items():
+            assert (grad is None) == (ref_grads[name] is None), name
+            if grad is not None:
+                assert_matches(grad, ref_grads[name], name)
+
+    def test_varied_slide_has_several_shapes(self, grouping_slides):
+        ds, d_context, batch = grouping_slides["varied"]
+        cfg = ModelConfig(d_model=16, n_heads=4)
+        inputs = branch_inputs(ds, ModelParams(cfg, 4), cfg, "ctx",
+                               {s: window_members(ds, s, d_context) for s in batch})
+        shapes = [tuple(len(rows[s]) for rows in inputs.rows) for s in batch]
+        assert len(set(shapes)) > 3
+        assert any(len(set(shape)) > 1 for shape in shapes)
+
+
 class TestModelParams:
     @pytest.mark.parametrize("config", [ModelConfig(d_model=16, n_heads=2), ModelConfig()])
     def test_init_matches_documented_draw_order(self, config):
@@ -866,26 +989,26 @@ class TestModelParams:
                 np.testing.assert_array_equal(getattr(getattr(params, label), name).data,
                                               np.hstack(heads), err_msg=f"{label}.{name}")
 
-    def test_gradients_match_per_head_reference_on_tiny_slide(self, monkeypatch):
+    def test_gradients_match_per_head_reference_on_tiny_slide(self):
         ds, _ = synth_dataset(3, 3, 6, 0.05, seed=31)
         cfg = ModelConfig(d_model=16, n_heads=4)
         targets, _, _ = gene_targets([ds], 4)
 
-        def loss_and_grads():
+        def loss_and_grads(forward):
             params = ModelParams(cfg, k_genes=4, seed=6)
             rng = np.random.default_rng(6)
             for _, values in params.records():
                 values[...] = rng.normal(0.0, 0.5, values.shape)
             loss = None
-            for s, preds in slide_forward(ds, params, cfg, 3, spot_indices=[0, 4, 7]):
+            for s, preds in forward(ds, params, cfg, 3, spot_indices=[0, 4, 7]):
                 term, _ = loss_total(preds, targets[0][s], 0.3)
                 loss = term if loss is None else ad.add(loss, term)
             loss.backward()
             return loss.item(), {name: t.grad for name, t in params.named()}
 
-        loss, grads = loss_and_grads()
-        monkeypatch.setattr(model, "mca", per_head_mca)
-        ref_loss, ref_grads = loss_and_grads()
+        loss, grads = loss_and_grads(slide_forward)
+        ref_loss, ref_grads = loss_and_grads(
+            lambda *args, **kwargs: full_slide_forward(*args, **kwargs, mca=per_head_mca))
         assert abs(loss - ref_loss) <= 1e-12
         for name, grad in grads.items():
             assert np.abs(grad).max() > 0.0, name

@@ -58,10 +58,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -76,8 +72,9 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g.copy()  # not g itself: ``add`` hands one g to both operands
+        else:
+            self.grad += g
 
     def backward(self):
         """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
@@ -101,7 +98,7 @@ class Tensor:
 
 
 def as_tensor(value):
-    if type(value) is Tensor or isinstance(value, Tensor):
+    if isinstance(value, Tensor):
         return value
     if isinstance(value, numbers.Number):
         return Tensor(np.float64(value))
@@ -155,10 +152,7 @@ def _sum_to_shape(g, shape):
 
 def matmul(a, b):
     """Matrix product of two 2-D tensors; dA = dC @ B^T, dB = A^T @ dC."""
-    if type(a) is not Tensor:
-        a = as_tensor(a)
-    if type(b) is not Tensor:
-        b = as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     out = Tensor(a.data @ b.data)
@@ -213,8 +207,6 @@ def mul(a, b):
             out._parents = (a,)
             out._backward = lambda g: a._accumulate(g * scale)
         return out
-    if isinstance(a, numbers.Number):
-        return mul(as_tensor(b), a)
     a, b = as_tensor(a), as_tensor(b)
     return _broadcast_op(a, b, np.multiply, lambda g: g * b.data, lambda g: g * a.data)
 
@@ -229,7 +221,10 @@ def attention(q, k, v, n_heads, groups=1, attn_sink=None):
     (G*T, d) output: softmax(q_h k_h^T / sqrt(d_head)) v_h, with the row
     maximum subtracted before exponentiation. ``attn_sink``, when given,
     is extended by one (T, S) weight matrix per block and head, block by
-    block. Backward reuses the weights and the head-split q, k and v.
+    block. Normalisation is deferred as in FlashAttention (arXiv
+    2205.14135): with E = exp(logits - rowmax) and l = rowsum(E) the output
+    is (E v) / l, and backward scales g by 1/l and uses rowsum(dP * P) =
+    rowsum(g * out), so neither pass forms the normalised (T, S) weights.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if (q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape
@@ -248,26 +243,27 @@ def attention(q, k, v, n_heads, groups=1, attn_sink=None):
         return x.transpose(0, 2, 1, 3).reshape(-1, d)
 
     qh, kh, vh = split(q.data) * scale, split(k.data), split(v.data)
-    weights = qh @ kh.swapaxes(2, 3)
-    weights -= weights.max(axis=3, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=3, keepdims=True)
+    exps = qh @ kh.swapaxes(2, 3)
+    exps -= exps.max(axis=3, keepdims=True)
+    np.exp(exps, out=exps)
+    inv_sum = 1.0 / exps.sum(axis=3, keepdims=True)
+    out_h = (exps @ vh) * inv_sum
     if attn_sink is not None:
-        attn_sink.extend(weights.reshape(-1, *weights.shape[2:]).copy())
+        attn_sink.extend((exps * inv_sum).reshape(-1, *exps.shape[2:]))
 
     def backward(g):
-        gh = split(g)
+        gh = split(g) * inv_sum
         if v.requires_grad:
-            v._accumulate(merge(weights.swapaxes(2, 3) @ gh))
+            v._accumulate(merge(exps.swapaxes(2, 3) @ gh))
         d_logits = gh @ vh.swapaxes(2, 3)
-        d_logits -= (d_logits * weights).sum(axis=3, keepdims=True)
-        d_logits *= weights
+        d_logits -= (gh * out_h).sum(axis=3, keepdims=True)
+        d_logits *= exps
         if q.requires_grad:
             q._accumulate(merge(d_logits @ kh) * scale)
         if k.requires_grad:
             k._accumulate(merge(d_logits.swapaxes(2, 3) @ qh))
 
-    return compose(merge(weights @ vh), (q, k, v), backward)
+    return compose(merge(out_h), (q, k, v), backward)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -282,10 +278,10 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         raise ShapeError(
             f"layer_norm: gamma/beta must have shape ({n},), got {gamma.shape} and {beta.shape}"
         )
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    # centred once; the variance is taken from the centred rows as np.var does
+    xhat = x.data - x.data.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=1, keepdims=True) + eps)
+    xhat *= inv
     out = Tensor(xhat * gamma.data + beta.data)
     if x.requires_grad or gamma.requires_grad or beta.requires_grad:
         out.requires_grad = True
@@ -367,7 +363,7 @@ def take_rows(x, index):
                          f"and {index.shape}")
     if index.size and not (index.min() >= 0 and index.max() < x.shape[0]):
         raise ValueError(f"take_rows: index out of range for {x.shape[0]} rows")
-    out = Tensor(x.data[index])
+    out = Tensor(np.take(x.data, index, axis=0))
     if x.requires_grad:
         out.requires_grad = True
         out._parents = (x,)

@@ -297,8 +297,8 @@ def cmd_predict(checkpoint, manifest, provider, out_path):
     pred = forward_slide(ds, params, params.config, d_context)["fused"]
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("spot_id\t" + "\t".join(genes) + "\n")
-        for spot, row_values in zip(ds.spots, pred):
-            fh.write(spot.spot_id + "\t" + "\t".join(str(v) for v in row_values) + "\n")
+        for spot, row_values in zip(ds.spots, pred.tolist()):
+            fh.write(spot.spot_id + "\t" + "\t".join(map(repr, row_values)) + "\n")
     click.echo(f"wrote {out_path}")
 
 

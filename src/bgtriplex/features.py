@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import matmul
+from .autodiff import matmul  # noqa: F401 (perfbench's span tracing wraps it)
 from .errors import FormatError
 
 STREAMS = ("img", "edge", "nuc")
@@ -205,7 +205,3 @@ def decode_bgft(blob, offset):
     values = np.frombuffer(blob, dtype="<f4", count=count, offset=extents_end)
     return values.astype(np.float64).reshape(shape), payload_end
 
-
-def feature_transform(tokens, projection):
-    """Project tokens (T x C) through a learned bias-free map (C x D)."""
-    return matmul(tokens, projection)

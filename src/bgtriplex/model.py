@@ -7,10 +7,12 @@ grid. Each spot's branch outputs are fused by the same cross-attention
 block, with that spot's global token as the query, and linear heads map
 pooled tokens to per-gene predictions.
 
-A forward pass projects only the tokens it reads, so the cost per spot
+A forward pass reads only the tokens its spots need, so the cost per spot
 does not grow with the slide, and runs each branch as single ops over
-spots whose sequences have the same shape. Inference (``forward_slide``)
-runs on detached weights and builds no autodiff graph.
+spots whose sequences have the same shape; the spot and context branches
+project raw tokens through projections folded into their q/k/v weights.
+Inference (``forward_slide``) runs on detached weights and builds no graph,
+so it projects a token that overlapping context windows share only once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ShapeError
-from .features import STREAMS, TOY_STREAM_DIMS, feature_transform
+from .features import STREAMS, TOY_STREAM_DIMS
 from .seeding import substream
 
 MCA_BLOCKS = ("mca_spot", "mca_ctx", "mca_fuse")
@@ -199,8 +201,6 @@ class ModelParams:
         return view
 
 
-
-
 def guided_attention(q, guides, block, config, attn_sink=None):
     """Multi-head cross-attention from projected queries to two guides.
 
@@ -248,8 +248,6 @@ def apeg_encode(tokens, positions, kernel):
     gathered = conv[ri - 1, ci - 1]
 
     def backward(g):
-        if tokens.requires_grad:
-            tokens._accumulate(g)
         d_conv = np.zeros((n_rows, n_cols, d))
         d_conv[ri - 1, ci - 1] = g
         if kernel.requires_grad:
@@ -263,7 +261,7 @@ def apeg_encode(tokens, positions, kernel):
             for a in range(3):
                 for b in range(3):
                     d_padded[a:a + n_rows, b:b + n_cols] += kernel.data[a, b] * d_conv
-            tokens._accumulate(d_padded[ri, ci])
+            tokens._accumulate(g + d_padded[ri, ci])
 
     return ad.compose(tokens.data + gathered, (tokens, kernel), backward)
 
@@ -285,62 +283,66 @@ class BranchOutput:
 
 @dataclass
 class BranchInputs:
-    """What the spot or context branch reads, projected once per member spot.
-
-    ``q`` holds the image tokens through the query weights and ``guides``
-    the (keys, values) of guide a, then guide b. ``rows`` holds, for q,
-    guide a and guide b, each target's row index into them.
-    """
+    """What a spot or context branch reads for its query, guide a and guide
+    b: a raw token stack, each target's row indices into it and the folded
+    weights, (w_q,) or (w_k, w_v); or, with no graph and rows read more
+    than once, the rows read projected through each folded weight, and None."""
 
     block: McaParams
-    q: Tensor
-    guides: tuple
-    rows: tuple
+    reads: tuple
 
 
 def branch_inputs(dataset, params, config, scope, members):
-    """Project what the ``scope`` ("spot" or "ctx") branch reads.
+    """What the ``scope`` ("spot" or "ctx") branch reads, and its weights.
 
     ``members`` maps each target spot to the spots whose ``scope`` tokens,
     concatenated in order, form its sequence: the spot itself, or its
-    present window members in row-major order. Each stream read (edge and
-    nuclei guide the image tokens unless ablated) is projected by one
-    matmul over the distinct members' stacked tokens, then through the
-    block's query or key and value weights: once per member, however many
-    sequences hold it.
+    present window members in row-major order. Edge and nuclei guide the
+    image tokens unless ablated. Each stream's (c, d) projection W_p is
+    folded into every block weight W it feeds, one node W_p W per call. A
+    training chunk projects its gathered raw rows X as X (W_p W), once per
+    use, so backward is X^T g with no scatter into projected tokens. With
+    no graph there is no scatter to avoid, so rows that several sequences
+    read (overlapping context windows, up to D^2 each) are projected once
+    and chunks gather the result. A row use for k weights costs k c d
+    multiply-adds folded and c d + k d^2 unfolded, so the fold pays while
+    the stream widths c (10, 6, 8 by default) are narrow against d =
+    ``d_model``; for keys and values (k = 2) the crossover is at c = 2 d.
     """
     block = params.mca_spot if scope == "spot" else params.mca_ctx
     no_edge, no_nuclei = ((config.no_edge_spot, config.no_nuclei_spot) if scope == "spot"
                           else (config.no_edge_ctx, config.no_nuclei_ctx))
-    streams = ("img", "img" if no_edge else "edge", "img" if no_nuclei else "nuc")
-    distinct = np.array(list(dict.fromkeys(i for spots in members.values() for i in spots)))
-    position = {spot: m for m, spot in enumerate(distinct.tolist())}
-    positions = {t: [position[i] for i in spots] for t, spots in members.items()}
-    projected, rows = {}, {}
-    for stream in dict.fromkeys(streams):
-        tokens, offsets = dataset.token_stacks[(stream, scope)]
-        counts = offsets[distinct + 1] - offsets[distinct]
-        projected[stream] = feature_transform(tokens[_ranges(offsets[distinct], counts)],
-                                              params.proj[(stream, scope)])
-        starts = np.cumsum(counts) - counts
-        rows[stream] = {t: _ranges(starts[p], counts[p]) for t, p in positions.items()}
-    guides = tuple((ad.matmul(projected[stream], w_k), ad.matmul(projected[stream], w_v))
-                   for stream, w_k, w_v in ((streams[1], block.w_k_a, block.w_v_a),
-                                            (streams[2], block.w_k_b, block.w_v_b)))
-    return BranchInputs(block, ad.matmul(projected["img"], block.w_q), guides,
-                        tuple(rows[stream] for stream in streams))
+    members = {t: np.array(spots) for t, spots in members.items()}
+    reads = []
+    for stream, weights in (("img", (block.w_q,)),
+                            ("img" if no_edge else "edge", (block.w_k_a, block.w_v_a)),
+                            ("img" if no_nuclei else "nuc", (block.w_k_b, block.w_v_b))):
+        stack, offsets = dataset.token_stacks[(stream, scope)]
+        rows = {t: _ranges(offsets[spots], offsets[spots + 1] - offsets[spots])
+                for t, spots in members.items()}
+        folded = [ad.matmul(params.proj[(stream, scope)], w) for w in weights]
+        read = np.concatenate(list(rows.values()))
+        used = np.unique(read)
+        if used.size < read.size and not folded[0].requires_grad:
+            rows = {t: np.searchsorted(used, r) for t, r in rows.items()}
+            stack, folded = [stack[used] @ w.data for w in folded], None
+        reads.append((stack, rows, folded))
+    return BranchInputs(block, tuple(reads))
 
 
 def guided_branch(inputs, targets, config, attn_sink=None):
     """Tokens (G*T, d) and pooled means (G, d) of one branch for G targets.
 
     The targets' q, guide-a and guide-b sequences must have equal lengths;
-    each target attends only within its own sequences.
+    each target attends only within its own sequences, gathered by row.
     """
-    q_rows, *guide_rows = (np.concatenate([rows[t] for t in targets]) for rows in inputs.rows)
-    guides = [(ad.take_rows(k, index), ad.take_rows(v, index), len(targets))
-              for (k, v), index in zip(inputs.guides, guide_rows)]
-    tokens = guided_attention(ad.take_rows(inputs.q, q_rows), guides, inputs.block, config,
+    projected = []
+    for stack, rows, weights in inputs.reads:
+        index = np.concatenate([rows[t] for t in targets])
+        projected.append([np.take(p, index, axis=0) for p in stack] if weights is None
+                         else [ad.matmul(np.take(stack, index, axis=0), w) for w in weights])
+    (q,), *guides = projected
+    tokens = guided_attention(q, [(k, v, len(targets)) for k, v in guides], inputs.block, config,
                               attn_sink)
     return BranchOutput(tokens, ad.mean_rows(tokens, len(targets)))
 
@@ -382,7 +384,8 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None):
     A dropped guide branch is replaced by the whole global stream. With
     ``drop_global`` the global stream is the stack of pooled spot-branch
     (or, failing that, context-branch) tokens; when it also replaces a
-    dropped guide, that branch runs on every spot.
+    dropped guide, that branch runs on every spot, and only chunks holding
+    a requested spot are fused.
     """
     from .data import context_window
 
@@ -402,11 +405,11 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None):
             for w in windows})
     groups = {}
     for s in scope:
-        shape = tuple(len(rows[s]) for inputs in branches.values() for rows in inputs.rows)
+        shape = tuple(len(rows[s]) for inputs in branches.values()
+                      for _, rows, _ in inputs.reads)
         groups.setdefault(shape, []).append(s)
     chunks = [group[i:i + CHUNK_SPOTS] for group in groups.values()
               for i in range(0, len(group), CHUNK_SPOTS)]
-    rank = {s: r for r, s in enumerate(s for chunk in chunks for s in chunk)}
     outs = ({name: guided_branch(inputs, chunk, config) for name, inputs in branches.items()}
             for chunk in chunks)
 
@@ -414,18 +417,23 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None):
         outs = list(outs)
         source = "ctx" if config.drop_spot else "spot"
         global_out = BranchOutput(ad.concat_rows([out[source].pooled for out in outs]), None)
-        row_of = rank
+        row_of = {s: r for r, s in enumerate(s for chunk in chunks for s in chunk)}
     else:
         pooled = ad.matmul(dataset.pooled_image_tokens, params.proj[("img", "spot")])
         global_out = global_branch(pooled, dataset.grid_positions(), params)
         row_of = range(n)
+    requested, fused_spots = set(indices), []
     stacked = {"fused": [], **{name: [] for name in branches}}
     for chunk, out in zip(chunks, outs):
+        if requested.isdisjoint(chunk):
+            continue
+        fused_spots.extend(chunk)
         stacked["fused"].append(fuse(out.get("spot"), out.get("ctx"), global_out,
                                      [row_of[s] for s in chunk], params, config))
         for name, branch_out in out.items():
             stacked[name].append(branch_out.pooled)
 
+    rank = {s: r for r, s in enumerate(fused_spots)}
     order = [rank[s] for s in indices]
     preds = {name: ad.take_rows(ad.concat_rows(parts), order) for name, parts in stacked.items()}
     if not config.drop_global:

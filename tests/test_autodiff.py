@@ -183,6 +183,19 @@ class TestAttention:
                      Tensor(rng.normal(size=(3, 8))), 4, attn_sink=sink)
         assert [a.shape for a in sink] == [(2, 3)] * 4
 
+    def test_sink_holds_normalised_softmax_weights(self):
+        rng = np.random.default_rng(16)
+        q, k, v = (rng.normal(size=(n, 8)) * 3.0 for n in (6, 9, 9))
+        sink = []
+        ad.attention(Tensor(q), Tensor(k), Tensor(v), 2, groups=3, attn_sink=sink)
+        for index, weights in enumerate(sink):
+            g, h = divmod(index, 2)
+            qh, kh = q[2 * g:2 * g + 2, 4 * h:4 * h + 4], k[3 * g:3 * g + 3, 4 * h:4 * h + 4]
+            logits = qh @ kh.T / math.sqrt(4)
+            plain = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+            np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(weights, plain, rtol=0, atol=1e-12)
+
     def test_rejects_heads_that_do_not_divide_width(self):
         with pytest.raises(ShapeError):
             ad.attention(Tensor(np.ones((2, 6))), Tensor(np.ones((3, 6))),
@@ -287,6 +300,20 @@ class TestElementwiseAndShapes:
         np.testing.assert_allclose(x.grad[1], 0.0)
         np.testing.assert_allclose(x.grad[2], (w.data[0] + w.data[2] + w.data[4]) / 18,
                                    rtol=0, atol=1e-15)
+
+    def test_add_gives_each_operand_its_own_gradient(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        ad.mean_all(ad.add(a, b)).backward()
+        assert a.grad is not b.grad
+        expected = b.grad.copy()
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, expected)
+
+    def test_add_of_a_tensor_to_itself(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        ad.mean_all(ad.mul(ad.add(x, x), 6.0)).backward()
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
 
     def test_mean_rows_over_groups(self):
         rng = np.random.default_rng(11)

@@ -1,12 +1,16 @@
 """The ``bgt`` command line: configs are checked before any output."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from bgtriplex import cli
+from bgtriplex.checkpoint import load_checkpoint
 from bgtriplex.cli import main
-from bgtriplex.data import save_dataset, synth_dataset
+from bgtriplex.data import load_dataset, save_dataset, synth_dataset
 from bgtriplex.training import TrainConfig
 
 SMALL_MODEL = {"d_model": 8, "n_heads": 2}
@@ -104,6 +108,28 @@ def test_predict_rerun_is_byte_identical(manifest, checkpoint, tmp_path):
                                          "--manifest", str(manifest), "-o", "{out}/pred.tsv"],
                               ["pred.tsv"])
     assert first == second
+
+
+def test_predict_writes_values_as_numpy_prints_them(manifest, checkpoint, tmp_path,
+                                                    monkeypatch):
+    edge = [-0.0, 0.0, 1e-05, 1e-04, 1e16, 5e-324, math.inf, -math.inf, math.nan, 0.1, 1 / 3,
+            -2.5e-7, 1.7976931348623157e308]
+    _, _, genes = load_checkpoint(checkpoint)
+    spot_ids = [spot.spot_id for spot in load_dataset(manifest).spots]
+    rng = np.random.default_rng(8)
+    size = len(spot_ids) * len(genes)
+    values = rng.normal(size=size) * 10.0 ** rng.integers(-20, 20, size)
+    values[:len(edge)] = edge
+    pred = values.reshape(len(spot_ids), len(genes))
+    monkeypatch.setattr(cli, "forward_slide", lambda *args: {"fused": pred.copy()})
+    out = tmp_path / "pred.tsv"
+    result = CliRunner().invoke(main, ["predict", "--checkpoint", str(checkpoint),
+                                       "--manifest", str(manifest), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    expected = "spot_id\t" + "\t".join(genes) + "\n" + "".join(
+        spot_id + "\t" + "\t".join(str(np.float64(v)) for v in row) + "\n"
+        for spot_id, row in zip(spot_ids, pred))
+    assert out.read_bytes() == expected.encode("utf-8")
 
 
 def test_export_map_rerun_is_byte_identical(manifest, checkpoint, tmp_path):

@@ -1,4 +1,4 @@
-"""Feature providers, the BGFT binary format and the stream projections."""
+"""Feature providers and the BGFT binary format."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bgtriplex.autodiff import Tensor, grad_check, mean_all
 from bgtriplex.data import SpotRecord
 from bgtriplex.errors import FormatError
 from bgtriplex.features import (FeatureBundle, PrecomputedFeatureProvider,
                                 ToyFeatureProvider, decode_bgft, encode_bgft,
-                                feature_transform, load_feature_file, toy_extract)
+                                load_feature_file, toy_extract)
 
 
 def write_bgft(path, array):
@@ -157,31 +156,3 @@ class TestPrecomputedProvider:
         assert provider.bundle(s, "ctx").image_tokens.shape == (3, 4)
         assert provider.bundle(s, "spot").image_tokens.shape == (2, 4)
 
-
-class TestFeatureTransform:
-    def test_identity_projection(self):
-        tokens = np.random.default_rng(0).normal(size=(3, 4))
-        out = feature_transform(Tensor(tokens), Tensor(np.eye(4)))
-        np.testing.assert_array_equal(out.data, tokens)
-
-    def test_zero_projection(self):
-        tokens = np.ones((2, 4))
-        out = feature_transform(Tensor(tokens), Tensor(np.zeros((4, 3))))
-        np.testing.assert_array_equal(out.data, np.zeros((2, 3)))
-
-    def test_matches_matmul_oracle(self):
-        rng = np.random.default_rng(5)
-        tokens = rng.normal(size=(3, 5))
-        proj = rng.normal(size=(5, 4))
-        out = feature_transform(Tensor(tokens), Tensor(proj)).data
-        for i in range(3):
-            for j in range(4):
-                expected = sum(tokens[i, t] * proj[t, j] for t in range(5))
-                assert abs(out[i, j] - expected) <= 1e-12
-
-    def test_gradient(self):
-        rng = np.random.default_rng(6)
-        tokens = Tensor(rng.normal(size=(3, 5)))
-        proj = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-        err = grad_check(lambda p: mean_all(feature_transform(tokens, p)), proj)
-        assert err <= 1e-8

@@ -827,22 +827,99 @@ class TestSlideForwardCost:
         ds, _ = synth_dataset(5, 5, 6, 0.05, seed=23)
         cfg = ModelConfig(d_model=16, n_heads=2)
         params = ModelParams(cfg, k_genes=3, seed=3)
-        calls = []
-        real_transform = model.feature_transform
+        folds, rows = [], {}
+        real_matmul = ad.matmul
+        weight_of = {}
+        for scope, block in (("spot", params.mca_spot), ("ctx", params.mca_ctx)):
+            for stream, names in (("img", ("w_q",)), ("edge", ("w_k_a", "w_v_a")),
+                                  ("nuc", ("w_k_b", "w_v_b"))):
+                for name in names:
+                    key = (id(params.proj[(stream, scope)]), id(getattr(block, name)))
+                    weight_of[key] = (scope, stream, name)
 
-        def counting_transform(tokens, projection):
-            calls.append((tokens.shape[0], id(projection)))
-            return real_transform(tokens, projection)
+        def counting_matmul(a, b):
+            out = real_matmul(a, b)
+            if (id(a), id(b)) in weight_of:
+                folds.append(weight_of[(id(a), id(b))])
+                rows[id(out)] = (weight_of[(id(a), id(b))], [])
+            elif id(b) in rows:
+                assert isinstance(a, np.ndarray)
+                rows[id(b)][1].append(a.shape[0])
+            return out
 
-        monkeypatch.setattr(model, "feature_transform", counting_transform)
+        monkeypatch.setattr(ad, "matmul", counting_matmul)
         batch = [0, 12, 13, 24]
         slide_forward(ds, params, cfg, 3, spot_indices=batch)
-        members = {i for s in batch for i in window_members(ds, s, 3)}
-        rows = {"spot": 4 * len(batch), "ctx": 4 * len(members)}
-        expected = [(rows[scope], id(params.proj[(stream, scope)]))
-                    for scope in ("spot", "ctx") for stream in STREAM_ORDER]
-        assert sorted(calls) == sorted(expected)
-        assert len(members) < ds.n_spots
+        # one folded (c, d) weight per stream, block weight and scope
+        assert sorted(folds) == sorted(weight_of.values())
+        # raw rows are gathered for the batch's spots and windows only, and
+        # projected once per window that holds them: 4 tokens per member
+        windows = sum(len(window_members(ds, s, 3)) for s in batch)
+        expected = {"spot": 4 * len(batch), "ctx": 4 * windows}
+        for (scope, _, _), counts in rows.values():
+            assert sum(counts) == expected[scope]
+        assert windows < 2 * ds.n_spots
+
+    def test_branches_build_no_take_rows_node(self, monkeypatch):
+        # take_rows' backward is the only np.add.at scatter, so a step's
+        # backward scatters only for fuse's query gathers and the
+        # prediction gathers
+        ds, _ = synth_dataset(5, 5, 6, 0.05, seed=23)
+        cfg = ModelConfig(d_model=16, n_heads=2)
+        params = ModelParams(cfg, k_genes=3, seed=3)
+        targets, _, _ = gene_targets([ds], 3)
+        takes, branch_takes, fuse_calls = [], [], []
+        real_take_rows, real_branch, real_fuse = ad.take_rows, model.guided_branch, model.fuse
+
+        def counting_take_rows(x, index):
+            takes.append(len(index))
+            return real_take_rows(x, index)
+
+        def counting_branch(*args, **kwargs):
+            before = len(takes)
+            out = real_branch(*args, **kwargs)
+            branch_takes.append(len(takes) - before)
+            return out
+
+        def counting_fuse(*args, **kwargs):
+            fuse_calls.append(1)
+            return real_fuse(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "take_rows", counting_take_rows)
+        monkeypatch.setattr(model, "guided_branch", counting_branch)
+        monkeypatch.setattr(model, "fuse", counting_fuse)
+        batch = [0, 1, 6, 12, 24]
+        preds = forward_batch(ds, params, cfg, 3, spot_indices=batch)
+        assert branch_takes and not any(branch_takes)
+        # one gather per fused chunk and one per predicted branch
+        assert len(takes) == len(fuse_calls) + len(preds)
+        loss, _ = loss_total(preds, targets[0][batch], 0.3)
+        loss.backward()
+        assert all(tensor.grad is not None for _, tensor in params.named())
+
+    def test_inference_projects_each_repeated_read_row_once(self):
+        # without a graph there is no scatter to avoid, so where windows
+        # overlap each row read is projected once and its projected row
+        # gathered; rows read once, and any graph, keep the per-use path
+        ds, _ = synth_dataset(5, 5, 6, 0.05, seed=23)
+        cfg = ModelConfig(d_model=16, n_heads=2)
+        params = ModelParams(cfg, k_genes=3, seed=3)
+        for centers, overlap in ((range(ds.n_spots), True), ([6, 7], True), ([12], False),
+                                 ([0, 24], False)):
+            members = {s: window_members(ds, s, 3) for s in centers}
+            read = set().union(*members.values())
+            assert overlap == (len(read) < sum(map(len, members.values())))
+            inputs = branch_inputs(ds, params.detached(), cfg, "ctx", members)
+            for stack, rows, weights in inputs.reads:
+                assert {t: len(r) for t, r in rows.items()} == {
+                    t: 4 * len(m) for t, m in members.items()}
+                if overlap:
+                    assert weights is None
+                    assert [p.shape for p in stack] == [(4 * len(read), 16)] * len(stack)
+                else:
+                    assert [w.shape for w in weights] == [(stack.shape[1], 16)] * len(weights)
+            graph = branch_inputs(ds, params, cfg, "ctx", members)
+            assert all(weights[0].requires_grad for _, _, weights in graph.reads)
 
     @pytest.mark.parametrize("batch,groups", [([6], 1), ([6, 7, 8, 11], 1),
                                               ([6, 7, 8, 11, 12, 13, 16, 17], 1),
@@ -964,12 +1041,57 @@ class TestGroupedForward:
             if grad is not None:
                 assert_matches(grad, ref_grads[name], name)
 
+    @pytest.mark.parametrize("flags", [{}, {"drop_global": True, "drop_spot": True},
+                                       {"no_edge_spot": True, "no_nuclei_ctx": True}])
+    @pytest.mark.parametrize("slide", ["5x5", "varied"])
+    def test_inference_matches_the_graph_forward(self, grouping_slides, slide, flags):
+        # forward_slide projects each read row once; a graph forward per use
+        ds, d_context, _ = grouping_slides[slide]
+        cfg = ModelConfig(d_model=16, n_heads=4, **flags)
+        params = ModelParams(cfg, k_genes=4, seed=6)
+        rng = np.random.default_rng(6)
+        for _, values in params.records():
+            values[...] = rng.normal(0.0, 0.5, values.shape)
+        out = forward_slide(ds, params, cfg, d_context)
+        ref = forward_batch(ds, params, cfg, d_context)
+        assert set(out) == set(ref)
+        for name, pred in out.items():
+            assert_matches(pred, ref[name].data, name)
+
+    @pytest.mark.parametrize("flags", [{"drop_global": True, "drop_spot": True},
+                                       {"drop_global": True, "drop_ctx": True}])
+    @pytest.mark.parametrize("batch", [[12], [0, 24], [6, 7, 0]])
+    def test_wide_ablation_fuses_only_chunks_holding_a_requested_spot(self, monkeypatch,
+                                                                       flags, batch):
+        # the remaining branch runs on every spot to build the global stream
+        ds, _ = synth_dataset(5, 5, 6, 0.05, seed=29)
+        cfg = ModelConfig(d_model=16, n_heads=4, **flags)
+        params = ModelParams(cfg, k_genes=4, seed=6)
+        chunks, fused = [], []
+        real_branch, real_fuse = model.guided_branch, model.fuse
+
+        def recording_branch(inputs, targets, *args, **kwargs):
+            chunks.append(tuple(targets))
+            return real_branch(inputs, targets, *args, **kwargs)
+
+        def recording_fuse(*args, **kwargs):
+            fused.append(1)
+            return real_fuse(*args, **kwargs)
+
+        monkeypatch.setattr(model, "guided_branch", recording_branch)
+        monkeypatch.setattr(model, "fuse", recording_fuse)
+        preds = forward_batch(ds, params, cfg, 3, spot_indices=batch)
+        assert sorted(s for chunk in chunks for s in chunk) == list(range(ds.n_spots))
+        assert len(fused) == sum(1 for chunk in chunks if set(chunk) & set(batch))
+        assert len(fused) < len(chunks)
+        assert all(p.shape[0] == len(batch) for p in preds.values())
+
     def test_varied_slide_has_several_shapes(self, grouping_slides):
         ds, d_context, batch = grouping_slides["varied"]
         cfg = ModelConfig(d_model=16, n_heads=4)
         inputs = branch_inputs(ds, ModelParams(cfg, 4), cfg, "ctx",
                                {s: window_members(ds, s, d_context) for s in batch})
-        shapes = [tuple(len(rows[s]) for rows in inputs.rows) for s in batch]
+        shapes = [tuple(len(rows[s]) for _, rows, _ in inputs.reads) for s in batch]
         assert len(set(shapes)) > 3
         assert any(len(set(shape)) > 1 for shape in shapes)
 

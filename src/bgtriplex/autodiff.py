@@ -3,9 +3,11 @@
 Covers exactly the operations the expression model needs: matrix
 multiplication, multi-head attention over blocks of rows, layer
 normalization, elementwise arithmetic, row concatenation, row pooling
-and row gathering. Gradients are accumulated by walking the
-recorded operation graph in reverse topological order; all reductions
-run in numpy's deterministic order so repeated runs are bit-identical.
+and row gathering. Every op computes its value, defines its backward
+closure and returns ``compose(value, parents, backward)``, the one node
+constructor. Gradients are accumulated by walking the recorded operation
+graph in reverse topological order; all reductions run in numpy's
+deterministic order so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -106,18 +108,21 @@ def as_tensor(value):
 
 
 def compose(data, parents, backward):
-    """Build an op output wired into the graph.
+    """The one node constructor: an op's output ``data``, wired to its
+    input tensors ``parents``.
 
-    ``backward`` is called with the output's gradient and must accumulate
-    into the parents itself. Used by operations with hand-derived
-    backward passes (e.g. the grid convolution of the positional encoder).
+    If any parent requires a gradient, the output does too, and
+    ``backward`` is called with its gradient and must accumulate into the
+    parents that require one. Otherwise the output is a leaf and
+    ``backward`` is dropped.
     """
     out = Tensor(data)
-    parents = tuple(p for p in parents if isinstance(p, Tensor))
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = tuple(parents)
+            out._backward = backward
+            break
     return out
 
 
@@ -155,19 +160,14 @@ def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
-    if a.requires_grad or b.requires_grad:
-        out.requires_grad = True
-        out._parents = (a, b)
 
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g)
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ g)
 
-        out._backward = backward
-    return out
+    return compose(a.data @ b.data, (a, b), backward)
 
 
 def _broadcast_op(a, b, value, grad_a, grad_b):
@@ -175,23 +175,19 @@ def _broadcast_op(a, b, value, grad_a, grad_b):
     ``grad_a(g)`` and ``grad_b(g)``, each summed back to its operand's shape."""
     a, b = as_tensor(a), as_tensor(b)
     try:
-        out = Tensor(value(a.data, b.data))
+        data = value(a.data, b.data)
     except ValueError as exc:
         raise ShapeError(f"incompatible shapes {a.shape} and {b.shape}") from exc
-    if a.requires_grad or b.requires_grad:
-        out.requires_grad = True
-        out._parents = (a, b)
 
-        def backward(g):
-            for operand, grad in ((a, grad_a), (b, grad_b)):
-                if operand.requires_grad:
-                    g_op = grad(g)
-                    if g_op.shape != operand.data.shape:
-                        g_op = _sum_to_shape(g_op, operand.data.shape)
-                    operand._accumulate(g_op)
+    def backward(g):
+        for operand, grad in ((a, grad_a), (b, grad_b)):
+            if operand.requires_grad:
+                g_op = grad(g)
+                if g_op.shape != operand.data.shape:
+                    g_op = _sum_to_shape(g_op, operand.data.shape)
+                operand._accumulate(g_op)
 
-        out._backward = backward
-    return out
+    return compose(data, (a, b), backward)
 
 
 def add(a, b):
@@ -199,14 +195,6 @@ def add(a, b):
 
 
 def mul(a, b):
-    if isinstance(b, numbers.Number) and isinstance(a, Tensor):
-        scale = float(b)
-        out = Tensor(a.data * scale)
-        if a.requires_grad:
-            out.requires_grad = True
-            out._parents = (a,)
-            out._backward = lambda g: a._accumulate(g * scale)
-        return out
     a, b = as_tensor(a), as_tensor(b)
     return _broadcast_op(a, b, np.multiply, lambda g: g * b.data, lambda g: g * a.data)
 
@@ -282,24 +270,19 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     xhat = x.data - x.data.mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=1, keepdims=True) + eps)
     xhat *= inv
-    out = Tensor(xhat * gamma.data + beta.data)
-    if x.requires_grad or gamma.requires_grad or beta.requires_grad:
-        out.requires_grad = True
-        out._parents = (x, gamma, beta)
 
-        def backward(g):
-            if gamma.requires_grad:
-                gamma._accumulate((g * xhat).sum(axis=0))
-            if beta.requires_grad:
-                beta._accumulate(g.sum(axis=0))
-            if x.requires_grad:
-                gx = g * gamma.data
-                mean_gx = gx.mean(axis=1, keepdims=True)
-                mean_gx_xhat = (gx * xhat).mean(axis=1, keepdims=True)
-                x._accumulate(inv * (gx - mean_gx - xhat * mean_gx_xhat))
+    def backward(g):
+        if gamma.requires_grad:
+            gamma._accumulate((g * xhat).sum(axis=0))
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=0))
+        if x.requires_grad:
+            gx = g * gamma.data
+            mean_gx = gx.mean(axis=1, keepdims=True)
+            mean_gx_xhat = (gx * xhat).mean(axis=1, keepdims=True)
+            x._accumulate(inv * (gx - mean_gx - xhat * mean_gx_xhat))
 
-        out._backward = backward
-    return out
+    return compose(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
 
 
 def concat_rows(parts):
@@ -312,21 +295,16 @@ def concat_rows(parts):
             raise ShapeError(f"concat: need 2-D tensors, got shape {p.shape}")
     if any(p.shape[1] != parts[0].shape[1] for p in parts):
         raise ShapeError(f"concat: mismatched extents {[p.shape for p in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts]))
-    if any(p.requires_grad for p in parts):
-        out.requires_grad = True
-        out._parents = tuple(parts)
 
-        def backward(g):
-            offset = 0
-            for p in parts:
-                rows = p.shape[0]
-                if p.requires_grad:
-                    p._accumulate(g[offset:offset + rows])
-                offset += rows
+    def backward(g):
+        offset = 0
+        for p in parts:
+            rows = p.shape[0]
+            if p.requires_grad:
+                p._accumulate(g[offset:offset + rows])
+            offset += rows
 
-        out._backward = backward
-    return out
+    return compose(np.concatenate([p.data for p in parts]), parts, backward)
 
 
 def mean_rows(x, groups=1):
@@ -335,23 +313,15 @@ def mean_rows(x, groups=1):
     if x.data.ndim != 2 or groups < 1 or x.shape[0] % groups:
         raise ShapeError(f"mean_rows: cannot split shape {x.shape} into {groups} row blocks")
     count = x.shape[0] // groups
-    out = Tensor(x.data.reshape(groups, count, -1).sum(axis=1) / count)
-    if x.requires_grad:
-        out.requires_grad = True
-        out._parents = (x,)
-        out._backward = lambda g: x._accumulate(np.repeat(g / count, count, axis=0))
-    return out
+    return compose(x.data.reshape(groups, count, -1).sum(axis=1) / count, (x,),
+                   lambda g: x._accumulate(np.repeat(g / count, count, axis=0)))
 
 
 def mean_all(x):
     """Mean over every entry, returned as a scalar (0-d) tensor."""
     x = as_tensor(x)
-    out = Tensor(x.data.mean())
-    if x.requires_grad:
-        out.requires_grad = True
-        out._parents = (x,)
-        out._backward = lambda g: x._accumulate(np.full_like(x.data, g / x.data.size))
-    return out
+    return compose(x.data.mean(), (x,),
+                   lambda g: x._accumulate(np.full_like(x.data, g / x.data.size)))
 
 
 def take_rows(x, index):
@@ -363,18 +333,13 @@ def take_rows(x, index):
                          f"and {index.shape}")
     if index.size and not (index.min() >= 0 and index.max() < x.shape[0]):
         raise ValueError(f"take_rows: index out of range for {x.shape[0]} rows")
-    out = Tensor(np.take(x.data, index, axis=0))
-    if x.requires_grad:
-        out.requires_grad = True
-        out._parents = (x,)
 
-        def backward(g):
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            np.add.at(x.grad, index, g)
+    def backward(g):
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        np.add.at(x.grad, index, g)
 
-        out._backward = backward
-    return out
+    return compose(np.take(x.data, index, axis=0), (x,), backward)
 
 
 def grad_check(f, x, h=1e-5):

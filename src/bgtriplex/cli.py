@@ -263,6 +263,8 @@ def cmd_cv(manifests, out_dir, pcch_selector, config_path, provider, **overrides
     threads = os.environ.get("BGT_THREADS", "1")
     if not threads.isdecimal() or int(threads) < 1:
         raise click.UsageError(f"BGT_THREADS must be a positive integer, got {threads!r}")
+    if len(manifests) < 2:
+        raise click.UsageError("leave-one-slide-out needs at least 2 --manifest slides")
     train_cfg, model_cfg, doc = _build_config(config_path, overrides)
     provider = provider or doc["provider"]
     selector = pcch_selector or doc["pcch_selector"]

@@ -52,6 +52,9 @@ class ModelConfig:
     eps: float = 1e-5
 
     def __post_init__(self):
+        if self.d_model < 1 or self.n_heads < 1:
+            raise ValueError(f"d_model and n_heads must be positive, got {self.d_model} "
+                             f"and {self.n_heads}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"n_heads {self.n_heads} must divide d_model {self.d_model}")
         if self.drop_spot and self.drop_ctx and self.drop_global:
@@ -353,20 +356,32 @@ def global_branch(tokens, grid_positions, params):
     return BranchOutput(apeg_encode(tokens, grid_positions, params.apeg_kernel), None)
 
 
-def fuse(spot_out, ctx_out, global_out, rows, params, config, attn_sink=None):
+def _stream_guides(stream, params, dropped):
+    """Keys and values of the whole global token ``stream`` for each fusion
+    guide, spot then context, that ``dropped`` flags; None for the others."""
+    block = params.mca_fuse
+    return [(ad.matmul(stream, w_k), ad.matmul(stream, w_v)) if drop else None
+            for drop, w_k, w_v in zip(dropped, (block.w_k_a, block.w_k_b),
+                                      (block.w_v_a, block.w_v_b))]
+
+
+def fuse(spot_out, ctx_out, global_out, rows, params, config, attn_sink=None,
+         stream_kv=(None, None)):
     """Fused tokens (G, d) of G spots whose branch outputs share one shape.
 
     Spot g's query is row ``rows[g]`` of ``global_out.tokens``, and it
     attends to block g of the spot-branch and context-branch tokens. A
     dropped branch (None) is replaced by the whole global token stream,
     which every query row attends to, mirroring the guidance ablations.
+    Its keys and values come from ``stream_kv``, made by ``_stream_guides``
+    once per forward pass for all of its chunks.
     """
     block, stream = params.mca_fuse, global_out.tokens
     guides = []
-    for out, w_k, w_v in ((spot_out, block.w_k_a, block.w_v_a),
-                          (ctx_out, block.w_k_b, block.w_v_b)):
-        tokens, groups = (stream, 1) if out is None else (out.tokens, len(rows))
-        guides.append((ad.matmul(tokens, w_k), ad.matmul(tokens, w_v), groups))
+    for out, kv, w_k, w_v in ((spot_out, stream_kv[0], block.w_k_a, block.w_v_a),
+                              (ctx_out, stream_kv[1], block.w_k_b, block.w_v_b)):
+        guides.append((*kv, 1) if out is None else
+                      (ad.matmul(out.tokens, w_k), ad.matmul(out.tokens, w_v), len(rows)))
     return guided_attention(ad.matmul(ad.take_rows(stream, rows), block.w_q), guides, block,
                             config, attn_sink)
 
@@ -381,7 +396,8 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None):
     attending and pooling over exactly its own rows. A spot's fusion
     query is its global token: the slide's pooled raw image tokens times
     the (linear, bias-free) spot-scope image projection, position-encoded.
-    A dropped guide branch is replaced by the whole global stream. With
+    A dropped guide branch is replaced by the whole global stream, whose
+    fusion keys and values are projected once per call. With
     ``drop_global`` the global stream is the stack of pooled spot-branch
     (or, failing that, context-branch) tokens; when it also replaces a
     dropped guide, that branch runs on every spot, and only chunks holding
@@ -422,6 +438,7 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None):
         pooled = ad.matmul(dataset.pooled_image_tokens, params.proj[("img", "spot")])
         global_out = global_branch(pooled, dataset.grid_positions(), params)
         row_of = range(n)
+    stream_kv = _stream_guides(global_out.tokens, params, (config.drop_spot, config.drop_ctx))
     requested, fused_spots = set(indices), []
     stacked = {"fused": [], **{name: [] for name in branches}}
     for chunk, out in zip(chunks, outs):
@@ -429,7 +446,8 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None):
             continue
         fused_spots.extend(chunk)
         stacked["fused"].append(fuse(out.get("spot"), out.get("ctx"), global_out,
-                                     [row_of[s] for s in chunk], params, config))
+                                     [row_of[s] for s in chunk], params, config,
+                                     stream_kv=stream_kv))
         for name, branch_out in out.items():
             stacked[name].append(branch_out.pooled)
 

@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import log1p_normalize, select_top_k_genes
 from .errors import NumericsError
-from .metrics import MetricsReport, evaluate_predictions
+from .metrics import evaluate_predictions
 from .model import forward_batch, forward_slide
 from .seeding import substream
 
@@ -256,70 +256,41 @@ def write_loss_log(path, log):
                      f"{row.loss_spot},{row.loss_ctx},{row.loss_global}\n")
 
 
-def cross_validate(datasets, cfg, model_config, folds=None, n_top=50,
-                   pcch_selector="predictive", make_params=None, progress=None,
-                   workers=1):
-    """Leave-one-slide-out (or explicit-fold) cross-validation.
+def cross_validate(datasets, cfg, model_config, pcch_selector="predictive", make_params=None,
+                   progress=None, workers=1):
+    """Leave-one-slide-out cross-validation.
 
-    Each fold trains fresh parameters on the remaining slides and
-    evaluates on the held-out ones. Folds share nothing, so ``workers``
-    may run them concurrently without changing any output. Returns
-    (per-fold reports, aggregate mean/sd over folds).
+    Fold i trains fresh parameters on every slide but slide i and
+    evaluates on slide i. Folds share nothing, so ``workers`` may run
+    them concurrently without changing any output. Returns (per-fold
+    reports, aggregate mean/sd over folds).
     """
     from .model import ModelParams
 
-    if folds is None:
-        if len(datasets) < 2:
-            raise ValueError("leave-one-slide-out needs at least 2 slides")
-        folds = [[i] for i in range(len(datasets))]
-    for fold in folds:
-        if not fold or any(not 0 <= i < len(datasets) for i in fold):
-            raise ValueError(f"invalid fold {fold}")
-        if len(fold) == len(datasets):
-            raise ValueError("a fold cannot hold out every slide")
-
+    if len(datasets) < 2:
+        raise ValueError("leave-one-slide-out needs at least 2 slides")
     targets, indices, names = gene_targets(datasets, cfg.k_genes)
     if make_params is None:
         make_params = lambda: ModelParams(model_config, k_genes=len(indices), seed=cfg.seed)
 
-    def run_fold(fold):
-        held = set(fold)
-        train_ids = [i for i in range(len(datasets)) if i not in held]
+    def run_fold(held):
+        train_ids = [i for i in range(len(datasets)) if i != held]
         params = make_params()
         train([datasets[i] for i in train_ids], params, cfg,
               targets=[targets[i] for i in train_ids], progress=progress)
-        reports = []
-        for i in fold:
-            pred = forward_slide(datasets[i], params, model_config, cfg.d_context)["fused"]
-            reports.append(evaluate_predictions(pred, targets[i], names, n_top=n_top,
-                                                selector=pcch_selector))
-        return _merge_reports(reports)
+        pred = forward_slide(datasets[held], params, model_config, cfg.d_context)["fused"]
+        return evaluate_predictions(pred, targets[held], names, selector=pcch_selector)
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            fold_reports = list(pool.map(run_fold, folds))
+            fold_reports = list(pool.map(run_fold, range(len(datasets))))
     else:
-        fold_reports = [run_fold(fold) for fold in folds]
+        fold_reports = [run_fold(held) for held in range(len(datasets))]
     aggregate = {}
     for metric in ("mse", "pcc_m", "pcc_h"):
         values = np.array([getattr(r, metric) for r in fold_reports], dtype=np.float64)
         sd = float(values.std(ddof=1)) if len(values) > 1 else 0.0
         aggregate[metric] = (float(values.mean()), sd)
     return fold_reports, aggregate
-
-
-def _merge_reports(reports):
-    if len(reports) == 1:
-        return reports[0]
-    pcc = np.nanmean(np.vstack([r.pcc_per_gene for r in reports]), axis=0)
-    return MetricsReport(
-        mse=float(np.mean([r.mse for r in reports])),
-        pcc_per_gene=pcc,
-        pcc_m=float(np.mean([r.pcc_m for r in reports])),
-        pcc_h=float(np.mean([r.pcc_h for r in reports])),
-        top_gene_indices=reports[0].top_gene_indices,
-        gene_names=reports[0].gene_names,
-        excluded_genes=max(r.excluded_genes for r in reports),
-    )

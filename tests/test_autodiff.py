@@ -360,6 +360,45 @@ class TestElementwiseAndShapes:
             gc.enable()
 
 
+# names in ``autodiff.__all__`` that build no graph node
+NOT_OPS = ("Tensor", "as_tensor", "grad_check")
+# each op: (call on its tensor inputs, input shapes)
+OP_CASES = {
+    "compose": (lambda x: ad.compose(2.0 * x.data, (x,), lambda g: x._accumulate(2.0 * g)),
+                [(2, 3)]),
+    "matmul": (ad.matmul, [(2, 3), (3, 4)]),
+    "attention": (lambda q, k, v: ad.attention(q, k, v, 2), [(2, 4), (3, 4), (3, 4)]),
+    "add": (ad.add, [(2, 3), (1, 3)]),
+    "mul": (ad.mul, [(2, 3), (2, 1)]),
+    "layer_norm": (ad.layer_norm, [(2, 3), (3,), (3,)]),
+    "concat_rows": (lambda *parts: ad.concat_rows(parts), [(2, 3), (1, 3)]),
+    "mean_rows": (lambda x: ad.mean_rows(x, 2), [(4, 3)]),
+    "mean_all": (ad.mean_all, [(2, 3)]),
+    "take_rows": (lambda x: ad.take_rows(x, [1, 0, 1]), [(2, 3)]),
+}
+
+
+def test_op_cases_cover_every_op():
+    assert sorted(OP_CASES) == sorted(set(ad.__all__) - set(NOT_OPS))
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_op_output_is_a_leaf_unless_an_input_requires_grad(name):
+    op, shapes = OP_CASES[name]
+    rng = np.random.default_rng(13)
+    values = [rng.normal(size=shape) for shape in shapes]
+    out = op(*[Tensor(v) for v in values])
+    assert not out.requires_grad and out._parents == () and out._backward is None
+    for wired in range(len(values)):
+        inputs = [Tensor(v, requires_grad=i == wired) for i, v in enumerate(values)]
+        out = op(*inputs)
+        assert out.requires_grad and out._backward is not None
+        assert all(any(p is x for p in out._parents) for x in inputs)
+        out._backward(np.ones_like(out.data))
+        assert [x.grad is not None for x in inputs] == [i == wired for i in range(len(inputs))]
+        assert inputs[wired].grad.shape == values[wired].shape
+
+
 class TestGradCheck:
     def test_quadratic_is_nearly_exact(self):
         rng = np.random.default_rng(1)

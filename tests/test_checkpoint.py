@@ -112,6 +112,15 @@ def test_unsupported_metadata_rejected(tmp_path, extra):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("sizes", [{"n_heads": 0}, {"d_model": 0}, {"n_heads": -2},
+                                   {"d_model": -8, "n_heads": 2}])
+def test_non_positive_model_sizes_rejected(tmp_path, sizes):
+    path = tmp_path / "n.bgck"
+    path.write_bytes(bgck_bytes(dict(TINY.to_dict(), **sizes), 3, GENES, TINY_RECORDS))
+    with pytest.raises(FormatError, match="d_model and n_heads must be positive"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("d_context", [4, 0, -1, 3.0, 2.5, "3", True, None])
 def test_window_size_must_be_positive_odd_integer_on_load(tmp_path, d_context):
     path = tmp_path / "w.bgck"

@@ -40,7 +40,9 @@ def write_config(path, doc):
 
 
 @pytest.mark.parametrize("flags", [["--grad-clip", "0"], ["--grad-clip", "-1"],
-                                   ["--d-context", "4"], ["--guide-mode", "mca"]])
+                                   ["--d-context", "4"], ["--guide-mode", "mca"],
+                                   ["--n-heads", "0"], ["--d-model", "0"], ["--n-heads", "-2"],
+                                   ["--d-model", "-8", "--n-heads", "2"]])
 def test_bad_flags_exit_2_before_output(manifest, tmp_path, flags):
     out = tmp_path / "run"
     result = train(manifest, out, *flags)
@@ -59,6 +61,13 @@ def test_bad_config_keys_exit_2_before_output(manifest, tmp_path, doc):
     assert result.stdout == ""
     assert "Traceback" not in result.output
     assert not out.exists()
+
+
+def test_clip_and_detach_flags_reach_the_training_config(manifest, tmp_path):
+    result = train(manifest, tmp_path / "run", "--grad-clip", "0.5", "--no-distill-detach")
+    assert result.exit_code == 0, result.output
+    run = json.loads((tmp_path / "run" / "run.json").read_text())
+    assert (run["train"]["grad_clip"], run["train"]["distill_detach"]) == (0.5, False)
 
 
 def test_run_json_from_older_version_is_a_valid_config(manifest, tmp_path):
@@ -150,6 +159,35 @@ def test_bad_thread_count_exits_2_before_output(manifest, tmp_path, threads):
     assert result.stdout == ""
     assert "BGT_THREADS" in result.output
     assert not out.exists()
+
+
+def test_cv_with_one_slide_exits_2_before_output(manifest, tmp_path):
+    out = tmp_path / "cv"
+    result = CliRunner().invoke(main, ["cv", "--manifest", str(manifest), "-o", str(out),
+                                       "--epochs", "1"])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert "at least 2" in result.output
+    assert not out.exists()
+
+
+def test_eval_prints_the_metrics_table_and_writes_the_report(manifest, checkpoint, tmp_path):
+    report = tmp_path / "report.json"
+    result = CliRunner().invoke(main, ["eval", "--checkpoint", str(checkpoint), "--manifest",
+                                       str(manifest), "-o", str(report)])
+    assert result.exit_code == 0, result.output
+    header, values = result.stdout.splitlines()
+    assert header.split() == ["MSE", "PCC(M)", "PCC(H)"]
+    doc = json.loads(report.read_text())
+    assert values.split() == [f"{doc[key]:.4f}" for key in ("mse", "pcc_m", "pcc_h")]
+
+
+def test_eval_on_a_slide_missing_a_checkpoint_gene_exits_4(checkpoint, tmp_path):
+    other = synth(tmp_path / "few", "--genes", "2")
+    result = CliRunner().invoke(main, ["eval", "--checkpoint", str(checkpoint), "--manifest",
+                                       str(other)])
+    assert result.exit_code == 4, result.output
+    assert "checkpoint genes" in result.output
 
 
 def test_cv_rerun_with_two_threads_is_byte_identical(manifest, tmp_path):

@@ -860,6 +860,30 @@ class TestSlideForwardCost:
             assert sum(counts) == expected[scope]
         assert windows < 2 * ds.n_spots
 
+    @pytest.mark.parametrize("flags,heads", [({}, 4), ({"drop_spot": True}, 3),
+                                             ({"drop_ctx": True}, 3)])
+    @pytest.mark.parametrize("size", [5, 7])
+    def test_dropped_guide_projects_the_global_stream_once(self, monkeypatch, flags, heads,
+                                                            size):
+        # every fused chunk attends to the whole global stream in place of a
+        # dropped guide; its keys and values are projected once per pass.
+        # Odd spot counts keep chunk row counts (4 tokens a member) off n.
+        ds, _ = synth_dataset(size, size, 6, 0.05, seed=23)
+        cfg = ModelConfig(d_model=16, n_heads=2, **flags)
+        params = ModelParams(cfg, k_genes=3, seed=3)
+        n_row, real_matmul = [], ad.matmul
+
+        def counting_matmul(a, b):
+            out = real_matmul(a, b)
+            n_row.append(out.shape[0] == ds.n_spots)
+            return out
+
+        monkeypatch.setattr(ad, "matmul", counting_matmul)
+        forward_slide(ds, params, cfg, 3)
+        # the pooled image tokens, each head's input, and keys and values
+        # for a dropped guide
+        assert sum(n_row) == 1 + heads + 2 * len(flags)
+
     def test_branches_build_no_take_rows_node(self, monkeypatch):
         # take_rows' backward is the only np.add.at scatter, so a step's
         # backward scatters only for fuse's query gathers and the

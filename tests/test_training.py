@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from bgtriplex import training
 from bgtriplex.autodiff import Tensor
 from bgtriplex.data import synth_dataset
-from bgtriplex.model import ModelConfig, ModelParams
+from bgtriplex.model import ModelConfig, ModelParams, forward_batch
 from bgtriplex.training import (AdamState, TrainConfig, adam_step, cross_validate,
-                                loss_total, lr_at, train)
+                                gene_targets, loss_fused, loss_total, lr_at, train)
 
 SMALL_MODEL = ModelConfig(d_model=8, n_heads=2)
 
@@ -71,6 +72,82 @@ class TestLossTotal:
         parts = stats.loss_fused + stats.loss_spot + stats.loss_ctx + stats.loss_global
         assert math.isclose(stats.loss_total, parts, rel_tol=0, abs_tol=1e-12)
         assert min(stats.loss_fused, stats.loss_spot, stats.loss_ctx, stats.loss_global) > 0
+
+
+def global_norm(named):
+    return math.sqrt(sum(float((t.grad * t.grad).sum()) for _, t in named if t.grad is not None))
+
+
+class TestGradClip:
+    @staticmethod
+    def named_with_grads():
+        rng = np.random.default_rng(3)
+        named = [(f"p{i}", Tensor(np.zeros(shape), requires_grad=True))
+                 for i, shape in enumerate([(2, 3), (4,), (1, 1)])]
+        for _, tensor in named[:2]:
+            tensor.grad = rng.normal(size=tensor.data.shape)
+        return named
+
+    def test_norm_above_the_bound_is_scaled_to_it(self):
+        named = self.named_with_grads()
+        before = [t.grad.copy() for _, t in named[:2]]
+        bound = 0.5 * global_norm(named)
+        training._clip_gradients(named, bound)
+        assert math.isclose(global_norm(named), bound, rel_tol=1e-12)
+        for (_, tensor), grad in zip(named, before):
+            np.testing.assert_allclose(tensor.grad, grad * 0.5, rtol=1e-12)
+        assert named[2][1].grad is None
+
+    def test_norm_below_the_bound_is_unchanged(self):
+        named = self.named_with_grads()
+        before = [t.grad.copy() for _, t in named[:2]]
+        training._clip_gradients(named, 2.0 * global_norm(named))
+        for (_, tensor), grad in zip(named, before):
+            np.testing.assert_array_equal(tensor.grad, grad)
+
+    def test_every_training_step_is_clipped(self, slides, monkeypatch):
+        norms, real_clip = [], training._clip_gradients
+
+        def recording_clip(named, max_norm):
+            real_clip(named, max_norm)
+            norms.append(global_norm(named) / max_norm)
+
+        monkeypatch.setattr(training, "_clip_gradients", recording_clip)
+        cfg = TrainConfig(epochs=1, k_genes=4, d_context=3, batch_size=4, grad_clip=1e-6)
+        train(slides[:1], ModelParams(SMALL_MODEL, k_genes=4, seed=1), cfg)
+        assert len(norms) == math.ceil(slides[0].n_spots / cfg.batch_size)
+        np.testing.assert_allclose(norms, 1.0, rtol=1e-12)
+
+
+class TestDistillDetach:
+    @staticmethod
+    def fused_head_grads(slide, loss):
+        params = ModelParams(SMALL_MODEL, k_genes=4, seed=2)
+        targets, _, _ = gene_targets([slide], 4)
+        spots = [0, 4, 8]
+        loss(forward_batch(slide, params, SMALL_MODEL, 3, spot_indices=spots),
+             targets[0][spots]).backward()
+        return [t.grad for t in params.heads["fused"]]
+
+    def test_detached_target_leaves_the_fused_head_to_the_fused_term(self, slides):
+        alone = self.fused_head_grads(slides[0], lambda p, g: loss_fused(p["fused"], g))
+        for detach, same in ((True, True), (False, False)):
+            grads = self.fused_head_grads(
+                slides[0], lambda p, g: loss_total(p, g, 0.3, detach_fused=detach)[0])
+            assert all(np.array_equal(a, b) for a, b in zip(grads, alone)) == same
+
+    @pytest.mark.parametrize("detach", [True, False])
+    def test_train_passes_the_flag_to_the_loss(self, slides, monkeypatch, detach):
+        seen, real_loss = [], training.loss_total
+
+        def recording_loss(*args, **kwargs):
+            seen.append(kwargs["detach_fused"])
+            return real_loss(*args, **kwargs)
+
+        monkeypatch.setattr(training, "loss_total", recording_loss)
+        cfg = TrainConfig(epochs=1, k_genes=4, d_context=3, batch_size=4, distill_detach=detach)
+        train(slides[:1], ModelParams(SMALL_MODEL, k_genes=4, seed=1), cfg)
+        assert seen and set(seen) == {detach}
 
 
 class TestCrossValidate:

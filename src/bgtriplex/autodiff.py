@@ -50,7 +50,7 @@ class Tensor:
         if type(data) is np.ndarray and data.dtype == np.float64 and data.flags.c_contiguous:
             self.data = data
         else:
-            self.data = np.ascontiguousarray(data, dtype=np.float64)
+            self.data = np.asarray(data, dtype=np.float64, order="C")
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()

@@ -13,13 +13,17 @@ spots whose sequences have the same shape; the spot and context branches
 project raw tokens through projections folded into their q/k/v weights.
 Inference (``forward_slide``) runs on detached weights and builds no graph,
 so it projects a token that overlapping context windows share only once.
+
+Every learned weight lives in one ordered ``name -> Tensor`` table
+(``ModelParams``); its order is defined once and fixes the initialization
+draws, the checkpoint records and the optimizer's walk.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -86,121 +90,81 @@ class ModelConfig:
         return cls(**doc)
 
 
-@dataclass
-class McaParams:
-    """One guiding block: five packed (d, d) projections plus its LayerNorm.
-
-    Head h owns columns h*d_head:(h+1)*d_head of every projection.
-    """
-
-    w_q: Tensor
-    w_k_a: Tensor
-    w_v_a: Tensor
-    w_k_b: Tensor
-    w_v_b: Tensor
-    gamma: Tensor
-    beta: Tensor
-
-
-def _uniform(rng, fan_in, shape):
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def _param(values):
-    return Tensor(values, requires_grad=True)
-
-
 class ModelParams:
-    """All learned weights, registered in a fixed, documented order.
+    """All learned weights: one insertion-ordered ``name -> Tensor`` table.
 
-    ``named()`` lists the trainable tensors: six stream projections, the
-    three guiding blocks (spot, ctx, fuse; each its five packed
-    projections, then gamma and beta), the position-encoder kernel, then
-    the four prediction heads (fused, spot, ctx, global), each weight then
-    bias. ``records()`` is the same list with every block's packed
-    projections split into per-head column blocks, head by head and, per
-    head, in ``MCA_WEIGHTS`` order. That is the initialization draw order
-    and the checkpoint record order.
+    ``named()`` walks the table in its fixed, documented order: the six
+    stream projections ``proj.{stream}.{scope}`` (spot scope, then ctx;
+    each img, edge, nuc), the three guiding blocks ``{block}.{weight}``
+    (spot, ctx, fuse; each its five packed (d, d) projections in
+    ``MCA_WEIGHTS`` order, then ``gamma`` and ``beta``), ``apeg.kernel``,
+    then the four prediction heads ``head.{name}.w`` and ``.b`` (fused,
+    spot, ctx, global). ``records()`` is the same list with every block's
+    packed projections split into per-head column blocks
+    ``{block}.h{h}.{weight}``, head by head and, per head, in
+    ``MCA_WEIGHTS`` order. That is the initialization draw order and the
+    checkpoint record order. Model code reads a weight by name,
+    ``params["proj.img.spot"]``, and a guiding block's tensors by leaf
+    name with ``params.block("mca_fuse")``.
     """
 
     def __init__(self, config, k_genes, seed=0):
         self.config = config
         self.k_genes = int(k_genes)
-        rng = substream(seed, "init")
-        d = config.d_model
-        self.proj = {}
-        for scope in ("spot", "ctx"):
-            for stream in STREAMS:
-                c = config.stream_dims[stream]
-                self.proj[(stream, scope)] = _param(_uniform(rng, c, (c, d)))
-        self.mca_spot = self._init_mca(rng, config)
-        self.mca_ctx = self._init_mca(rng, config)
-        self.mca_fuse = self._init_mca(rng, config)
-        self.apeg_kernel = _param(np.zeros((3, 3, d)))
-        self.heads = {}
+        d, k = config.d_model, self.k_genes
+        shapes = {f"proj.{stream}.{scope}": (config.stream_dims[stream], d)
+                  for scope in ("spot", "ctx") for stream in STREAMS}
+        for label in MCA_BLOCKS:
+            shapes.update({f"{label}.{name}": (d, d) for name in MCA_WEIGHTS})
+            shapes.update({f"{label}.gamma": (d,), f"{label}.beta": (d,)})
+        shapes["apeg.kernel"] = (3, 3, d)
         for name in ("fused", "spot", "ctx", "global"):
-            w = _param(_uniform(rng, d, (d, self.k_genes)))
-            b = _param(np.zeros((1, self.k_genes)))
-            self.heads[name] = (w, b)
+            shapes.update({f"head.{name}.w": (d, k), f"head.{name}.b": (1, k)})
+        self._table = {name: Tensor((np.ones if name.endswith(".gamma") else np.zeros)(shape),
+                                    requires_grad=True) for name, shape in shapes.items()}
+        # LayerNorm gains and shifts, the position-encoder kernel and head
+        # biases keep their constant start; every weight matrix is drawn
+        rng = substream(seed, "init")
+        for name, values in self.records():
+            if name.rpartition(".")[2] not in ("gamma", "beta", "kernel", "b"):
+                bound = 1.0 / math.sqrt(values.shape[0])
+                values[...] = rng.uniform(-bound, bound, size=values.shape)
 
-    @staticmethod
-    def _init_mca(rng, config):
-        d, dh = config.d_model, config.d_head
-        packed = {name: np.empty((d, d)) for name in MCA_WEIGHTS}
-        for h in range(config.n_heads):
-            for name in MCA_WEIGHTS:
-                packed[name][:, h * dh:(h + 1) * dh] = _uniform(rng, d, (d, dh))
-        return McaParams(gamma=_param(np.ones(d)), beta=_param(np.zeros(d)),
-                         **{name: _param(values) for name, values in packed.items()})
+    def __getitem__(self, name):
+        return self._table[name]
+
+    def block(self, label):
+        """The tensors of guiding block ``label``, keyed by leaf name."""
+        return {name: self._table[f"{label}.{name}"] for name in MCA_WEIGHTS + ("gamma", "beta")}
 
     def named(self):
-        items = []
-        for scope in ("spot", "ctx"):
-            for stream in STREAMS:
-                items.append((f"proj.{stream}.{scope}", self.proj[(stream, scope)]))
-        for label in MCA_BLOCKS:
-            block = getattr(self, label)
-            for name in MCA_WEIGHTS + ("gamma", "beta"):
-                items.append((f"{label}.{name}", getattr(block, name)))
-        items.append(("apeg.kernel", self.apeg_kernel))
-        for name in ("fused", "spot", "ctx", "global"):
-            w, b = self.heads[name]
-            items.append((f"head.{name}.w", w))
-            items.append((f"head.{name}.b", b))
-        return items
+        return list(self._table.items())
 
     def records(self):
         """(name, array) in record order; head blocks are writable column views."""
         dh = self.config.d_head
         items = []
-        for name, tensor in self.named():
+        for name, tensor in self._table.items():
             label, _, leaf = name.partition(".")
             if leaf not in MCA_WEIGHTS:
                 items.append((name, tensor.data))
             elif leaf == MCA_WEIGHTS[0]:
-                block = getattr(self, label)
+                block = self.block(label)
                 for h in range(self.config.n_heads):
                     for weight in MCA_WEIGHTS:
                         items.append((f"{label}.h{h}.{weight}",
-                                      getattr(block, weight).data[:, h * dh:(h + 1) * dh]))
+                                      block[weight].data[:, h * dh:(h + 1) * dh]))
         return items
 
     def zero_grad(self):
-        for _, tensor in self.named():
+        for tensor in self._table.values():
             tensor.zero_grad()
 
     def detached(self):
         """A view of these weights that records no graph: every tensor
         shares its array, but none requires a gradient."""
         view = copy.copy(self)
-        view.proj = {key: tensor.detach() for key, tensor in self.proj.items()}
-        for label in MCA_BLOCKS:
-            block = getattr(self, label)
-            setattr(view, label, replace(block, **{f.name: getattr(block, f.name).detach()
-                                                   for f in fields(block)}))
-        view.apeg_kernel = self.apeg_kernel.detach()
-        view.heads = {name: (w.detach(), b.detach()) for name, (w, b) in self.heads.items()}
+        view._table = {name: tensor.detach() for name, tensor in self._table.items()}
         return view
 
 
@@ -210,13 +174,14 @@ def guided_attention(q, guides, block, config, attn_sink=None):
     ``guides`` holds (keys, values, groups) for guide a, then guide b: block
     g of ``groups`` equal row blocks of ``q`` attends only to block g of the
     guide's. Each head attends to both guides with the same queries; the
-    two head-concatenated streams are summed and layer-normalized.
+    two head-concatenated streams are summed and layer-normalized by the
+    ``gamma`` and ``beta`` of ``block``, a ``ModelParams.block`` dict.
     ``attn_sink``, when given, receives guide a's weights (one (T, S)
     matrix per block and head), then guide b's.
     """
     phi_a, phi_b = (ad.attention(q, k, v, config.n_heads, groups, attn_sink)
                     for k, v, groups in guides)
-    return ad.layer_norm(ad.add(phi_a, phi_b), block.gamma, block.beta, config.eps)
+    return ad.layer_norm(ad.add(phi_a, phi_b), block["gamma"], block["beta"], config.eps)
 
 
 def apeg_encode(tokens, positions, kernel):
@@ -289,9 +254,10 @@ class BranchInputs:
     """What a spot or context branch reads for its query, guide a and guide
     b: a raw token stack, each target's row indices into it and the folded
     weights, (w_q,) or (w_k, w_v); or, with no graph and rows read more
-    than once, the rows read projected through each folded weight, and None."""
+    than once, the rows read projected through each folded weight, and None.
+    ``block`` is the branch's ``ModelParams.block`` dict."""
 
-    block: McaParams
+    block: dict
     reads: tuple
 
 
@@ -312,18 +278,18 @@ def branch_inputs(dataset, params, config, scope, members):
     the stream widths c (10, 6, 8 by default) are narrow against d =
     ``d_model``; for keys and values (k = 2) the crossover is at c = 2 d.
     """
-    block = params.mca_spot if scope == "spot" else params.mca_ctx
+    block = params.block(f"mca_{scope}")
     no_edge, no_nuclei = ((config.no_edge_spot, config.no_nuclei_spot) if scope == "spot"
                           else (config.no_edge_ctx, config.no_nuclei_ctx))
     members = {t: np.array(spots) for t, spots in members.items()}
     reads = []
-    for stream, weights in (("img", (block.w_q,)),
-                            ("img" if no_edge else "edge", (block.w_k_a, block.w_v_a)),
-                            ("img" if no_nuclei else "nuc", (block.w_k_b, block.w_v_b))):
+    for stream, names in (("img", ("w_q",)),
+                          ("img" if no_edge else "edge", ("w_k_a", "w_v_a")),
+                          ("img" if no_nuclei else "nuc", ("w_k_b", "w_v_b"))):
         stack, offsets = dataset.token_stacks[(stream, scope)]
         rows = {t: _ranges(offsets[spots], offsets[spots + 1] - offsets[spots])
                 for t, spots in members.items()}
-        folded = [ad.matmul(params.proj[(stream, scope)], w) for w in weights]
+        folded = [ad.matmul(params[f"proj.{stream}.{scope}"], block[name]) for name in names]
         read = np.concatenate(list(rows.values()))
         used = np.unique(read)
         if used.size < read.size and not folded[0].requires_grad:
@@ -353,16 +319,15 @@ def guided_branch(inputs, targets, config, attn_sink=None):
 def global_branch(tokens, grid_positions, params):
     """Position-encode one pooled, projected image token per spot over the
     slide grid; row s stays spot s's global token."""
-    return BranchOutput(apeg_encode(tokens, grid_positions, params.apeg_kernel), None)
+    return BranchOutput(apeg_encode(tokens, grid_positions, params["apeg.kernel"]), None)
 
 
 def _stream_guides(stream, params, dropped):
     """Keys and values of the whole global token ``stream`` for each fusion
     guide, spot then context, that ``dropped`` flags; None for the others."""
-    block = params.mca_fuse
-    return [(ad.matmul(stream, w_k), ad.matmul(stream, w_v)) if drop else None
-            for drop, w_k, w_v in zip(dropped, (block.w_k_a, block.w_k_b),
-                                      (block.w_v_a, block.w_v_b))]
+    block = params.block("mca_fuse")
+    return [(ad.matmul(stream, block[f"w_k_{guide}"]), ad.matmul(stream, block[f"w_v_{guide}"]))
+            if drop else None for drop, guide in zip(dropped, "ab")]
 
 
 def fuse(spot_out, ctx_out, global_out, rows, params, config, attn_sink=None,
@@ -376,13 +341,13 @@ def fuse(spot_out, ctx_out, global_out, rows, params, config, attn_sink=None,
     Its keys and values come from ``stream_kv``, made by ``_stream_guides``
     once per forward pass for all of its chunks.
     """
-    block, stream = params.mca_fuse, global_out.tokens
+    block, stream = params.block("mca_fuse"), global_out.tokens
     guides = []
-    for out, kv, w_k, w_v in ((spot_out, stream_kv[0], block.w_k_a, block.w_v_a),
-                              (ctx_out, stream_kv[1], block.w_k_b, block.w_v_b)):
+    for out, kv, guide in ((spot_out, stream_kv[0], "a"), (ctx_out, stream_kv[1], "b")):
         guides.append((*kv, 1) if out is None else
-                      (ad.matmul(out.tokens, w_k), ad.matmul(out.tokens, w_v), len(rows)))
-    return guided_attention(ad.matmul(ad.take_rows(stream, rows), block.w_q), guides, block,
+                      (ad.matmul(out.tokens, block[f"w_k_{guide}"]),
+                       ad.matmul(out.tokens, block[f"w_v_{guide}"]), len(rows)))
+    return guided_attention(ad.matmul(ad.take_rows(stream, rows), block["w_q"]), guides, block,
                             config, attn_sink)
 
 
@@ -435,7 +400,7 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None):
         global_out = BranchOutput(ad.concat_rows([out[source].pooled for out in outs]), None)
         row_of = {s: r for r, s in enumerate(s for chunk in chunks for s in chunk)}
     else:
-        pooled = ad.matmul(dataset.pooled_image_tokens, params.proj[("img", "spot")])
+        pooled = ad.matmul(dataset.pooled_image_tokens, params["proj.img.spot"])
         global_out = global_branch(pooled, dataset.grid_positions(), params)
         row_of = range(n)
     stream_kv = _stream_guides(global_out.tokens, params, (config.drop_spot, config.drop_ctx))
@@ -456,7 +421,7 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None):
     preds = {name: ad.take_rows(ad.concat_rows(parts), order) for name, parts in stacked.items()}
     if not config.drop_global:
         preds["global"] = ad.take_rows(global_out.tokens, indices)
-    return {name: ad.add(ad.matmul(x, params.heads[name][0]), params.heads[name][1])
+    return {name: ad.add(ad.matmul(x, params[f"head.{name}.w"]), params[f"head.{name}.b"])
             for name, x in preds.items()}
 
 

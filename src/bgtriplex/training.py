@@ -21,6 +21,10 @@ from .metrics import evaluate_predictions
 from .model import forward_batch, forward_slide
 from .seeding import substream
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -60,9 +64,6 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def _mse(a, b):
@@ -114,21 +115,21 @@ def adam_step(named_params, state, lr):
     """One bias-corrected Adam update; parameters with no gradient keep moving
     on their moment history (grad treated as zero)."""
     state.t += 1
-    correction1 = 1.0 - state.beta1 ** state.t
-    correction2 = 1.0 - state.beta2 ** state.t
+    correction1 = 1.0 - ADAM_BETA1 ** state.t
+    correction2 = 1.0 - ADAM_BETA2 ** state.t
     for name, tensor in named_params:
         grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
         if grad.shape != tensor.data.shape:
             raise ValueError(f"{name}: gradient shape {grad.shape} != parameter {tensor.data.shape}")
         m = state.m.setdefault(name, np.zeros_like(tensor.data))
         v = state.v.setdefault(name, np.zeros_like(tensor.data))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * grad * grad
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
         m_hat = m / correction1
         v_hat = v / correction2
-        tensor.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        tensor.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def lr_at(epoch, cfg):
@@ -265,6 +266,10 @@ def cross_validate(datasets, cfg, model_config, pcch_selector="predictive", make
     them concurrently without changing any output. Returns (per-fold
     reports, aggregate mean/sd over folds).
     """
+    # imported here, not at module level, so commands other than cv do not
+    # load it (about 0.5 MB of resident memory)
+    from concurrent.futures import ThreadPoolExecutor
+
     from .model import ModelParams
 
     if len(datasets) < 2:
@@ -281,13 +286,8 @@ def cross_validate(datasets, cfg, model_config, pcch_selector="predictive", make
         pred = forward_slide(datasets[held], params, model_config, cfg.d_context)["fused"]
         return evaluate_predictions(pred, targets[held], names, selector=pcch_selector)
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fold_reports = list(pool.map(run_fold, range(len(datasets))))
-    else:
-        fold_reports = [run_fold(held) for held in range(len(datasets))]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        fold_reports = list(pool.map(run_fold, range(len(datasets))))
     aggregate = {}
     for metric in ("mse", "pcc_m", "pcc_h"):
         values = np.array([getattr(r, metric) for r in fold_reports], dtype=np.float64)

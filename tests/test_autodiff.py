@@ -269,6 +269,11 @@ class TestElementwiseAndShapes:
         ad.mean_all(out).backward()
         np.testing.assert_allclose(a.grad, [[0.25, 0.25]])
 
+    def test_scalars_are_0d_and_arrays_row_major(self):
+        assert ad.mean_all(Tensor(np.ones((2, 2)))).shape == ()
+        assert ad.as_tensor(0.5).shape == ()
+        assert Tensor(np.ones((2, 3)).T).data.flags.c_contiguous
+
     def test_backward_needs_scalar(self):
         with pytest.raises(ShapeError):
             Tensor(np.ones((2, 2)), requires_grad=True).backward()

@@ -19,7 +19,8 @@ hold across kernels on any x86 host, run::
         OPENBLAS_CORETYPE=$core PYTHONPATH=src python -m pytest -q tests/test_model.py
     done
 
-The variable only affects the test process.
+The variable only affects the test process. CI runs the Haswell and
+Sandybridge passes; SkylakeX needs AVX-512, which a runner may lack.
 """
 
 import json
@@ -38,8 +39,8 @@ from bgtriplex.autodiff import Tensor, grad_check
 from bgtriplex.data import (ExpressionMatrix, SpotDataset, context_window, load_dataset,
                             save_dataset, synth_dataset)
 from bgtriplex.features import FeatureBundle, encode_bgft
-from bgtriplex.model import (CHUNK_SPOTS, MCA_WEIGHTS, BranchOutput, McaParams, ModelConfig,
-                             ModelParams, apeg_encode, branch_inputs, forward_batch,
+from bgtriplex.model import (CHUNK_SPOTS, MCA_WEIGHTS, BranchOutput, ModelConfig, ModelParams,
+                             apeg_encode, branch_inputs, forward_batch,
                              forward_slide, fuse, global_branch, guided_attention,
                              guided_branch, slide_forward)
 from bgtriplex.training import gene_targets, loss_total
@@ -145,26 +146,25 @@ def mca_ref(ops, guide_a, query, guide_b, block, config, mask_a=None, mask_b=Non
     d_h = config.d_model // config.n_heads
     heads = []
     for h in range(config.n_heads):
-        w = {name: getattr(block, name).data[:, h * d_h:(h + 1) * d_h] for name in MCA_WEIGHTS}
+        w = {name: block[name].data[:, h * d_h:(h + 1) * d_h] for name in MCA_WEIGHTS}
         heads.append(ops.attention(query, guide_a, w["w_q"], w["w_k_a"], w["w_v_a"], mask_a)
                      + ops.attention(query, guide_b, w["w_q"], w["w_k_b"], w["w_v_b"], mask_b))
-    return ops.layer_norm(np.hstack(heads), block.gamma.data, block.beta.data, config.eps)
+    return ops.layer_norm(np.hstack(heads), block["gamma"].data, block["beta"].data, config.eps)
 
 
 def head_ref(ops, params, name, pooled):
-    w, b = params.heads[name]
-    return ops.matmul(pooled, w.data) + b.data
+    return ops.matmul(pooled, params[f"head.{name}.w"].data) + params[f"head.{name}.b"].data
 
 
 def project_ref(ops, bundle, params, scope):
-    return {stream: ops.matmul(tokens, params.proj[(stream, scope)].data)
+    return {stream: ops.matmul(tokens, params[f"proj.{stream}.{scope}"].data)
             for stream, tokens in bundle.streams()}
 
 
 def branch_ref(ops, streams, params, name, mask=None):
     """A spot or context branch: edge and nuclei guide the image stream,
     then a masked mean over tokens feeds the branch head."""
-    block = params.mca_spot if name == "spot" else params.mca_ctx
+    block = params.block(f"mca_{name}")
     tokens = mca_ref(ops, streams["edge"], streams["img"], streams["nuc"], block, params.config,
                      mask_a=mask, mask_b=mask)
     return tokens, head_ref(ops, params, name, ops.mean_rows(tokens, mask))
@@ -196,7 +196,7 @@ def global_ref(ops, ds, params):
     over grid neighbors: tap (a, b) reads the spot at offset (a-1, b-1)."""
     pooled = [ops.mean_rows(project_ref(ops, b, params, "spot")["img"])[0] for b in ds.features]
     at = {(s.array_row, s.array_col): i for i, s in enumerate(ds.spots)}
-    kernel = params.apeg_kernel.data
+    kernel = params["apeg.kernel"].data
     out = []
     for s, spot in enumerate(ds.spots):
         token = pooled[s].copy()
@@ -223,8 +223,8 @@ def forward_ref(ops, ds, params, d_context):
                                             params, "spot")
         streams, mask = window_ref(ops, ds, params, s, d_context)
         ctx_tokens, ctx_pred = branch_ref(ops, streams, params, "ctx", mask=mask)
-        fused = mca_ref(ops, spot_tokens, global_tokens[s:s + 1], ctx_tokens, params.mca_fuse,
-                        params.config, mask_b=mask)
+        fused = mca_ref(ops, spot_tokens, global_tokens[s:s + 1], ctx_tokens,
+                        params.block("mca_fuse"), params.config, mask_b=mask)
         preds["fused"].append(head_ref(ops, params, "fused", fused))
         preds["spot"].append(spot_pred)
         preds["ctx"].append(ctx_pred)
@@ -282,31 +282,31 @@ def per_head_mca(guide_a, query, guide_b, block, config, attn_sink=None):
     summed = None
     for h in range(config.n_heads):
         select = Tensor(np.eye(d)[:, h * d_h:(h + 1) * d_h])
-        w = {name: ad.matmul(getattr(block, name), select) for name in MCA_WEIGHTS}
+        w = {name: ad.matmul(block[name], select) for name in MCA_WEIGHTS}
         q = ad.mul(ad.matmul(query, w["w_q"]), scale)
         head = ad.add(attend(q, guide_a, w["w_k_a"], w["w_v_a"]),
                       attend(q, guide_b, w["w_k_b"], w["w_v_b"]))
         placed = ad.matmul(head, transpose(select))
         summed = placed if summed is None else ad.add(summed, placed)
-    return ad.layer_norm(summed, block.gamma, block.beta, config.eps)
+    return ad.layer_norm(summed, block["gamma"], block["beta"], config.eps)
 
 
 def mca(guide_a, query, guide_b, block, config, attn_sink=None):
     """``model.guided_attention`` for one query sequence and two guide
     sequences, each projected here and attended as a single block."""
     guides = [(ad.matmul(guide, w_k), ad.matmul(guide, w_v), 1)
-              for guide, w_k, w_v in ((guide_a, block.w_k_a, block.w_v_a),
-                                      (guide_b, block.w_k_b, block.w_v_b))]
-    return guided_attention(ad.matmul(query, block.w_q), guides, block, config, attn_sink)
+              for guide, w_k, w_v in ((guide_a, block["w_k_a"], block["w_v_a"]),
+                                      (guide_b, block["w_k_b"], block["w_v_b"]))]
+    return guided_attention(ad.matmul(query, block["w_q"]), guides, block, config, attn_sink)
 
 
 def project(bundle, params, scope):
-    return {stream: ad.matmul(tokens, params.proj[(stream, scope)])
+    return {stream: ad.matmul(tokens, params[f"proj.{stream}.{scope}"])
             for stream, tokens in bundle.streams()}
 
 
 def head(params, name, pooled):
-    return ad.add(ad.matmul(pooled, params.heads[name][0]), params.heads[name][1])
+    return ad.add(ad.matmul(pooled, params[f"head.{name}.w"]), params[f"head.{name}.b"])
 
 
 def window_members(ds, center, d):
@@ -318,7 +318,7 @@ def branch(streams, params, config, name, mca=mca):
     """One spot or window's branch from its projected streams: edge and
     nuclei guide the image stream unless ablated to image guidance.
     Returns (tokens, pooled, prediction)."""
-    block = params.mca_spot if name == "spot" else params.mca_ctx
+    block = params.block(f"mca_{name}")
     image = streams["img"]
     tokens = mca(image if getattr(config, f"no_edge_{name}") else streams["edge"], image,
                  image if getattr(config, f"no_nuclei_{name}") else streams["nuc"],
@@ -352,7 +352,7 @@ def full_slide_forward(ds, params, config, d_context, spot_indices, mca=mca):
     for s in spot_indices:
         guide_a = stream if config.drop_spot else spot_outs[s][0]
         guide_b = stream if config.drop_ctx else ctx_outs[s][0]
-        fused = mca(guide_a, stream, guide_b, params.mca_fuse, config)
+        fused = mca(guide_a, stream, guide_b, params.block("mca_fuse"), config)
         preds = {}
         if not config.drop_spot:
             preds["spot"] = spot_outs[s][2]
@@ -377,21 +377,21 @@ CFG8 = ModelConfig(d_model=8, n_heads=2)
 
 def random_mca_params(rng, d_model):
     draw = lambda: Tensor(rng.normal(size=(d_model, d_model)))
-    return McaParams(w_q=draw(), w_k_a=draw(), w_v_a=draw(), w_k_b=draw(), w_v_b=draw(),
-                     gamma=Tensor(rng.uniform(0.5, 1.5, d_model)),
-                     beta=Tensor(rng.normal(size=d_model)))
+    return {**{name: draw() for name in MCA_WEIGHTS},
+            "gamma": Tensor(rng.uniform(0.5, 1.5, d_model)),
+            "beta": Tensor(rng.normal(size=d_model))}
 
 
 def tie_streams(params):
     """Make the two guide streams share key/value weights."""
-    params.w_k_b = params.w_k_a
-    params.w_v_b = params.w_v_a
+    params["w_k_b"] = params["w_k_a"]
+    params["w_v_b"] = params["w_v_a"]
     return params
 
 
 def copy_mca(dst, src):
     for name in MCA_WEIGHTS + ("gamma", "beta"):
-        getattr(dst, name).data[...] = getattr(src, name).data
+        dst[name].data[...] = src[name].data
 
 
 def one_head(query, kv, w_q, w_k, w_v):
@@ -447,8 +447,8 @@ class TestMca:
     def test_output_rows_have_zero_mean_with_unit_gamma(self):
         rng = np.random.default_rng(10)
         params = random_mca_params(rng, 8)
-        params.gamma = Tensor(np.ones(8))
-        params.beta = Tensor(np.zeros(8))
+        params["gamma"] = Tensor(np.ones(8))
+        params["beta"] = Tensor(np.zeros(8))
         out = mca(Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(4, 8))),
                   Tensor(rng.normal(size=(2, 8))), params, CFG8)
         assert np.abs(out.data.mean(axis=1)).max() <= 1e-10
@@ -458,10 +458,10 @@ class TestMca:
         rng = np.random.default_rng(11)
         params = tie_streams(random_mca_params(rng, 8))
         guide = Tensor(rng.normal(size=(3, 8)))
-        q = ad.matmul(Tensor(rng.normal(size=(2, 8))), params.w_q)
+        q = ad.matmul(Tensor(rng.normal(size=(2, 8))), params["w_q"])
         phi_a, phi_b = (ad.attention(q, ad.matmul(guide, w_k), ad.matmul(guide, w_v), 2)
-                        for w_k, w_v in ((params.w_k_a, params.w_v_a),
-                                         (params.w_k_b, params.w_v_b)))
+                        for w_k, w_v in ((params["w_k_a"], params["w_v_a"]),
+                                         (params["w_k_b"], params["w_v_b"])))
         np.testing.assert_allclose(ad.add(phi_a, phi_b).data, 2.0 * phi_a.data, atol=1e-12)
 
     def test_guide_permutation_invariance(self):
@@ -579,7 +579,7 @@ class TestSpotBranch:
         bundle = toy_extract(ds.spots[0], dataset_seed=50, grid_tokens=1)
         proj = project(bundle, params, "spot")
         tokens, _ = run_branch(one_spot_dataset(ds, bundle), params, cfg, "spot", {0: [0]})
-        direct = mca(proj["edge"], proj["img"], proj["nuc"], params.mca_spot, cfg)
+        direct = mca(proj["edge"], proj["img"], proj["nuc"], params.block("mca_spot"), cfg)
         np.testing.assert_allclose(tokens.data, direct.data, atol=1e-14)
 
     def test_guidance_ablation_reduces_to_self_attention(self, small_setup):
@@ -588,7 +588,7 @@ class TestSpotBranch:
         tokens, _ = run_branch(ds, params, cfg, "spot", {0: [0]})
         assert np.isfinite(tokens.data).all()
         direct = mca(proj_spot[0]["img"], proj_spot[0]["img"], proj_spot[0]["img"],
-                     params.mca_spot, cfg)
+                     params.block("mca_spot"), cfg)
         np.testing.assert_allclose(tokens.data, direct.data, atol=1e-14)
 
 
@@ -613,11 +613,11 @@ class TestContextBranch:
     def test_d1_window_equals_spot_branch_with_tied_weights(self, small_setup):
         ds, cfg, params, proj_spot, _ = small_setup
         tied = ModelParams(cfg, k_genes=5, seed=1)
-        copy_mca(tied.mca_ctx, tied.mca_spot)
+        copy_mca(tied.block("mca_ctx"), tied.block("mca_spot"))
         for stream in ("img", "edge", "nuc"):
-            tied.proj[(stream, "ctx")].data[...] = tied.proj[(stream, "spot")].data
-        tied.heads["ctx"][0].data[...] = tied.heads["spot"][0].data
-        tied.heads["ctx"][1].data[...] = tied.heads["spot"][1].data
+            tied[f"proj.{stream}.ctx"].data[...] = tied[f"proj.{stream}.spot"].data
+        tied["head.ctx.w"].data[...] = tied["head.spot.w"].data
+        tied["head.ctx.b"].data[...] = tied["head.spot.b"].data
         ctx_tokens, ctx_prediction = run_branch(ds, tied, cfg, "ctx",
                                                 {4: window_members(ds, 4, 1)})
         spot_tokens, spot_prediction = run_branch(ds, tied, cfg, "spot", {4: [4]})
@@ -658,16 +658,16 @@ class TestGlobalBranch:
         _, cfg, _, _, _ = small_setup
         params = ModelParams(cfg, k_genes=5, seed=1)
         rng = np.random.default_rng(31)
-        params.apeg_kernel.data[...] = rng.normal(size=(3, 3, 16))
+        params["apeg.kernel"].data[...] = rng.normal(size=(3, 3, 16))
         token = rng.normal(size=(1, 16))
         out = global_branch(Tensor(token), [(0, 0)], params)
         np.testing.assert_allclose(out.tokens.data,
-                                   token + params.apeg_kernel.data[1, 1] * token, atol=1e-15)
+                                   token + params["apeg.kernel"].data[1, 1] * token, atol=1e-15)
 
     def test_spot_permutation_equivariance(self, small_setup):
         ds, cfg, _, proj_spot, _ = small_setup
         params = ModelParams(cfg, k_genes=5, seed=1)
-        params.apeg_kernel.data[...] = np.random.default_rng(32).normal(size=(3, 3, 16))
+        params["apeg.kernel"].data[...] = np.random.default_rng(32).normal(size=(3, 3, 16))
         pooled = np.vstack([ad.mean_rows(proj_spot[s]["img"]).data for s in range(ds.n_spots)])
         positions = ds.grid_positions()
         base = global_branch(Tensor(pooled), positions, params).tokens.data
@@ -690,8 +690,8 @@ class TestFuse:
     def test_bias_only_head(self, small_setup):
         ds, cfg, _, _, _ = small_setup
         params = ModelParams(cfg, k_genes=1, seed=2)
-        params.heads["fused"][0].data[...] = 0.0
-        params.heads["fused"][1].data[...] = 4.25
+        params["head.fused.w"].data[...] = 0.0
+        params["head.fused.b"].data[...] = 4.25
         pred = forward_slide(ds, params, cfg, d_context=3)["fused"]
         np.testing.assert_allclose(pred, np.full((ds.n_spots, 1), 4.25), atol=1e-15)
 
@@ -761,7 +761,7 @@ class TestForwardSlide:
         cfg = ModelConfig(d_model=16, n_heads=2)
         params = ModelParams(cfg, k_genes=3, seed=3)
         base = forward_slide(ds, params, cfg, d_context=3)
-        params.mca_fuse.gamma.data[...] *= 2.0
+        params["mca_fuse.gamma"].data[...] *= 2.0
         bumped = forward_slide(ds, params, cfg, d_context=3)
         assert np.abs(bumped["fused"] - base["fused"]).max() > 1e-9
         for name in ("spot", "ctx", "global"):
@@ -830,11 +830,11 @@ class TestSlideForwardCost:
         folds, rows = [], {}
         real_matmul = ad.matmul
         weight_of = {}
-        for scope, block in (("spot", params.mca_spot), ("ctx", params.mca_ctx)):
+        for scope in ("spot", "ctx"):
             for stream, names in (("img", ("w_q",)), ("edge", ("w_k_a", "w_v_a")),
                                   ("nuc", ("w_k_b", "w_v_b"))):
                 for name in names:
-                    key = (id(params.proj[(stream, scope)]), id(getattr(block, name)))
+                    key = (id(params[f"proj.{stream}.{scope}"]), id(params[f"mca_{scope}.{name}"]))
                     weight_of[key] = (scope, stream, name)
 
         def counting_matmul(a, b):
@@ -1132,7 +1132,7 @@ class TestModelParams:
         for label in model.MCA_BLOCKS:
             for name in MCA_WEIGHTS:
                 heads = [drawn[f"{label}.h{h}.{name}"] for h in range(config.n_heads)]
-                np.testing.assert_array_equal(getattr(getattr(params, label), name).data,
+                np.testing.assert_array_equal(params[f"{label}.{name}"].data,
                                               np.hstack(heads), err_msg=f"{label}.{name}")
 
     def test_gradients_match_per_head_reference_on_tiny_slide(self):
@@ -1159,3 +1159,37 @@ class TestModelParams:
         for name, grad in grads.items():
             assert np.abs(grad).max() > 0.0, name
             assert_matches(grad, ref_grads[name], name)
+
+    def test_named_lists_the_documented_order_and_shapes(self):
+        config = ModelConfig(d_model=8, n_heads=2, stream_dims={"img": 5, "edge": 3, "nuc": 4})
+        params = ModelParams(config, k_genes=3, seed=1)
+        expected = ([(f"proj.{stream}.{scope}", (config.stream_dims[stream], 8))
+                     for scope in ("spot", "ctx") for stream in STREAM_ORDER]
+                    + [(f"{block}.{name}", (8, 8) if name.startswith("w_") else (8,))
+                       for block in ("mca_spot", "mca_ctx", "mca_fuse")
+                       for name in ("w_q", "w_k_a", "w_v_a", "w_k_b", "w_v_b", "gamma", "beta")]
+                    + [("apeg.kernel", (3, 3, 8))]
+                    + [(f"head.{head}.{leaf}", (8, 3) if leaf == "w" else (1, 3))
+                       for head in ("fused", "spot", "ctx", "global") for leaf in ("w", "b")])
+        assert [(name, tensor.shape) for name, tensor in params.named()] == expected
+        for name, tensor in params.named():
+            assert params[name] is tensor
+        for name, tensor in params.block("mca_ctx").items():
+            assert tensor is params[f"mca_ctx.{name}"]
+
+    def test_detached_shares_every_array_and_records_no_graph(self):
+        params = ModelParams(CFG8, k_genes=3, seed=1)
+        view = params.detached()
+        assert [name for name, _ in view.named()] == [name for name, _ in params.named()]
+        for (name, original), (_, detached) in zip(params.named(), view.named()):
+            assert detached.data is original.data, name
+            assert not detached.requires_grad, name
+            assert original.requires_grad, name
+        assert view.config is params.config and view.k_genes == params.k_genes
+
+    def test_zero_grad_clears_every_gradient(self):
+        params = ModelParams(CFG8, k_genes=3, seed=1)
+        for _, tensor in params.named():
+            tensor.grad = np.ones_like(tensor.data)
+        params.zero_grad()
+        assert all(tensor.grad is None for _, tensor in params.named())

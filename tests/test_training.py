@@ -127,7 +127,7 @@ class TestDistillDetach:
         spots = [0, 4, 8]
         loss(forward_batch(slide, params, SMALL_MODEL, 3, spot_indices=spots),
              targets[0][spots]).backward()
-        return [t.grad for t in params.heads["fused"]]
+        return [params[f"head.fused.{leaf}"].grad for leaf in ("w", "b")]
 
     def test_detached_target_leaves_the_fused_head_to_the_fused_term(self, slides):
         alone = self.fused_head_grads(slides[0], lambda p, g: loss_fused(p["fused"], g))

@@ -136,6 +136,13 @@ def _stream_widths(bundle):
     return {name: tokens.shape[1] for name, tokens in bundle.streams()}
 
 
+def _parent_exists(ctx, param, value):
+    """Reject an output path whose directory does not exist, before any work."""
+    if value is not None and not Path(value).parent.is_dir():
+        raise click.BadParameter(f"directory {Path(value).parent} does not exist")
+    return value
+
+
 def _echo_header(command, train_cfg, model_cfg, extra=None):
     doc = {"command": command, "train": train_cfg.to_dict(), "model": model_cfg.to_dict()}
     if extra:
@@ -233,7 +240,7 @@ def cmd_train(manifests, out_dir, config_path, provider, **overrides):
               show_default=True)
 @click.option("--pcch-selector", type=click.Choice(["predictive", "expressed"]),
               default="predictive", show_default=True)
-@click.option("-o", "--report", "report_path", type=click.Path(), default=None)
+@click.option("-o", "--report", "report_path", type=click.Path(), callback=_parent_exists)
 @guarded
 def cmd_eval(checkpoint, manifest, provider, pcch_selector, report_path):
     """Evaluate a checkpoint on a slide; prints MSE, PCC(M) and PCC(H)."""
@@ -290,7 +297,7 @@ def cmd_cv(manifests, out_dir, pcch_selector, config_path, provider, **overrides
 @click.option("--manifest", type=click.Path(exists=True), required=True)
 @click.option("--provider", type=click.Choice(["toy", "precomputed"]), default="precomputed",
               show_default=True)
-@click.option("-o", "--out", "out_path", type=click.Path(), required=True)
+@click.option("-o", "--out", "out_path", type=click.Path(), required=True, callback=_parent_exists)
 @guarded
 def cmd_predict(checkpoint, manifest, provider, out_path):
     """Write fused per-spot, per-gene predictions as TSV."""
@@ -310,7 +317,7 @@ def cmd_predict(checkpoint, manifest, provider, out_path):
 @click.option("--provider", type=click.Choice(["toy", "precomputed"]), default="precomputed",
               show_default=True)
 @click.option("--gene", required=True)
-@click.option("-o", "--out-prefix", type=click.Path(), required=True)
+@click.option("-o", "--out-prefix", type=click.Path(), required=True, callback=_parent_exists)
 @guarded
 def cmd_export_map(checkpoint, manifest, provider, gene, out_prefix):
     """Export one gene's prediction map as CSV and grayscale PGM."""

@@ -53,9 +53,9 @@ class ExpressionMatrix:
 class SpotDataset:
     """One slide: spots, expression and per-spot feature bundles.
 
-    Treated as immutable once built: the grid index, the stacked tokens
-    and the pooled image tokens are computed on first use and kept for the
-    slide's lifetime.
+    Treated as immutable once built: the grid index and cells, the stacked
+    tokens and the pooled image tokens are computed on first use and kept
+    for the slide's lifetime.
     """
 
     spots: list
@@ -77,13 +77,21 @@ class SpotDataset:
     def n_spots(self):
         return len(self.spots)
 
-    def grid_positions(self):
-        return [(s.array_row, s.array_col) for s in self.spots]
-
     @cached_property
     def grid_index(self):
         """``grid_index(spots)`` of this slide."""
         return grid_index(self.spots)
+
+    @cached_property
+    def grid_cells(self):
+        """(n_spots, 9): every spot's 3x3 grid cells, row-major, holding n_spots
+        (the zero row of ``pooled_image_tokens``) for an empty cell."""
+        n = self.n_spots
+        if len(self.grid_index) != n:
+            raise ValueError("duplicate grid positions")
+        windows = (context_window(self.spots, s, 3, self.grid_index) for s in range(n))
+        return np.array([[n if i is None else i for row in w.member_indices for i in row]
+                         for w in windows], dtype=np.intp)
 
     @cached_property
     def token_stacks(self):
@@ -99,8 +107,10 @@ class SpotDataset:
 
     @cached_property
     def pooled_image_tokens(self):
-        """(n_spots, img dim): the mean spot-scope image token of every spot."""
-        return np.array([b.image_tokens.mean(axis=0) for b in self.features])
+        """(n_spots + 1, img dim): the mean spot-scope image token of every
+        spot, then a zero row for the empty cells of ``grid_cells``."""
+        pooled = [b.image_tokens.mean(axis=0) for b in self.features]
+        return np.array(pooled + [np.zeros_like(pooled[0])])
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 A spot branch and an in-context branch run multi-head cross-attention in
 which edge and nuclei token streams guide the image stream; a global
-branch position-encodes one pooled image token per spot over the slide
-grid. Each spot's branch outputs are fused by the same cross-attention
+branch position-encodes one pooled image token per spot with a 3x3
+kernel over the slide grid, so a spot's global token reads only its 3x3
+grid cells. Each spot's branch outputs are fused by the same cross-attention
 block, with that spot's global token as the query, and linear heads map
 pooled tokens to per-gene predictions.
 
@@ -29,7 +30,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ShapeError
 from .features import STREAMS, TOY_STREAM_DIMS
 from .seeding import substream
 
@@ -184,56 +184,6 @@ def guided_attention(q, guides, block, config, attn_sink=None):
     return ad.layer_norm(ad.add(phi_a, phi_b), block["gamma"], block["beta"], config.eps)
 
 
-def apeg_encode(tokens, positions, kernel):
-    """Residual position encoding over the irregular spot grid.
-
-    Tokens are scattered onto their (row, col) cells, convolved with a
-    learned channelwise 3x3 kernel (zero padding, empty cells read as
-    zero) and gathered back: out = tokens + conv. Kernel tap (a, b)
-    reads the neighbor at grid offset (a-1, b-1).
-    """
-    tokens = ad.as_tensor(tokens)
-    kernel = ad.as_tensor(kernel)
-    n, d = tokens.shape
-    if len(positions) != n:
-        raise ValueError(f"{len(positions)} positions for {n} tokens")
-    if len(set(positions)) != n:
-        raise ValueError("duplicate grid positions")
-    if kernel.data.shape != (3, 3, d):
-        raise ShapeError(f"kernel must have shape (3, 3, {d}), got {kernel.data.shape}")
-    rows = np.array([p[0] for p in positions], dtype=int)
-    cols = np.array([p[1] for p in positions], dtype=int)
-    ri = rows - rows.min() + 1
-    ci = cols - cols.min() + 1
-    n_rows = rows.max() - rows.min() + 1
-    n_cols = cols.max() - cols.min() + 1
-    padded = np.zeros((n_rows + 2, n_cols + 2, d))
-    padded[ri, ci] = tokens.data
-    conv = np.zeros((n_rows, n_cols, d))
-    for a in range(3):
-        for b in range(3):
-            conv += kernel.data[a, b] * padded[a:a + n_rows, b:b + n_cols]
-    gathered = conv[ri - 1, ci - 1]
-
-    def backward(g):
-        d_conv = np.zeros((n_rows, n_cols, d))
-        d_conv[ri - 1, ci - 1] = g
-        if kernel.requires_grad:
-            dk = np.zeros((3, 3, d))
-            for a in range(3):
-                for b in range(3):
-                    dk[a, b] = (d_conv * padded[a:a + n_rows, b:b + n_cols]).sum(axis=(0, 1))
-            kernel._accumulate(dk)
-        if tokens.requires_grad:
-            d_padded = np.zeros_like(padded)
-            for a in range(3):
-                for b in range(3):
-                    d_padded[a:a + n_rows, b:b + n_cols] += kernel.data[a, b] * d_conv
-            tokens._accumulate(g + d_padded[ri, ci])
-
-    return ad.compose(tokens.data + gathered, (tokens, kernel), backward)
-
-
 def _ranges(starts, counts):
     """The row ranges starts[i]:starts[i] + counts[i], concatenated."""
     ends = np.cumsum(counts)
@@ -316,10 +266,31 @@ def guided_branch(inputs, targets, config, attn_sink=None):
     return BranchOutput(tokens, ad.mean_rows(tokens, len(targets)))
 
 
-def global_branch(tokens, grid_positions, params):
-    """Position-encode one pooled, projected image token per spot over the
-    slide grid; row s stays spot s's global token."""
-    return BranchOutput(apeg_encode(tokens, grid_positions, params["apeg.kernel"]), None)
+def global_branch(dataset, params, spots):
+    """Global tokens (m, d) of the m ``spots``, row r for ``spots[r]``.
+
+    Each reads only its spot's 3x3 ``dataset.grid_cells``: their pooled raw
+    image tokens (zero for an empty cell) times the spot-scope image
+    projection, position-encoded by the channelwise 3x3 kernel as a
+    residual, out = cell 4 + sum_t kernel[t] * cell t, where tap t = 3a + b
+    reads grid offset (a-1, b-1). Backward scatters nothing.
+    """
+    cells = ad.matmul(np.take(dataset.pooled_image_tokens, dataset.grid_cells[spots].reshape(-1),
+                              axis=0), params["proj.img.spot"])
+    kernel = params["apeg.kernel"]
+    d = cells.shape[1]
+    taps, weights = cells.data.reshape(-1, 9, d), kernel.data.reshape(9, d)
+
+    def backward(g):
+        if kernel.requires_grad:
+            kernel._accumulate((g[:, None] * taps).sum(axis=0).reshape(3, 3, d))
+        if cells.requires_grad:
+            d_taps = weights * g[:, None]
+            d_taps[:, 4] += g
+            cells._accumulate(d_taps.reshape(-1, d))
+
+    return ad.compose(taps[:, 4] + sum(weights[t] * taps[:, t] for t in range(9)),
+                      (cells, kernel), backward)
 
 
 def _stream_guides(stream, params, dropped):
@@ -359,10 +330,10 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None):
     each group runs in chunks of at most ``CHUNK_SPOTS`` spots, whose
     branches and fusion run as single ops over stacked rows, each spot
     attending and pooling over exactly its own rows. A spot's fusion
-    query is its global token: the slide's pooled raw image tokens times
-    the (linear, bias-free) spot-scope image projection, position-encoded.
-    A dropped guide branch is replaced by the whole global stream, whose
-    fusion keys and values are projected once per call. With
+    query is its global token, which reads only the spot's 3x3 grid cells
+    (``global_branch``); it is computed for the requested spots, or for
+    every spot when a dropped guide branch is replaced by the whole global
+    stream, whose fusion keys and values are projected once per call. With
     ``drop_global`` the global stream is the stack of pooled spot-branch
     (or, failing that, context-branch) tokens; when it also replaces a
     dropped guide, that branch runs on every spot, and only chunks holding
@@ -397,12 +368,12 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None):
     if config.drop_global:
         outs = list(outs)
         source = "ctx" if config.drop_spot else "spot"
+        global_spots = [s for chunk in chunks for s in chunk]
         global_out = BranchOutput(ad.concat_rows([out[source].pooled for out in outs]), None)
-        row_of = {s: r for r, s in enumerate(s for chunk in chunks for s in chunk)}
     else:
-        pooled = ad.matmul(dataset.pooled_image_tokens, params["proj.img.spot"])
-        global_out = global_branch(pooled, dataset.grid_positions(), params)
-        row_of = range(n)
+        global_spots = list(range(n)) if config.drop_spot or config.drop_ctx else scope
+        global_out = BranchOutput(global_branch(dataset, params, global_spots), None)
+    row_of = {s: r for r, s in enumerate(global_spots)}
     stream_kv = _stream_guides(global_out.tokens, params, (config.drop_spot, config.drop_ctx))
     requested, fused_spots = set(indices), []
     stacked = {"fused": [], **{name: [] for name in branches}}
@@ -420,7 +391,7 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None):
     order = [rank[s] for s in indices]
     preds = {name: ad.take_rows(ad.concat_rows(parts), order) for name, parts in stacked.items()}
     if not config.drop_global:
-        preds["global"] = ad.take_rows(global_out.tokens, indices)
+        preds["global"] = ad.take_rows(global_out.tokens, [row_of[s] for s in indices])
     return {name: ad.add(ad.matmul(x, params[f"head.{name}.w"]), params[f"head.{name}.b"])
             for name, x in preds.items()}
 

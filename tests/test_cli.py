@@ -149,6 +149,23 @@ def test_export_map_rerun_is_byte_identical(manifest, checkpoint, tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("command", [["predict"], ["eval"], ["export-map", "--gene", "G0001"]])
+def test_missing_output_directory_exits_2_before_loading(manifest, checkpoint, tmp_path,
+                                                         monkeypatch, command):
+    def no_load(*args, **kwargs):
+        raise AssertionError("loaded before the output path was checked")
+
+    monkeypatch.setattr(cli, "load_checkpoint", no_load)
+    monkeypatch.setattr(cli, "load_dataset", no_load)
+    out = tmp_path / "missing" / "out"
+    result = CliRunner().invoke(main, [*command, "--checkpoint", str(checkpoint), "--manifest",
+                                       str(manifest), "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert "does not exist" in result.output
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("threads", ["abc", "0", "-1", "1.5", ""])
 def test_bad_thread_count_exits_2_before_output(manifest, tmp_path, threads):
     out = tmp_path / "cv"

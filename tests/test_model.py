@@ -36,13 +36,12 @@ from conftest import checksum
 from bgtriplex import autodiff as ad
 from bgtriplex import model
 from bgtriplex.autodiff import Tensor, grad_check
-from bgtriplex.data import (ExpressionMatrix, SpotDataset, context_window, load_dataset,
-                            save_dataset, synth_dataset)
+from bgtriplex.data import (ExpressionMatrix, SpotDataset, SpotRecord, context_window,
+                            load_dataset, save_dataset, synth_dataset)
 from bgtriplex.features import FeatureBundle, encode_bgft
 from bgtriplex.model import (CHUNK_SPOTS, MCA_WEIGHTS, BranchOutput, ModelConfig, ModelParams,
-                             apeg_encode, branch_inputs, forward_batch,
-                             forward_slide, fuse, global_branch, guided_attention,
-                             guided_branch, slide_forward)
+                             branch_inputs, forward_batch, forward_slide, fuse, global_branch,
+                             guided_attention, guided_branch, slide_forward)
 from bgtriplex.training import gene_targets, loss_total
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -259,7 +258,7 @@ def init_oracle(config, k_genes, seed):
 
 
 def per_head_mca(guide_a, query, guide_b, block, config, attn_sink=None):
-    """``model.mca`` as a per-head composition of autodiff ops: each head's
+    """``model.guided_attention`` as a per-head composition of autodiff ops: each head's
     projections are cut out of the packed ones and its output put back in
     place by 0/1 column selectors (exact in float64), and attention is one
     explicit matmul, row softmax and matmul per head and stream."""
@@ -289,6 +288,38 @@ def per_head_mca(guide_a, query, guide_b, block, config, attn_sink=None):
         placed = ad.matmul(head, transpose(select))
         summed = placed if summed is None else ad.add(summed, placed)
     return ad.layer_norm(summed, block["gamma"], block["beta"], config.eps)
+
+
+def kernel_tap(kernel, a, b):
+    """Tap (a, b) of a (3, 3, d) kernel tensor, as a (d,) tensor."""
+    def backward(g):
+        grad = np.zeros_like(kernel.data)
+        grad[a, b] = g
+        kernel._accumulate(grad)
+
+    return ad.compose(kernel.data[a, b].copy(), (kernel,), backward)
+
+
+def apeg_ref(tokens, positions, kernel):
+    """Each spot's token plus the 3x3 channelwise kernel over its grid
+    neighbors, spot by spot from autodiff ops: tap (a, b) reads the spot at
+    grid offset (a-1, b-1), and an empty cell adds nothing."""
+    at = {p: i for i, p in enumerate(positions)}
+    rows = []
+    for s, (row, col) in enumerate(positions):
+        token = ad.take_rows(tokens, [s])
+        for a in range(3):
+            for b in range(3):
+                idx = at.get((row + a - 1, col + b - 1))
+                if idx is not None:
+                    token = ad.add(token, ad.mul(kernel_tap(kernel, a, b),
+                                                 ad.take_rows(tokens, [idx])))
+        rows.append(token)
+    return ad.concat_rows(rows)
+
+
+def grid_positions(ds):
+    return [(s.array_row, s.array_col) for s in ds.spots]
 
 
 def mca(guide_a, query, guide_b, block, config, attn_sink=None):
@@ -331,8 +362,9 @@ def full_slide_forward(ds, params, config, d_context, spot_indices, mca=mca):
     """``model.slide_forward`` computed spot by spot over the whole slide:
     every bundle projected in both scopes, each spot's branches run on
     their own, one window at a time, the global tokens pooled from
-    projected image tokens, and the fusion block run on all n global
-    query rows before the target row is kept."""
+    projected image tokens and position-encoded by ``apeg_ref``, and the
+    fusion block run on all n global query rows before the target row is
+    kept."""
     proj_spot = [project(b, params, "spot") for b in ds.features]
     proj_ctx = [project(b, params, "ctx") for b in ds.features_ctx]
     spot_outs = [branch(p, params, config, "spot", mca) for p in proj_spot]
@@ -347,7 +379,7 @@ def full_slide_forward(ds, params, config, d_context, spot_indices, mca=mca):
         stream = ad.concat_rows([pooled for _, pooled, _ in source])
     else:
         pooled = ad.concat_rows([ad.mean_rows(p["img"]) for p in proj_spot])
-        stream = global_branch(pooled, ds.grid_positions(), params).tokens
+        stream = apeg_ref(pooled, grid_positions(ds), params["apeg.kernel"])
     results = []
     for s in spot_indices:
         guide_a = stream if config.drop_spot else spot_outs[s][0]
@@ -495,19 +527,35 @@ class TestMca:
         assert [a.shape for a in sink] == [(2, 3), (2, 3), (2, 5), (2, 5)]
 
 
+def apeg_slide(tokens, positions, kernel, projection=None):
+    """A slide with one image token per spot at grid ``positions``, and
+    weights with the given APEG kernel and a spot-scope image projection
+    that is the identity unless given, so that ``global_branch``
+    position-encodes the tokens themselves: (slide, params)."""
+    n, d = tokens.shape
+    spots = [SpotRecord(f"s{i}", row, col, 0.0, 0.0) for i, (row, col) in enumerate(positions)]
+    bundles = [FeatureBundle(token[None], np.ones((1, 1)), np.ones((1, 1))) for token in tokens]
+    ds = SpotDataset(spots, ExpressionMatrix(["g"], np.zeros((n, 1))), bundles, "apeg")
+    cfg = ModelConfig(d_model=d, n_heads=1, stream_dims={"img": d, "edge": 1, "nuc": 1})
+    params = ModelParams(cfg, k_genes=1)
+    params["proj.img.spot"].data[...] = np.eye(d) if projection is None else projection
+    params["apeg.kernel"].data[...] = kernel
+    return ds, params
+
+
 class TestApeg:
     def test_zero_kernel_is_identity(self):
         rng = np.random.default_rng(20)
         tokens = rng.normal(size=(4, 6))
-        out = apeg_encode(Tensor(tokens), [(0, 0), (0, 1), (1, 0), (1, 1)],
-                          Tensor(np.zeros((3, 3, 6))))
-        np.testing.assert_array_equal(out.data, tokens)
+        ds, params = apeg_slide(tokens, [(0, 0), (0, 1), (1, 0), (1, 1)], np.zeros((3, 3, 6)))
+        np.testing.assert_array_equal(global_branch(ds, params, range(4)).data, tokens)
 
     def test_single_spot_sees_only_center_tap(self):
         rng = np.random.default_rng(21)
         token = rng.normal(size=(1, 5))
         kernel = rng.normal(size=(3, 3, 5))
-        out = apeg_encode(Tensor(token), [(7, 9)], Tensor(kernel))
+        ds, params = apeg_slide(token, [(7, 9)], kernel)
+        out = global_branch(ds, params, [0])
         np.testing.assert_allclose(out.data, token + kernel[1, 1] * token, atol=1e-15)
 
     def test_2x2_grid_matches_hand_computed_convolution(self):
@@ -520,25 +568,49 @@ class TestApeg:
         # conv at (0,1): k10*t00 + k11*t01 + k20*t10 + k21*t11 = 4*1+5*2+7*3+8*4 = 67
         # conv at (1,0): k01*t00 + k02*t01 + k11*t10 + k12*t11 = 2*1+3*2+5*3+6*4 = 47
         # conv at (1,1): k00*t00 + k01*t01 + k10*t10 + k11*t11 = 1*1+2*2+4*3+5*4 = 37
-        out = apeg_encode(Tensor(tokens), positions, Tensor(kernel))
+        ds, params = apeg_slide(tokens, positions, kernel)
+        out = global_branch(ds, params, range(4))
         np.testing.assert_allclose(out.data[:, 0], [1 + 77, 2 + 67, 3 + 47, 4 + 37])
+        # each spot reads only its own cells, whichever spots are asked for
+        np.testing.assert_array_equal(global_branch(ds, params, [3, 0]).data[:, 0], [41, 78])
 
     def test_duplicate_positions_rejected(self):
+        ds, params = apeg_slide(np.ones((2, 3)), [(0, 0), (0, 0)], np.zeros((3, 3, 3)))
         with pytest.raises(ValueError, match="duplicate"):
-            apeg_encode(Tensor(np.ones((2, 3))), [(0, 0), (0, 0)], Tensor(np.zeros((3, 3, 3))))
+            global_branch(ds, params, [0])
 
-    def test_gradients(self):
+    @pytest.mark.parametrize("spots", [[0, 1, 2, 3, 4], [2, 0, 4]])
+    def test_gradients(self, spots):
         rng = np.random.default_rng(22)
-        tokens = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-        kernel = Tensor(rng.normal(size=(3, 3, 4)), requires_grad=True)
         positions = [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)]
-        weights = Tensor(rng.normal(size=(5, 4)))
+        ds, params = apeg_slide(rng.normal(size=(5, 4)), positions, rng.normal(size=(3, 3, 4)),
+                                projection=rng.normal(size=(4, 4)))
+        weights = Tensor(rng.normal(size=(len(spots), 4)))
 
         def f(_):
-            return ad.mean_all(ad.mul(apeg_encode(tokens, positions, kernel), weights))
+            return ad.mean_all(ad.mul(global_branch(ds, params, spots), weights))
 
-        assert grad_check(f, tokens) <= 1e-6
-        assert grad_check(f, kernel) <= 1e-6
+        assert grad_check(f, params["proj.img.spot"]) <= 1e-6
+        assert grad_check(f, params["apeg.kernel"]) <= 1e-6
+
+    def test_matches_neighbor_loop_reference(self):
+        # outputs and gradients of a subset of spots on a grid with holes
+        rng = np.random.default_rng(23)
+        positions = [(0, 0), (0, 1), (1, 1), (2, 0), (2, 2), (3, 1), (1, 3)]
+        tokens = rng.normal(size=(7, 4))
+        ds, params = apeg_slide(tokens, positions, rng.normal(size=(3, 3, 4)),
+                                projection=rng.normal(size=(4, 4)))
+        spots = [2, 5, 0, 6]
+        weights = Tensor(rng.normal(size=(len(spots), 4)))
+        out = global_branch(ds, params, spots)
+        ad.mean_all(ad.mul(out, weights)).backward()
+        proj, kernel = (Tensor(params[name].data, requires_grad=True)
+                        for name in ("proj.img.spot", "apeg.kernel"))
+        ref = ad.take_rows(apeg_ref(ad.matmul(tokens, proj), positions, kernel), spots)
+        ad.mean_all(ad.mul(ref, weights)).backward()
+        assert_matches(out.data, ref.data, "tokens")
+        assert_matches(params["proj.img.spot"].grad, proj.grad, "projection")
+        assert_matches(params["apeg.kernel"].grad, kernel.grad, "kernel")
 
 
 @pytest.fixture(scope="module")
@@ -639,42 +711,40 @@ class TestContextBranch:
             np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
 
 
-def global_tokens(ds, params, proj_spot):
-    pooled = ad.concat_rows([ad.mean_rows(proj_spot[s]["img"]) for s in range(ds.n_spots)])
-    return global_branch(pooled, ds.grid_positions(), params).tokens.data
+def global_tokens(ds, params):
+    return global_branch(ds, params, range(ds.n_spots)).data
 
 
 class TestGlobalBranch:
     def test_golden(self, small_setup):
-        ds, cfg, params, proj_spot, _ = small_setup
+        ds, cfg, params, _, _ = small_setup
         ref = load_reference("global_branch", ds)
-        assert_matches(global_tokens(ds, params, proj_spot), ref["tokens"], "tokens")
+        assert_matches(global_tokens(ds, params), ref["tokens"], "tokens")
 
     def test_matches_scalar_oracle(self, small_setup):
-        ds, cfg, params, proj_spot, _ = small_setup
-        assert_matches(global_tokens(ds, params, proj_spot), global_ref(SCALAR, ds, params))
+        ds, cfg, params, _, _ = small_setup
+        assert_matches(global_tokens(ds, params), global_ref(SCALAR, ds, params))
 
     def test_single_spot_center_tap(self, small_setup):
-        _, cfg, _, _, _ = small_setup
+        ds, cfg, _, _, _ = small_setup
         params = ModelParams(cfg, k_genes=5, seed=1)
-        rng = np.random.default_rng(31)
-        params["apeg.kernel"].data[...] = rng.normal(size=(3, 3, 16))
-        token = rng.normal(size=(1, 16))
-        out = global_branch(Tensor(token), [(0, 0)], params)
-        np.testing.assert_allclose(out.tokens.data,
+        params["apeg.kernel"].data[...] = np.random.default_rng(31).normal(size=(3, 3, 16))
+        one = one_spot_dataset(ds, ds.features[4])
+        token = one.features[0].image_tokens.mean(axis=0, keepdims=True) @ params[
+            "proj.img.spot"].data
+        np.testing.assert_allclose(global_tokens(one, params),
                                    token + params["apeg.kernel"].data[1, 1] * token, atol=1e-15)
 
     def test_spot_permutation_equivariance(self, small_setup):
-        ds, cfg, _, proj_spot, _ = small_setup
+        ds, cfg, _, _, _ = small_setup
         params = ModelParams(cfg, k_genes=5, seed=1)
         params["apeg.kernel"].data[...] = np.random.default_rng(32).normal(size=(3, 3, 16))
-        pooled = np.vstack([ad.mean_rows(proj_spot[s]["img"]).data for s in range(ds.n_spots)])
-        positions = ds.grid_positions()
-        base = global_branch(Tensor(pooled), positions, params).tokens.data
+        base = global_tokens(ds, params)
         perm = np.random.default_rng(33).permutation(ds.n_spots)
-        permuted = global_branch(Tensor(pooled[perm]),
-                                 [positions[i] for i in perm], params).tokens.data
-        np.testing.assert_allclose(permuted, base[perm], atol=1e-14)
+        permuted = SpotDataset([ds.spots[i] for i in perm],
+                               ExpressionMatrix(ds.expr.genes, ds.expr.values[perm]),
+                               [ds.features[i] for i in perm], "permuted")
+        np.testing.assert_allclose(global_tokens(permuted, params), base[perm], atol=1e-14)
 
 
 @pytest.fixture(scope="module")
@@ -871,18 +941,48 @@ class TestSlideForwardCost:
         ds, _ = synth_dataset(size, size, 6, 0.05, seed=23)
         cfg = ModelConfig(d_model=16, n_heads=2, **flags)
         params = ModelParams(cfg, k_genes=3, seed=3)
-        n_row, real_matmul = [], ad.matmul
+        n_row, cell_rows, real_matmul = [], [], ad.matmul
 
         def counting_matmul(a, b):
             out = real_matmul(a, b)
             n_row.append(out.shape[0] == ds.n_spots)
+            cell_rows.append(out.shape[0] == 9 * ds.n_spots)
             return out
 
         monkeypatch.setattr(ad, "matmul", counting_matmul)
         forward_slide(ds, params, cfg, 3)
-        # the pooled image tokens, each head's input, and keys and values
-        # for a dropped guide
-        assert sum(n_row) == 1 + heads + 2 * len(flags)
+        # each head's input, and keys and values for a dropped guide; the
+        # global tokens project the 3x3 cells of every spot once
+        assert sum(n_row) == heads + 2 * len(flags)
+        assert sum(cell_rows) == 1
+
+    def test_step_global_projection_reads_only_the_batch_cells(self, monkeypatch):
+        # a training step projects 9 cells per distinct batch spot, however
+        # large the slide, and its backward still reaches every weight
+        batch = [0, 6, 12, 6, 2]
+        read = {}
+        for size in (5, 9):
+            ds, _ = synth_dataset(size, size, 6, 0.05, seed=23)
+            cfg = ModelConfig(d_model=16, n_heads=2)
+            params = ModelParams(cfg, k_genes=3, seed=3)
+            targets, _, _ = gene_targets([ds], 3)
+            rows, real_matmul = [], ad.matmul
+
+            def counting_matmul(a, b):
+                if b is params["proj.img.spot"]:
+                    rows.append(np.shape(a)[0])
+                return real_matmul(a, b)
+
+            monkeypatch.setattr(ad, "matmul", counting_matmul)
+            spots = [size * (s // 5) + s % 5 for s in batch]
+            preds = forward_batch(ds, params, cfg, 3, spot_indices=spots)
+            monkeypatch.setattr(ad, "matmul", real_matmul)
+            loss, _ = loss_total(preds, targets[0][spots], 0.3)
+            loss.backward()
+            assert params["apeg.kernel"].grad is not None
+            assert params["proj.img.spot"].grad is not None
+            read[size] = rows
+        assert read[5] == read[9] == [9 * len(set(batch))]
 
     def test_branches_build_no_take_rows_node(self, monkeypatch):
         # take_rows' backward is the only np.add.at scatter, so a step's

@@ -19,8 +19,6 @@ from pathlib import Path
 import click
 import numpy as np
 
-import click.exceptions
-
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import load_dataset, log1p_normalize, save_dataset, synth_dataset
 from .errors import FormatError, NumericsError, ParseError, ShapeError
@@ -29,6 +27,11 @@ from .model import ModelConfig, ModelParams, forward_slide
 from .seeding import derive_seed
 from .training import (TrainConfig, cross_validate, gene_targets, train,
                        write_loss_log)
+
+# The config document's string entries; the flags of the same name offer these choices.
+CHOICES = {"provider": ("toy", "precomputed"), "pcch_selector": ("predictive", "expressed")}
+# The run.json that train writes is a valid config; its results are ignored.
+RUN_RESULT_KEYS = ("final_loss_total", "train_pcc_m")
 
 
 def guarded(fn):
@@ -76,7 +79,7 @@ def _config_options(fn):
         click.option("--no-nuclei-spot", is_flag=True, default=None),
         click.option("--no-edge-ctx", is_flag=True, default=None),
         click.option("--no-nuclei-ctx", is_flag=True, default=None),
-        click.option("--provider", type=click.Choice(["toy", "precomputed"]), default=None),
+        click.option("--provider", type=click.Choice(CHOICES["provider"]), default=None),
     ]
     for opt in reversed(decorators):
         fn = opt(fn)
@@ -84,32 +87,33 @@ def _config_options(fn):
 
 
 def _build_config(config_path, overrides):
+    """(train config, model config, document). A config file holds a JSON
+    object: ``train`` and ``model`` objects, ``provider`` and
+    ``pcch_selector`` choices and the ignored ``RUN_RESULT_KEYS``."""
     doc = {"train": {}, "model": {}, "provider": "precomputed", "pcch_selector": "predictive"}
     if config_path is not None:
         with open(config_path, encoding="utf-8") as fh:
             loaded = json.load(fh)
-        for key in ("train", "model"):
-            doc[key].update(loaded.get(key, {}))
-        for key in ("provider", "pcch_selector"):
-            if key in loaded:
-                doc[key] = loaded[key]
+        if not isinstance(loaded, dict):
+            raise click.UsageError(f"{config_path}: a config must be a JSON object")
+        unknown = sorted(set(loaded) - set(doc) - set(RUN_RESULT_KEYS))
+        if unknown:
+            raise click.UsageError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in loaded.items():
+            if key in ("train", "model") and not isinstance(value, dict):
+                raise click.UsageError(f"config {key!r} must be a JSON object")
+            if key in CHOICES and value not in CHOICES[key]:
+                raise click.UsageError(f"config {key} must be one of {', '.join(CHOICES[key])}, "
+                                       f"got {value!r}")
+        doc.update(loaded)
     train_names = {f.name for f in fields(TrainConfig)}
-    model_names = {f.name for f in fields(ModelConfig)}
     for key, value in overrides.items():
-        if value is None:
-            continue
-        if key in train_names:
-            doc["train"][key] = value
-        elif key in model_names:
-            doc["model"][key] = value
-        else:
-            doc[key] = value
-    unknown = sorted(set(doc["train"]) - train_names)
-    if unknown:
-        raise click.UsageError(f"unknown train config keys: {', '.join(unknown)}")
-    train_cfg = TrainConfig(**doc["train"])
-    model_cfg = ModelConfig.from_dict(doc["model"])
-    return train_cfg, model_cfg, doc
+        if value is not None:
+            doc["train" if key in train_names else "model"][key] = value
+    try:
+        return TrainConfig(**doc["train"]), ModelConfig.from_dict(doc["model"]), doc
+    except TypeError as exc:  # an unknown train key or a value of the wrong type
+        raise click.UsageError(f"bad config: {exc}") from None
 
 
 def _load_slides(manifests, provider, model_cfg, doc):
@@ -124,12 +128,26 @@ def _load_slides(manifests, provider, model_cfg, doc):
     if "stream_dims" not in doc["model"]:
         model_cfg.stream_dims = _stream_widths(datasets[0].features[0])
     for manifest, ds in zip(manifests, datasets):
-        for bundle in ds.features + ds.features_ctx:
-            widths = _stream_widths(bundle)
-            if widths != model_cfg.stream_dims:
-                raise click.UsageError(f"{manifest}: feature widths {widths} do not match "
-                                       f"stream_dims {model_cfg.stream_dims}")
+        _check_widths(manifest, ds, model_cfg.stream_dims, click.UsageError)
     return datasets
+
+
+def _load_for_checkpoint(checkpoint, manifest, provider):
+    """(params, d_context, genes) of the checkpoint, and the slide; its
+    feature widths must be the checkpoint's ``stream_dims`` (exit 4)."""
+    params, d_context, genes = load_checkpoint(checkpoint)
+    ds = load_dataset(manifest, provider=provider)
+    _check_widths(manifest, ds, params.config.stream_dims, FormatError)
+    return params, d_context, genes, ds
+
+
+def _check_widths(manifest, dataset, stream_dims, error):
+    """Raise ``error`` unless every feature bundle of the slide has ``stream_dims``."""
+    for bundle in dataset.features + dataset.features_ctx:
+        widths = _stream_widths(bundle)
+        if widths != stream_dims:
+            raise error(f"{manifest}: feature widths {widths} do not match "
+                        f"stream_dims {stream_dims}")
 
 
 def _stream_widths(bundle):
@@ -236,16 +254,15 @@ def cmd_train(manifests, out_dir, config_path, provider, **overrides):
 @main.command(name="eval")
 @click.option("--checkpoint", type=click.Path(exists=True), required=True)
 @click.option("--manifest", type=click.Path(exists=True), required=True)
-@click.option("--provider", type=click.Choice(["toy", "precomputed"]), default="precomputed",
+@click.option("--provider", type=click.Choice(CHOICES["provider"]), default="precomputed",
               show_default=True)
-@click.option("--pcch-selector", type=click.Choice(["predictive", "expressed"]),
+@click.option("--pcch-selector", type=click.Choice(CHOICES["pcch_selector"]),
               default="predictive", show_default=True)
 @click.option("-o", "--report", "report_path", type=click.Path(), callback=_parent_exists)
 @guarded
 def cmd_eval(checkpoint, manifest, provider, pcch_selector, report_path):
     """Evaluate a checkpoint on a slide; prints MSE, PCC(M) and PCC(H)."""
-    params, d_context, genes = load_checkpoint(checkpoint)
-    ds = load_dataset(manifest, provider=provider)
+    params, d_context, genes, ds = _load_for_checkpoint(checkpoint, manifest, provider)
     target = _targets_for_genes(ds, genes)
     pred = forward_slide(ds, params, params.config, d_context)["fused"]
     report = evaluate_predictions(pred, target, genes, selector=pcch_selector)
@@ -259,7 +276,7 @@ def cmd_eval(checkpoint, manifest, provider, pcch_selector, report_path):
 @click.option("--manifest", "manifests", type=click.Path(exists=True), multiple=True,
               required=True)
 @click.option("-o", "--out-dir", type=click.Path(), required=True)
-@click.option("--pcch-selector", type=click.Choice(["predictive", "expressed"]), default=None)
+@click.option("--pcch-selector", type=click.Choice(CHOICES["pcch_selector"]), default=None)
 @_config_options
 @guarded
 def cmd_cv(manifests, out_dir, pcch_selector, config_path, provider, **overrides):
@@ -295,14 +312,13 @@ def cmd_cv(manifests, out_dir, pcch_selector, config_path, provider, **overrides
 @main.command(name="predict")
 @click.option("--checkpoint", type=click.Path(exists=True), required=True)
 @click.option("--manifest", type=click.Path(exists=True), required=True)
-@click.option("--provider", type=click.Choice(["toy", "precomputed"]), default="precomputed",
+@click.option("--provider", type=click.Choice(CHOICES["provider"]), default="precomputed",
               show_default=True)
 @click.option("-o", "--out", "out_path", type=click.Path(), required=True, callback=_parent_exists)
 @guarded
 def cmd_predict(checkpoint, manifest, provider, out_path):
     """Write fused per-spot, per-gene predictions as TSV."""
-    params, d_context, genes = load_checkpoint(checkpoint)
-    ds = load_dataset(manifest, provider=provider)
+    params, d_context, genes, ds = _load_for_checkpoint(checkpoint, manifest, provider)
     pred = forward_slide(ds, params, params.config, d_context)["fused"]
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("spot_id\t" + "\t".join(genes) + "\n")
@@ -314,19 +330,18 @@ def cmd_predict(checkpoint, manifest, provider, out_path):
 @main.command(name="export-map")
 @click.option("--checkpoint", type=click.Path(exists=True), required=True)
 @click.option("--manifest", type=click.Path(exists=True), required=True)
-@click.option("--provider", type=click.Choice(["toy", "precomputed"]), default="precomputed",
+@click.option("--provider", type=click.Choice(CHOICES["provider"]), default="precomputed",
               show_default=True)
 @click.option("--gene", required=True)
 @click.option("-o", "--out-prefix", type=click.Path(), required=True, callback=_parent_exists)
 @guarded
 def cmd_export_map(checkpoint, manifest, provider, gene, out_prefix):
     """Export one gene's prediction map as CSV and grayscale PGM."""
-    params, d_context, genes = load_checkpoint(checkpoint)
+    params, d_context, genes, ds = _load_for_checkpoint(checkpoint, manifest, provider)
     if gene not in genes:
         similar = difflib.get_close_matches(gene, genes, n=3)
         hint = f"; closest: {', '.join(similar)}" if similar else ""
         raise click.UsageError(f"unknown gene {gene!r}{hint}")
-    ds = load_dataset(manifest, provider=provider)
     pred = forward_slide(ds, params, params.config, d_context)["fused"]
     column = pred[:, genes.index(gene)]
     csv_path = Path(f"{out_prefix}.csv")

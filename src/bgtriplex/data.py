@@ -1,4 +1,4 @@
-"""Dataset model, TSV ingestion, gene preprocessing and context windowing.
+"""Dataset model, TSV ingestion, gene preprocessing and grid windows.
 
 Spots live on an integer array grid; expression is a nonnegative count
 matrix joined to the spot table by spot_id. A deterministic synthetic
@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
-from .features import STREAMS, FeatureBundle, ToyFeatureProvider, encode_bgft
+from .errors import FormatError, ParseError
+from .features import STREAMS, PrecomputedFeatureProvider, ToyFeatureProvider, encode_bgft
 from .seeding import derive_seed, substream
 
 SPOT_COLUMNS = ("spot_id", "array_row", "array_col", "px_x", "px_y")
@@ -53,9 +53,9 @@ class ExpressionMatrix:
 class SpotDataset:
     """One slide: spots, expression and per-spot feature bundles.
 
-    Treated as immutable once built: the grid index and cells, the stacked
-    tokens and the pooled image tokens are computed on first use and kept
-    for the slide's lifetime.
+    Treated as immutable once built: the grid windows, the stacked tokens
+    and the pooled image tokens are computed on first use and kept for the
+    slide's lifetime.
     """
 
     spots: list
@@ -63,6 +63,7 @@ class SpotDataset:
     features: list
     slide_id: str
     features_ctx: list = field(default=None)
+    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.spots)
@@ -77,21 +78,12 @@ class SpotDataset:
     def n_spots(self):
         return len(self.spots)
 
-    @cached_property
-    def grid_index(self):
-        """``grid_index(spots)`` of this slide."""
-        return grid_index(self.spots)
-
-    @cached_property
-    def grid_cells(self):
-        """(n_spots, 9): every spot's 3x3 grid cells, row-major, holding n_spots
-        (the zero row of ``pooled_image_tokens``) for an empty cell."""
-        n = self.n_spots
-        if len(self.grid_index) != n:
-            raise ValueError("duplicate grid positions")
-        windows = (context_window(self.spots, s, 3, self.grid_index) for s in range(n))
-        return np.array([[n if i is None else i for row in w.member_indices for i in row]
-                         for w in windows], dtype=np.intp)
+    def windows(self, d):
+        """``grid_windows(spots, d)``, built once per size; of concurrent
+        first builds, the one stored first is the one every caller reads."""
+        if d not in self._windows:
+            self._windows.setdefault(d, grid_windows(self.spots, d))
+        return self._windows[d]
 
     @cached_property
     def token_stacks(self):
@@ -108,17 +100,9 @@ class SpotDataset:
     @cached_property
     def pooled_image_tokens(self):
         """(n_spots + 1, img dim): the mean spot-scope image token of every
-        spot, then a zero row for the empty cells of ``grid_cells``."""
+        spot, then a zero row for the empty cells of ``windows(d)``."""
         pooled = [b.image_tokens.mean(axis=0) for b in self.features]
         return np.array(pooled + [np.zeros_like(pooled[0])])
-
-
-@dataclass
-class ContextWindow:
-    """Spot indices of a d x d neighborhood, row-major; absent cells are None."""
-
-    center: int
-    member_indices: list
 
 
 def _split_row(line, lineno, n_cols):
@@ -241,27 +225,19 @@ def select_top_k_genes(norm, gene_names, k):
     return indices, [gene_names[j] for j in indices]
 
 
-def grid_index(spots):
-    """Spot index by (array_row, array_col)."""
-    return {(s.array_row, s.array_col): i for i, s in enumerate(spots)}
-
-
-def context_window(spots, center_index, d, by_grid=None):
-    """The d x d grid neighborhood of a spot; absent cells are None.
-
-    ``by_grid`` is ``grid_index(spots)``; it is built here when not given.
-    """
+def grid_windows(spots, d):
+    """(n, d * d) spot indices: row s is the d x d grid window centred on
+    spot s, row-major, holding n for an empty cell (the index of the zero
+    row of ``SpotDataset.pooled_image_tokens``)."""
     if d < 1 or d % 2 == 0:
         raise ValueError(f"window size must be odd and >= 1, got {d}")
-    if not 0 <= center_index < len(spots):
-        raise ValueError(f"center index {center_index} out of range")
-    if by_grid is None:
-        by_grid = grid_index(spots)
-    center = spots[center_index]
-    half = d // 2
-    members = [[by_grid.get((center.array_row + r - half, center.array_col + c - half))
-                for c in range(d)] for r in range(d)]
-    return ContextWindow(center_index, members)
+    n = len(spots)
+    at = {(s.array_row, s.array_col): i for i, s in enumerate(spots)}
+    if len(at) != n:
+        raise ValueError("duplicate grid positions")
+    offsets = [(r - d // 2, c - d // 2) for r in range(d) for c in range(d)]
+    return np.array([[at.get((s.array_row + r, s.array_col + c), n) for r, c in offsets]
+                     for s in spots], dtype=np.intp).reshape(n, d * d)
 
 
 def synth_dataset(rows, cols, n_genes, noise_sd, seed, slide_id="synth",
@@ -335,25 +311,34 @@ def save_dataset(dataset, out_dir, toy_meta=None):
 
 
 def load_dataset(manifest_path, provider="precomputed"):
-    """Assemble a SpotDataset from a manifest; paths resolve relative to it."""
+    """Assemble a SpotDataset from a manifest; paths resolve relative to it.
+    A key it lacks or a file it names that cannot be read is a FormatError."""
     manifest_path = Path(manifest_path)
     with open(manifest_path, encoding="utf-8") as fh:
         doc = json.load(fh)
     base = manifest_path.parent
-    spots = load_spot_table(base / doc["spots"])
-    expr = load_expression_matrix(base / doc["expression"], [s.spot_id for s in spots])
+
+    def entry(block, key):
+        if not isinstance(block, dict) or key not in block:
+            raise FormatError(f"{manifest_path}: no {key!r} entry in the manifest")
+        return block[key]
+
+    slide_id = entry(doc, "slide_id")
     if provider == "toy":
         toy = doc.get("toy")
         if toy is None:
             raise ValueError("manifest has no toy-provider block")
-        prov = ToyFeatureProvider(toy["dataset_seed"], toy["grid_tokens"],
-                                  {k: int(v) for k, v in toy["stream_dims"].items()})
+        prov = ToyFeatureProvider(entry(toy, "dataset_seed"), entry(toy, "grid_tokens"),
+                                  {k: int(v) for k, v in entry(toy, "stream_dims").items()})
     elif provider == "precomputed":
-        from .features import PrecomputedFeatureProvider
-
-        prov = PrecomputedFeatureProvider(base / doc["features"])
+        prov = PrecomputedFeatureProvider(base / entry(doc, "features"))
     else:
         raise ValueError(f"unknown provider {provider!r}")
-    bundles = [prov.bundle(s, "spot") for s in spots]
-    ctx_bundles = [prov.bundle(s, "ctx", spot_bundle=b) for s, b in zip(spots, bundles)]
-    return SpotDataset(spots, expr, bundles, doc["slide_id"], features_ctx=ctx_bundles)
+    try:
+        spots = load_spot_table(base / entry(doc, "spots"))
+        expr = load_expression_matrix(base / entry(doc, "expression"), [s.spot_id for s in spots])
+        bundles = [prov.bundle(s, "spot") for s in spots]
+        ctx_bundles = [prov.bundle(s, "ctx", spot_bundle=b) for s, b in zip(spots, bundles)]
+    except OSError as exc:
+        raise FormatError(f"{manifest_path}: cannot read {exc.filename}: {exc.strerror}") from None
+    return SpotDataset(spots, expr, bundles, slide_id, features_ctx=ctx_bundles)

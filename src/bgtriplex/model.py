@@ -1,12 +1,12 @@
 """The boundary-guided three-branch network.
 
-A spot branch and an in-context branch run multi-head cross-attention in
-which edge and nuclei token streams guide the image stream; a global
-branch position-encodes one pooled image token per spot with a 3x3
-kernel over the slide grid, so a spot's global token reads only its 3x3
-grid cells. Each spot's branch outputs are fused by the same cross-attention
-block, with that spot's global token as the query, and linear heads map
-pooled tokens to per-gene predictions.
+Each branch reads one d x d grid window of a spot, its row of the slide's
+``SpotDataset.windows(d)``. The spot (d = 1) and in-context (d = D) branches
+run multi-head cross-attention in which edge and nuclei tokens guide the
+image tokens; the global branch position-encodes the pooled image tokens of
+the 3x3 window with a 3x3 kernel. Each spot's branch outputs are fused by the
+same cross-attention block, with its global token as the query, and linear
+heads map pooled tokens to per-gene predictions.
 
 A forward pass reads only the tokens its spots need, so the cost per spot
 does not grow with the slide, and runs each branch as single ops over
@@ -231,7 +231,7 @@ def branch_inputs(dataset, params, config, scope, members):
     block = params.block(f"mca_{scope}")
     no_edge, no_nuclei = ((config.no_edge_spot, config.no_nuclei_spot) if scope == "spot"
                           else (config.no_edge_ctx, config.no_nuclei_ctx))
-    members = {t: np.array(spots) for t, spots in members.items()}
+    members = {t: np.asarray(spots) for t, spots in members.items()}
     reads = []
     for stream, names in (("img", ("w_q",)),
                           ("img" if no_edge else "edge", ("w_k_a", "w_v_a")),
@@ -269,13 +269,13 @@ def guided_branch(inputs, targets, config, attn_sink=None):
 def global_branch(dataset, params, spots):
     """Global tokens (m, d) of the m ``spots``, row r for ``spots[r]``.
 
-    Each reads only its spot's 3x3 ``dataset.grid_cells``: their pooled raw
-    image tokens (zero for an empty cell) times the spot-scope image
-    projection, position-encoded by the channelwise 3x3 kernel as a
-    residual, out = cell 4 + sum_t kernel[t] * cell t, where tap t = 3a + b
-    reads grid offset (a-1, b-1). Backward scatters nothing.
+    Each reads only its spot's row of ``dataset.windows(3)``: the pooled raw
+    image tokens of those cells (zero for an empty cell) times the
+    spot-scope image projection, position-encoded by the channelwise 3x3
+    kernel as a residual, out = cell 4 + sum_t kernel[t] * cell t, where
+    tap t = 3a + b reads grid offset (a-1, b-1). Backward scatters nothing.
     """
-    cells = ad.matmul(np.take(dataset.pooled_image_tokens, dataset.grid_cells[spots].reshape(-1),
+    cells = ad.matmul(np.take(dataset.pooled_image_tokens, dataset.windows(3)[spots].reshape(-1),
                               axis=0), params["proj.img.spot"])
     kernel = params["apeg.kernel"]
     d = cells.shape[1]
@@ -326,21 +326,19 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None):
     """Differentiable forward pass; returns {branch: (B, k_genes) predictions},
     row b for ``spot_indices[b]`` (every spot when None).
 
-    Spots are grouped by the lengths of their spot and context sequences;
-    each group runs in chunks of at most ``CHUNK_SPOTS`` spots, whose
-    branches and fusion run as single ops over stacked rows, each spot
-    attending and pooling over exactly its own rows. A spot's fusion
-    query is its global token, which reads only the spot's 3x3 grid cells
-    (``global_branch``); it is computed for the requested spots, or for
-    every spot when a dropped guide branch is replaced by the whole global
+    The spot and context branches read the present cells of each spot's
+    ``dataset.windows(d)`` row, d = 1 and ``d_context``. Spots are grouped
+    by those sequence lengths; each group runs in chunks of at most
+    ``CHUNK_SPOTS`` spots, whose branches and fusion run as single ops over
+    stacked rows, each spot attending and pooling over exactly its own
+    rows. A spot's fusion query is its global token (``global_branch``); it
+    is computed for the requested spots, or for every spot when a dropped guide branch is replaced by the whole global
     stream, whose fusion keys and values are projected once per call. With
     ``drop_global`` the global stream is the stack of pooled spot-branch
     (or, failing that, context-branch) tokens; when it also replaces a
     dropped guide, that branch runs on every spot, and only chunks holding
     a requested spot are fused.
     """
-    from .data import context_window
-
     n = dataset.n_spots
     indices = list(range(n)) if spot_indices is None else list(spot_indices)
     if not indices or not all(0 <= s < n for s in indices):
@@ -348,13 +346,11 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None):
     wide = config.drop_global and (config.drop_spot or config.drop_ctx)
     scope = list(range(n)) if wide else list(dict.fromkeys(indices))
     branches = {}
-    if not config.drop_spot:
-        branches["spot"] = branch_inputs(dataset, params, config, "spot", {s: [s] for s in scope})
-    if not config.drop_ctx:
-        windows = (context_window(dataset.spots, s, d_context, dataset.grid_index) for s in scope)
-        branches["ctx"] = branch_inputs(dataset, params, config, "ctx", {
-            w.center: [i for row in w.member_indices for i in row if i is not None]
-            for w in windows})
+    for name, d in (("spot", 1), ("ctx", d_context)):
+        if not getattr(config, f"drop_{name}"):
+            windows = dataset.windows(d)[scope]
+            branches[name] = branch_inputs(dataset, params, config, name,
+                                           {s: row[row < n] for s, row in zip(scope, windows)})
     groups = {}
     for s in scope:
         shape = tuple(len(rows[s]) for inputs in branches.values()

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .data import log1p_normalize, select_top_k_genes
 from .errors import NumericsError
 from .metrics import evaluate_predictions

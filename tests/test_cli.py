@@ -51,9 +51,14 @@ def test_bad_flags_exit_2_before_output(manifest, tmp_path, flags):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("doc", [{"train": {"grad_clipp": 1.0}}, {"model": {"d_modell": 8}},
-                                 {"model": {"guide_mode": "sum"}},
-                                 {"model": {"stream_dims": {"img": 4, "edge": 6, "nuc": 8}}}])
+BAD_CONFIGS = [{"train": {"grad_clipp": 1.0}}, {"model": {"d_modell": 8}},
+               {"model": {"guide_mode": "sum"}},
+               {"model": {"stream_dims": {"img": 4, "edge": 6, "nuc": 8}}},
+               {"trian": {"epochs": 1}}, [1], {"train": 3}, {"model": []},
+               {"pcch_selector": "best"}, {"provider": "files"}, {"train": {"lr": "fast"}}]
+
+
+@pytest.mark.parametrize("doc", BAD_CONFIGS)
 def test_bad_config_keys_exit_2_before_output(manifest, tmp_path, doc):
     out = tmp_path / "run"
     result = train(manifest, out, "--config", write_config(tmp_path / "c.json", doc))
@@ -178,6 +183,18 @@ def test_bad_thread_count_exits_2_before_output(manifest, tmp_path, threads):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc", BAD_CONFIGS)
+def test_cv_with_a_bad_config_exits_2_before_output(manifest, tmp_path, doc):
+    out = tmp_path / "cv"
+    result = CliRunner().invoke(main, ["cv", "--manifest", str(manifest), "--manifest",
+                                       str(manifest), "-o", str(out), "--epochs", "1",
+                                       "--config", write_config(tmp_path / "c.json", doc)])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 def test_cv_with_one_slide_exits_2_before_output(manifest, tmp_path):
     out = tmp_path / "cv"
     result = CliRunner().invoke(main, ["cv", "--manifest", str(manifest), "-o", str(out),
@@ -216,3 +233,41 @@ def test_cv_rerun_with_two_threads_is_byte_identical(manifest, tmp_path):
                                          "--d-context", "3"],
                               files, env={"BGT_THREADS": "2"})
     assert first == second
+
+
+@pytest.mark.parametrize("d_context", ["1", "3", "5"])
+@pytest.mark.parametrize("command", [["predict"], ["eval"], ["export-map", "--gene", "G0001"]])
+def test_feature_widths_unlike_the_checkpoint_exit_4_before_output(manifest, tmp_path,
+                                                                   command, d_context):
+    trained = tmp_path / "trained"
+    assert train(manifest, trained, "--k-genes", "4", "--d-context", d_context).exit_code == 0
+    widths = {"img": 5, "edge": 3, "nuc": 7}
+    dataset, _ = synth_dataset(3, 3, 4, 0.05, seed=13, stream_dims=widths)
+    other = save_dataset(dataset, tmp_path / "narrow")
+    out = tmp_path / "out"
+    out.mkdir()
+    result = CliRunner().invoke(main, [*command, "--checkpoint", str(trained / "checkpoint.bgck"),
+                                       "--manifest", str(other), "-o", str(out / "result")])
+    assert result.exit_code == 4, result.output
+    assert result.stdout == ""
+    stream_dims = load_checkpoint(trained / "checkpoint.bgck")[0].config.stream_dims
+    assert all(str(text) in result.output for text in (other, widths, stream_dims))
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("fault", ["key", "file"])
+def test_manifest_faults_exit_4_before_output(manifest, checkpoint, tmp_path, fault):
+    slide = tmp_path / "slide"
+    broken = synth(slide)
+    if fault == "key":
+        doc = json.loads(broken.read_text())
+        del doc["expression"]
+        broken.write_text(json.dumps(doc))
+    else:
+        (slide / "features" / "s0x1.img.spot.bgft").unlink()
+    result = CliRunner().invoke(main, ["predict", "--checkpoint", str(checkpoint),
+                                       "--manifest", str(broken), "-o", str(tmp_path / "p.tsv")])
+    assert result.exit_code == 4, result.output
+    assert result.stdout == ""
+    assert ("'expression'" if fault == "key" else "s0x1.img.spot.bgft") in result.output
+    assert not (tmp_path / "p.tsv").exists()

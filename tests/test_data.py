@@ -1,20 +1,22 @@
 """Dataset ingestion, preprocessing and the synthetic slide generator."""
 
 import hashlib
+import json
 import math
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgtriplex import features
-from bgtriplex.data import (ExpressionMatrix, SpotRecord, context_window, grid_index,
-                            load_dataset, load_expression_matrix, load_spot_table,
-                            log1p_normalize, save_dataset, select_top_k_genes,
-                            synth_dataset, write_expression_matrix, write_spot_table)
-from bgtriplex.errors import ParseError
+from bgtriplex import data, features
+from bgtriplex.data import (ExpressionMatrix, SpotRecord, grid_windows, load_dataset,
+                            load_expression_matrix, load_spot_table, log1p_normalize,
+                            save_dataset, select_top_k_genes, synth_dataset,
+                            write_expression_matrix, write_spot_table)
+from bgtriplex.errors import FormatError, ParseError
 
 # sha256 of synth_dataset(6, 6, 32, 0.05, seed=13) counts; the counts are
 # checked value by value against synth_oracle in TestSynthDataset
@@ -265,37 +267,37 @@ class TestSelectTopK:
             select_top_k_genes(np.ones((2, 3)), ["a", "b", "c"], 4)
 
 
-def present(window):
-    return sum(idx is not None for row in window.member_indices for idx in row)
+def present(row, n):
+    return int((row < n).sum())
 
 
-class TestContextWindow:
+class TestGridWindows:
     def test_degenerate_window(self):
-        spots = grid_records(2, 2)
-        win = context_window(spots, 3, 1)
-        assert win.member_indices == [[3]]
-        assert present(win) == 1
+        table = grid_windows(grid_records(2, 2), 1)
+        assert table.dtype == np.intp
+        assert table.tolist() == [[0], [1], [2], [3]]
 
     def test_corner_of_3x3(self):
-        spots = grid_records(3, 3)
-        win = context_window(spots, 0, 3)
-        assert present(win) == 4
-        assert win.member_indices[1][1] == 0
-        assert win.member_indices[1][2] == 1
-        assert win.member_indices[2][1] == 3
-        assert win.member_indices[2][2] == 4
-        assert win.member_indices[0] == [None, None, None]
+        table = grid_windows(grid_records(3, 3), 3)
+        assert table.shape == (9, 9)
+        assert table[0].reshape(3, 3).tolist() == [[9, 9, 9], [9, 0, 1], [9, 3, 4]]
+        assert present(table[0], 9) == 4
 
     def test_interior_of_5x5(self):
-        spots = grid_records(5, 5)
         center = 12
-        win = context_window(spots, center, 3)
-        assert present(win) == 9
-        assert win.member_indices[1][1] == center
+        row = grid_windows(grid_records(5, 5), 3)[center]
+        assert present(row, 25) == 9
+        assert row[4] == center
 
-    def test_even_d_rejected(self):
+    @pytest.mark.parametrize("d", [2, 0, -1])
+    def test_even_or_nonpositive_d_rejected(self, d):
         with pytest.raises(ValueError):
-            context_window(grid_records(2, 2), 0, 2)
+            grid_windows(grid_records(2, 2), d)
+
+    def test_duplicate_positions_rejected(self):
+        spots = [SpotRecord("a", 1, 2, 0.0, 0.0), SpotRecord("b", 1, 2, 0.0, 0.0)]
+        with pytest.raises(ValueError, match="duplicate"):
+            grid_windows(spots, 1)
 
     def test_mask_count_exhaustive(self):
         for rows in range(1, 7):
@@ -303,15 +305,15 @@ class TestContextWindow:
                 spots = grid_records(rows, cols)
                 for d in (1, 3, 5):
                     half = d // 2
+                    table = grid_windows(spots, d)
                     for idx, spot in enumerate(spots):
-                        win = context_window(spots, idx, d)
                         in_grid = sum(
                             1
                             for dr in range(-half, half + 1)
                             for dc in range(-half, half + 1)
                             if 0 <= spot.array_row + dr < rows and 0 <= spot.array_col + dc < cols
                         )
-                        assert present(win) == in_grid
+                        assert present(table[idx], len(spots)) == in_grid
 
     @settings(max_examples=60, deadline=None)
     @given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=30)
@@ -319,19 +321,16 @@ class TestContextWindow:
            st.sampled_from([1, 3, 5, 7]), st.data())
     def test_membership_on_irregular_grids(self, cells, d, data):
         spots = [SpotRecord(f"s{i}", r, c, 0.0, 0.0) for i, (r, c) in enumerate(cells)]
-        center = data.draw(st.integers(0, len(spots) - 1), label="center")
-        win = context_window(spots, center, d)
-        assert context_window(spots, center, d, grid_index(spots)) == win
+        n = len(spots)
+        center = data.draw(st.integers(0, n - 1), label="center")
+        table = grid_windows(spots, d)
+        assert table.shape == (n, d * d)
         row, col, half = spots[center].array_row, spots[center].array_col, d // 2
-        assert win.center == center and len(win.member_indices) == d
-        for r, cells_in_row in enumerate(win.member_indices):
-            assert len(cells_in_row) == d
-            for c, idx in enumerate(cells_in_row):
-                at = (row + r - half, col + c - half)
-                expected = cells.index(at) if at in cells else None
-                assert idx == expected
+        for k, idx in enumerate(table[center]):
+            at = (row + k // d - half, col + k % d - half)
+            assert idx == (cells.index(at) if at in cells else n)
         in_reach = sum(1 for r, c in cells if abs(r - row) <= half and abs(c - col) <= half)
-        assert present(win) == in_reach
+        assert present(table[center], n) == in_reach
 
 
 class TestSynthDataset:
@@ -431,3 +430,46 @@ class TestManifestRoundTrip:
             np.testing.assert_array_equal(loaded_ctx.image_tokens, ctx_bundle.image_tokens)
             np.testing.assert_array_equal(loaded_ctx.nuclei_tokens, ctx_bundle.nuclei_tokens)
             np.testing.assert_array_equal(loaded_ctx.edge_tokens, edge)
+
+
+class TestManifestFaults:
+    @pytest.mark.parametrize("key", ["spots", "expression", "slide_id", "features"])
+    def test_missing_key_names_it(self, tmp_path, key):
+        ds, _ = synth_dataset(2, 2, 4, 0.05, seed=41)
+        manifest = save_dataset(ds, tmp_path / "slide")
+        doc = json.loads(manifest.read_text())
+        del doc[key]
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=repr(key)):
+            load_dataset(manifest)
+
+    def test_non_object_manifest(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("[1]")
+        with pytest.raises(FormatError, match="entry in the manifest"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("name", ["spots.tsv", "expression.tsv",
+                                      "features/s1x0.nuc.spot.bgft"])
+    def test_missing_named_file_names_it(self, tmp_path, name):
+        ds, _ = synth_dataset(2, 2, 4, 0.05, seed=41)
+        manifest = save_dataset(ds, tmp_path / "slide")
+        (tmp_path / "slide" / name).unlink()
+        with pytest.raises(FormatError, match=Path(name).name):
+            load_dataset(manifest)
+
+
+def test_windows_are_built_once_per_size(monkeypatch):
+    ds, _ = synth_dataset(3, 4, 4, 0.05, seed=43)
+    calls = []
+    real = data.grid_windows
+
+    def counting(spots, d):
+        calls.append(d)
+        return real(spots, d)
+
+    monkeypatch.setattr(data, "grid_windows", counting)
+    first = ds.windows(3)
+    np.testing.assert_array_equal(first, real(ds.spots, 3))
+    assert ds.windows(3) is first and ds.windows(1) is ds.windows(1)
+    assert calls == [3, 1]

@@ -36,8 +36,8 @@ from conftest import checksum
 from bgtriplex import autodiff as ad
 from bgtriplex import model
 from bgtriplex.autodiff import Tensor, grad_check
-from bgtriplex.data import (ExpressionMatrix, SpotDataset, SpotRecord, context_window,
-                            load_dataset, save_dataset, synth_dataset)
+from bgtriplex.data import (ExpressionMatrix, SpotDataset, SpotRecord, load_dataset,
+                            save_dataset, synth_dataset)
 from bgtriplex.features import FeatureBundle, encode_bgft
 from bgtriplex.model import (CHUNK_SPOTS, MCA_WEIGHTS, BranchOutput, ModelConfig, ModelParams,
                              branch_inputs, forward_batch, forward_slide, fuse, global_branch,
@@ -341,8 +341,11 @@ def head(params, name, pooled):
 
 
 def window_members(ds, center, d):
-    return [i for row in context_window(ds.spots, center, d).member_indices
-            for i in row if i is not None]
+    """The spots of the d x d grid window centred on spot ``center``, row-major."""
+    at = {(s.array_row, s.array_col): i for i, s in enumerate(ds.spots)}
+    row, col, half = ds.spots[center].array_row, ds.spots[center].array_col, d // 2
+    return [at[(r, c)] for r in range(row - half, row + half + 1)
+            for c in range(col - half, col + half + 1) if (r, c) in at]
 
 
 def branch(streams, params, config, name, mca=mca):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bgtriplex import training
+from bgtriplex import data, training
 from bgtriplex.autodiff import Tensor
 from bgtriplex.data import synth_dataset
 from bgtriplex.model import ModelConfig, ModelParams, forward_batch
@@ -148,6 +148,22 @@ class TestDistillDetach:
         cfg = TrainConfig(epochs=1, k_genes=4, d_context=3, batch_size=4, distill_detach=detach)
         train(slides[:1], ModelParams(SMALL_MODEL, k_genes=4, seed=1), cfg)
         assert seen and set(seen) == {detach}
+
+
+def test_training_builds_each_grid_window_table_once(monkeypatch):
+    # the spot, global and context branches read windows of size 1, 3 and
+    # d_context; every step of both epochs reads the slide's stored tables
+    ds, _ = synth_dataset(4, 4, 6, 0.05, seed=17)
+    calls, real = [], data.grid_windows
+
+    def counting(spots, d):
+        calls.append(d)
+        return real(spots, d)
+
+    monkeypatch.setattr(data, "grid_windows", counting)
+    cfg = TrainConfig(epochs=2, k_genes=4, d_context=5, batch_size=4)
+    train([ds], ModelParams(SMALL_MODEL, k_genes=4, seed=1), cfg)
+    assert sorted(calls) == [1, 3, 5]
 
 
 class TestCrossValidate:

@@ -1,30 +1,31 @@
 """BGCK model checkpoints.
 
-Layout: magic ``BGCK``, u32 version (1), u32 length-prefixed JSON
+Layout: magic ``BGCK``, u32 version (``VERSION``), u32 length-prefixed JSON
 metadata blob, then one complete BGFT record per entry of
 ``ModelParams.records()``: every tensor of ``named()``, with each guiding
 block's packed projections stored as per-head column blocks. The
 metadata carries the model configuration, the context window size and
 the selected gene names, so a checkpoint is self-describing for
-evaluation.
+evaluation. Version 2 fuses with only the branches a config keeps, where
+version 1 let the global token stream stand in for a dropped branch, so
+a version 1 file is rejected rather than loaded with the other wiring.
 """
 
 from __future__ import annotations
 
 import json
-import numbers
 import struct
 
 from .errors import FormatError
 from .features import decode_bgft, encode_bgft
-from .model import ModelConfig, ModelParams
+from .model import ModelConfig, ModelParams, is_integer
 
 _MAGIC = b"BGCK"
+VERSION = 2
 
 
 def _check_window(d_context):
-    if (not isinstance(d_context, numbers.Integral) or isinstance(d_context, bool)
-            or d_context < 1 or d_context % 2 == 0):
+    if not is_integer(d_context) or d_context < 1 or d_context % 2 == 0:
         raise ValueError(f"d_context must be a positive odd integer, got {d_context!r}")
     return int(d_context)
 
@@ -38,7 +39,7 @@ def save_checkpoint(path, params, d_context, genes):
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<II", 1, len(blob)))
+        fh.write(struct.pack("<II", VERSION, len(blob)))
         fh.write(blob)
         for _, values in params.records():
             fh.write(encode_bgft(values))
@@ -53,7 +54,7 @@ def load_checkpoint(path):
     if len(blob) < 12:
         raise FormatError(f"truncated header at byte {len(blob)}")
     version, meta_len = struct.unpack_from("<II", blob, 4)
-    if version != 1:
+    if version != VERSION:
         raise FormatError(f"unsupported version {version} at byte 4")
     meta_end = 12 + meta_len
     if len(blob) < meta_end:

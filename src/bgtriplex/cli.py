@@ -72,13 +72,27 @@ def _config_options(fn):
         click.option("--distill-detach/--no-distill-detach", default=None),
         click.option("--d-model", type=int, default=None),
         click.option("--n-heads", type=int, default=None),
-        click.option("--drop-spot", is_flag=True, default=None),
-        click.option("--drop-ctx", is_flag=True, default=None),
-        click.option("--drop-global", is_flag=True, default=None),
-        click.option("--no-edge-spot", is_flag=True, default=None),
-        click.option("--no-nuclei-spot", is_flag=True, default=None),
-        click.option("--no-edge-ctx", is_flag=True, default=None),
-        click.option("--no-nuclei-ctx", is_flag=True, default=None),
+        click.option("--drop-spot", is_flag=True, default=None,
+                     help="Drop the spot branch; it has no part in fusion. Cannot be combined "
+                          "with --drop-ctx."),
+        click.option("--drop-ctx", is_flag=True, default=None,
+                     help="Drop the context branch; it has no part in fusion. Cannot be "
+                          "combined with --drop-spot."),
+        click.option("--drop-global", is_flag=True, default=None,
+                     help="Drop the global branch; the pooled spot-branch token (context-branch "
+                          "with --drop-spot) is the fusion query."),
+        click.option("--no-edge-spot", is_flag=True, default=None,
+                     help="In the spot branch, image tokens guide themselves in place "
+                          "of edge tokens."),
+        click.option("--no-nuclei-spot", is_flag=True, default=None,
+                     help="In the spot branch, image tokens guide themselves in place "
+                          "of nuclei tokens."),
+        click.option("--no-edge-ctx", is_flag=True, default=None,
+                     help="In the context branch, image tokens guide themselves in place "
+                          "of edge tokens."),
+        click.option("--no-nuclei-ctx", is_flag=True, default=None,
+                     help="In the context branch, image tokens guide themselves in place "
+                          "of nuclei tokens."),
         click.option("--provider", type=click.Choice(CHOICES["provider"]), default=None),
     ]
     for opt in reversed(decorators):

@@ -23,7 +23,9 @@ draws, the checkpoint records and the optimizer's walk.
 from __future__ import annotations
 
 import copy
+import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -41,11 +43,33 @@ MCA_WEIGHTS = ("w_q", "w_k_a", "w_v_a", "w_k_b", "w_v_b")
 CHUNK_SPOTS = 8
 
 
+def is_integer(value):
+    """True for an integral number that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# What each field annotation of a config dataclass admits; bools are not numbers.
+_KINDS = {"int": is_integer,
+          "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+          "bool": lambda v: isinstance(v, bool),
+          "dict[str, int]": lambda v: isinstance(v, dict) and all(map(is_integer, v.values()))}
+
+
+def check_field_types(config):
+    """Raise TypeError unless every field of the dataclass ``config`` holds
+    what its annotation admits in ``_KINDS``; ``| None`` also admits None."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        if not (_KINDS[kind](value) or optional and value is None):
+            raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
     d_model: int = 64
     n_heads: int = 4
-    stream_dims: dict = field(default_factory=lambda: dict(TOY_STREAM_DIMS))
+    stream_dims: dict[str, int] = field(default_factory=lambda: dict(TOY_STREAM_DIMS))
     drop_spot: bool = False
     drop_ctx: bool = False
     drop_global: bool = False
@@ -56,13 +80,14 @@ class ModelConfig:
     eps: float = 1e-5
 
     def __post_init__(self):
+        check_field_types(self)
         if self.d_model < 1 or self.n_heads < 1:
             raise ValueError(f"d_model and n_heads must be positive, got {self.d_model} "
                              f"and {self.n_heads}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"n_heads {self.n_heads} must divide d_model {self.d_model}")
-        if self.drop_spot and self.drop_ctx and self.drop_global:
-            raise ValueError("cannot drop all three branches")
+        if self.drop_spot and self.drop_ctx:
+            raise ValueError("cannot drop both drop_spot and drop_ctx: fusion would have no guide")
 
     @property
     def d_head(self):
@@ -169,19 +194,19 @@ class ModelParams:
 
 
 def guided_attention(q, guides, block, config, attn_sink=None):
-    """Multi-head cross-attention from projected queries to two guides.
+    """Multi-head cross-attention from projected queries to one or two guides.
 
-    ``guides`` holds (keys, values, groups) for guide a, then guide b: block
-    g of ``groups`` equal row blocks of ``q`` attends only to block g of the
-    guide's. Each head attends to both guides with the same queries; the
-    two head-concatenated streams are summed and layer-normalized by the
-    ``gamma`` and ``beta`` of ``block``, a ``ModelParams.block`` dict.
-    ``attn_sink``, when given, receives guide a's weights (one (T, S)
-    matrix per block and head), then guide b's.
+    ``guides`` holds (keys, values, groups) for each guide present, guide a
+    before guide b: block g of ``groups`` equal row blocks of ``q`` attends
+    only to block g of the guide's. Each head attends to every guide with
+    the same queries; the head-concatenated streams are summed and
+    layer-normalized by the ``gamma`` and ``beta`` of ``block``, a
+    ``ModelParams.block`` dict. ``attn_sink``, when given, receives each
+    guide's weights in turn (one (T, S) matrix per block and head).
     """
-    phi_a, phi_b = (ad.attention(q, k, v, config.n_heads, groups, attn_sink)
-                    for k, v, groups in guides)
-    return ad.layer_norm(ad.add(phi_a, phi_b), block["gamma"], block["beta"], config.eps)
+    phis = [ad.attention(q, k, v, config.n_heads, groups, attn_sink) for k, v, groups in guides]
+    return ad.layer_norm(functools.reduce(ad.add, phis), block["gamma"], block["beta"],
+                         config.eps)
 
 
 def _ranges(starts, counts):
@@ -293,33 +318,20 @@ def global_branch(dataset, params, spots):
                       (cells, kernel), backward)
 
 
-def _stream_guides(stream, params, dropped):
-    """Keys and values of the whole global token ``stream`` for each fusion
-    guide, spot then context, that ``dropped`` flags; None for the others."""
-    block = params.block("mca_fuse")
-    return [(ad.matmul(stream, block[f"w_k_{guide}"]), ad.matmul(stream, block[f"w_v_{guide}"]))
-            if drop else None for drop, guide in zip(dropped, "ab")]
-
-
-def fuse(spot_out, ctx_out, global_out, rows, params, config, attn_sink=None,
-         stream_kv=(None, None)):
+def fuse(spot_out, ctx_out, global_out, rows, params, config, attn_sink=None):
     """Fused tokens (G, d) of G spots whose branch outputs share one shape.
 
     Spot g's query is row ``rows[g]`` of ``global_out.tokens``, and it
-    attends to block g of the spot-branch and context-branch tokens. A
-    dropped branch (None) is replaced by the whole global token stream,
-    which every query row attends to, mirroring the guidance ablations.
-    Its keys and values come from ``stream_kv``, made by ``_stream_guides``
-    once per forward pass for all of its chunks.
+    attends to block g of the spot-branch tokens (guide a) and of the
+    context-branch tokens (guide b). A dropped branch (None) has no part in
+    fusion: the query attends to the guide that remains.
     """
-    block, stream = params.block("mca_fuse"), global_out.tokens
-    guides = []
-    for out, kv, guide in ((spot_out, stream_kv[0], "a"), (ctx_out, stream_kv[1], "b")):
-        guides.append((*kv, 1) if out is None else
-                      (ad.matmul(out.tokens, block[f"w_k_{guide}"]),
-                       ad.matmul(out.tokens, block[f"w_v_{guide}"]), len(rows)))
-    return guided_attention(ad.matmul(ad.take_rows(stream, rows), block["w_q"]), guides, block,
-                            config, attn_sink)
+    block = params.block("mca_fuse")
+    guides = [(ad.matmul(out.tokens, block[f"w_k_{guide}"]),
+               ad.matmul(out.tokens, block[f"w_v_{guide}"]), len(rows))
+              for out, guide in ((spot_out, "a"), (ctx_out, "b")) if out is not None]
+    return guided_attention(ad.matmul(ad.take_rows(global_out.tokens, rows), block["w_q"]),
+                            guides, block, config, attn_sink)
 
 
 def forward_batch(dataset, params, config, d_context, spot_indices=None):
@@ -331,20 +343,17 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None):
     by those sequence lengths; each group runs in chunks of at most
     ``CHUNK_SPOTS`` spots, whose branches and fusion run as single ops over
     stacked rows, each spot attending and pooling over exactly its own
-    rows. A spot's fusion query is its global token (``global_branch``); it
-    is computed for the requested spots, or for every spot when a dropped guide branch is replaced by the whole global
-    stream, whose fusion keys and values are projected once per call. With
-    ``drop_global`` the global stream is the stack of pooled spot-branch
-    (or, failing that, context-branch) tokens; when it also replaces a
-    dropped guide, that branch runs on every spot, and only chunks holding
-    a requested spot are fused.
+    rows. A spot's fusion query is its global token (``global_branch``),
+    and it attends to its own spot and context tokens, for the branches
+    that are not dropped. With ``drop_global`` the global token is the
+    pooled spot-branch (or, with ``drop_spot``, context-branch) token. A
+    pass therefore reads only the windows of the requested spots.
     """
     n = dataset.n_spots
     indices = list(range(n)) if spot_indices is None else list(spot_indices)
     if not indices or not all(0 <= s < n for s in indices):
         raise ValueError(f"spot indices must be a non-empty list in [0, {n})")
-    wide = config.drop_global and (config.drop_spot or config.drop_ctx)
-    scope = list(range(n)) if wide else list(dict.fromkeys(indices))
+    scope = list(dict.fromkeys(indices))
     branches = {}
     for name, d in (("spot", 1), ("ctx", d_context)):
         if not getattr(config, f"drop_{name}"):
@@ -358,28 +367,23 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None):
         groups.setdefault(shape, []).append(s)
     chunks = [group[i:i + CHUNK_SPOTS] for group in groups.values()
               for i in range(0, len(group), CHUNK_SPOTS)]
+    fused_spots = [s for chunk in chunks for s in chunk]
     outs = ({name: guided_branch(inputs, chunk, config) for name, inputs in branches.items()}
             for chunk in chunks)
 
     if config.drop_global:
         outs = list(outs)
         source = "ctx" if config.drop_spot else "spot"
-        global_spots = [s for chunk in chunks for s in chunk]
+        global_spots = fused_spots
         global_out = BranchOutput(ad.concat_rows([out[source].pooled for out in outs]), None)
     else:
-        global_spots = list(range(n)) if config.drop_spot or config.drop_ctx else scope
-        global_out = BranchOutput(global_branch(dataset, params, global_spots), None)
+        global_spots = scope
+        global_out = BranchOutput(global_branch(dataset, params, scope), None)
     row_of = {s: r for r, s in enumerate(global_spots)}
-    stream_kv = _stream_guides(global_out.tokens, params, (config.drop_spot, config.drop_ctx))
-    requested, fused_spots = set(indices), []
     stacked = {"fused": [], **{name: [] for name in branches}}
     for chunk, out in zip(chunks, outs):
-        if requested.isdisjoint(chunk):
-            continue
-        fused_spots.extend(chunk)
         stacked["fused"].append(fuse(out.get("spot"), out.get("ctx"), global_out,
-                                     [row_of[s] for s in chunk], params, config,
-                                     stream_kv=stream_kv))
+                                     [row_of[s] for s in chunk], params, config))
         for name, branch_out in out.items():
             stacked[name].append(branch_out.pooled)
 

@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .data import log1p_normalize, select_top_k_genes
 from .errors import NumericsError
 from .metrics import evaluate_predictions
-from .model import forward_batch, forward_slide
+from .model import check_field_types, forward_batch, forward_slide
 from .seeding import substream
 
 ADAM_BETA1 = 0.9
@@ -40,6 +40,7 @@ class TrainConfig:
     grad_clip: float | None = None
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 <= self.lambda_ <= 1.0:
             raise ValueError(f"lambda must lie in [0, 1], got {self.lambda_}")
         for name in ("lr", "step_size", "decay", "batch_size", "d_context", "k_genes"):

@@ -28,10 +28,10 @@ def bgft_record(values):
 
 
 def bgck_bytes(model_doc, d_context, genes, records):
-    """A whole checkpoint: magic, u32 version 1, u32-length JSON metadata, records."""
+    """A whole checkpoint: magic, u32 version 2, u32-length JSON metadata, records."""
     meta = json.dumps({"model": model_doc, "d_context": d_context, "genes": genes},
                       sort_keys=True).encode("utf-8")
-    return (b"BGCK" + struct.pack("<II", 1, len(meta)) + meta
+    return (b"BGCK" + struct.pack("<II", 2, len(meta)) + meta
             + b"".join(bgft_record(values) for _, values in records))
 
 
@@ -64,7 +64,7 @@ configs = st.builds(
     st.integers(1, 3), st.integers(1, 3),
     st.fixed_dictionaries({stream: st.integers(1, 4) for stream in ("img", "edge", "nuc")}),
     st.fixed_dictionaries({flag: st.booleans() for flag in FLAGS}).filter(
-        lambda f: not (f["drop_spot"] and f["drop_ctx"] and f["drop_global"])),
+        lambda f: not (f["drop_spot"] and f["drop_ctx"])),
     st.floats(1e-12, 1e-2))
 
 
@@ -104,7 +104,9 @@ def test_legacy_metadata_loads(tmp_path):
 
 
 @pytest.mark.parametrize("extra", [{"guide_mode": "concat"}, {"guide_mode": "sum"},
-                                   {"tokens_per_step": 4}])
+                                   {"tokens_per_step": 4}, {"drop_spot": True, "drop_ctx": True},
+                                   {"drop_spot": "no"}, {"eps": "1e-5"}, {"n_heads": 2.0},
+                                   {"stream_dims": {"img": 3.0, "edge": 2, "nuc": 2}}])
 def test_unsupported_metadata_rejected(tmp_path, extra):
     path = tmp_path / "bad.bgck"
     path.write_bytes(bgck_bytes(dict(TINY.to_dict(), **extra), 3, GENES, TINY_RECORDS))
@@ -167,7 +169,8 @@ def test_truncation_inside_every_field(tmp_path):
 
 @pytest.mark.parametrize("damage, message", [
     (lambda b: b"BGCX" + b[4:], "bad magic"),
-    (lambda b: b[:4] + struct.pack("<I", 2) + b[8:], "unsupported version"),
+    (lambda b: b[:4] + struct.pack("<I", 1) + b[8:], "unsupported version 1"),
+    (lambda b: b[:4] + struct.pack("<I", 3) + b[8:], "unsupported version 3"),
     (lambda b: b + b"\x00", "trailing data"),
 ])
 def test_damaged_header_or_tail_rejected(tmp_path, damage, message):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -42,7 +43,8 @@ def write_config(path, doc):
 @pytest.mark.parametrize("flags", [["--grad-clip", "0"], ["--grad-clip", "-1"],
                                    ["--d-context", "4"], ["--guide-mode", "mca"],
                                    ["--n-heads", "0"], ["--d-model", "0"], ["--n-heads", "-2"],
-                                   ["--d-model", "-8", "--n-heads", "2"]])
+                                   ["--d-model", "-8", "--n-heads", "2"],
+                                   ["--drop-spot", "--drop-ctx"]])
 def test_bad_flags_exit_2_before_output(manifest, tmp_path, flags):
     out = tmp_path / "run"
     result = train(manifest, out, *flags)
@@ -55,7 +57,12 @@ BAD_CONFIGS = [{"train": {"grad_clipp": 1.0}}, {"model": {"d_modell": 8}},
                {"model": {"guide_mode": "sum"}},
                {"model": {"stream_dims": {"img": 4, "edge": 6, "nuc": 8}}},
                {"trian": {"epochs": 1}}, [1], {"train": 3}, {"model": []},
-               {"pcch_selector": "best"}, {"provider": "files"}, {"train": {"lr": "fast"}}]
+               {"pcch_selector": "best"}, {"provider": "files"}, {"train": {"lr": "fast"}},
+               {"train": {"d_context": 3.0}}, {"train": {"batch_size": 2.5}},
+               {"train": {"k_genes": True}}, {"train": {"distill_detach": 1}},
+               {"model": {"eps": "1e-5"}},
+               {"model": {"drop_spot": "no"}}, {"model": {"drop_spot": True, "drop_ctx": True}},
+               {"model": {"stream_dims": {"img": 10.0, "edge": 6, "nuc": 8}}}]
 
 
 @pytest.mark.parametrize("doc", BAD_CONFIGS)
@@ -122,6 +129,34 @@ def test_predict_rerun_is_byte_identical(manifest, checkpoint, tmp_path):
                                          "--manifest", str(manifest), "-o", "{out}/pred.tsv"],
                               ["pred.tsv"])
     assert first == second
+
+
+@pytest.mark.parametrize("flags", [["--drop-spot"], ["--drop-global", "--drop-ctx"]])
+def test_ablations_train_and_predict_byte_identically(manifest, tmp_path, flags):
+    trained = tmp_path / "trained"
+    result = train(manifest, trained, "--k-genes", "4", "--d-context", "3", *flags)
+    assert result.exit_code == 0, result.output
+    model = json.loads((trained / "run.json").read_text())["model"]
+    assert all(model[flag[2:].replace("-", "_")] is True for flag in flags)
+    first, second = run_twice(tmp_path, ["predict", "--checkpoint",
+                                         str(trained / "checkpoint.bgck"), "--manifest",
+                                         str(manifest), "-o", "{out}/pred.tsv"], ["pred.tsv"])
+    assert first == second
+
+
+def test_predict_on_a_version_1_checkpoint_exits_4_before_output(manifest, checkpoint,
+                                                                  tmp_path):
+    # version 1 let the global stream stand in for a dropped branch
+    blob = checkpoint.read_bytes()
+    old = tmp_path / "v1.bgck"
+    old.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+    out = tmp_path / "pred.tsv"
+    result = CliRunner().invoke(main, ["predict", "--checkpoint", str(old), "--manifest",
+                                       str(manifest), "-o", str(out)])
+    assert result.exit_code == 4, result.output
+    assert result.stdout == ""
+    assert "unsupported version 1" in result.output
+    assert not out.exists()
 
 
 def test_predict_writes_values_as_numpy_prints_them(manifest, checkpoint, tmp_path,

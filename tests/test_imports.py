@@ -1,4 +1,4 @@
-"""Every name a ``bgtriplex`` module imports is read in that module.
+"""Every name a ``bgtriplex`` module or a test file imports is read there.
 
 A stdlib stand-in for a linter's unused-import rule (F401): an import
 statement marked ``# noqa: F401`` is exempt, and a name listed in the
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bgtriplex"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "bgtriplex"
 
 
 def dotted(node):
@@ -56,7 +57,8 @@ def unused_imports(source):
     return [(line, name) for line, name in imported if name not in read]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

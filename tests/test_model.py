@@ -323,11 +323,13 @@ def grid_positions(ds):
 
 
 def mca(guide_a, query, guide_b, block, config, attn_sink=None):
-    """``model.guided_attention`` for one query sequence and two guide
-    sequences, each projected here and attended as a single block."""
+    """``model.guided_attention`` for one query sequence and the guide
+    sequences present (None for an absent one), each projected here and
+    attended as a single block."""
     guides = [(ad.matmul(guide, w_k), ad.matmul(guide, w_v), 1)
               for guide, w_k, w_v in ((guide_a, block["w_k_a"], block["w_v_a"]),
-                                      (guide_b, block["w_k_b"], block["w_v_b"]))]
+                                      (guide_b, block["w_k_b"], block["w_v_b"]))
+              if guide is not None]
     return guided_attention(ad.matmul(query, block["w_q"]), guides, block, config, attn_sink)
 
 
@@ -364,10 +366,12 @@ def branch(streams, params, config, name, mca=mca):
 def full_slide_forward(ds, params, config, d_context, spot_indices, mca=mca):
     """``model.slide_forward`` computed spot by spot over the whole slide:
     every bundle projected in both scopes, each spot's branches run on
-    their own, one window at a time, the global tokens pooled from
-    projected image tokens and position-encoded by ``apeg_ref``, and the
-    fusion block run on all n global query rows before the target row is
-    kept."""
+    their own, one window at a time, and the global tokens pooled from
+    projected image tokens and position-encoded by ``apeg_ref`` (with
+    ``drop_global``, the pooled spot-branch tokens, or context-branch ones
+    with ``drop_spot``). Each requested spot's global row is the fusion
+    query, and it attends to its own spot and context tokens only, for the
+    branches present."""
     proj_spot = [project(b, params, "spot") for b in ds.features]
     proj_ctx = [project(b, params, "ctx") for b in ds.features_ctx]
     spot_outs = [branch(p, params, config, "spot", mca) for p in proj_spot]
@@ -385,17 +389,17 @@ def full_slide_forward(ds, params, config, d_context, spot_indices, mca=mca):
         stream = apeg_ref(pooled, grid_positions(ds), params["apeg.kernel"])
     results = []
     for s in spot_indices:
-        guide_a = stream if config.drop_spot else spot_outs[s][0]
-        guide_b = stream if config.drop_ctx else ctx_outs[s][0]
-        fused = mca(guide_a, stream, guide_b, params.block("mca_fuse"), config)
+        query = ad.take_rows(stream, [s])
+        fused = mca(None if config.drop_spot else spot_outs[s][0], query,
+                    None if config.drop_ctx else ctx_outs[s][0], params.block("mca_fuse"), config)
         preds = {}
         if not config.drop_spot:
             preds["spot"] = spot_outs[s][2]
         if not config.drop_ctx:
             preds["ctx"] = ctx_outs[s][2]
         if not config.drop_global:
-            preds["global"] = head(params, "global", ad.take_rows(stream, [s]))
-        preds["fused"] = head(params, "fused", ad.take_rows(fused, [s]))
+            preds["global"] = head(params, "global", query)
+        preds["fused"] = head(params, "fused", fused)
         results.append((s, preds))
     return results
 
@@ -768,13 +772,17 @@ class TestFuse:
         pred = forward_slide(ds, params, cfg, d_context=3)["fused"]
         np.testing.assert_allclose(pred, np.full((ds.n_spots, 1), 4.25), atol=1e-15)
 
-    def test_sink_holds_one_query_row_per_head_and_stream(self, small_setup):
+    @pytest.mark.parametrize("spot,ctx", [(True, True), (False, True), (True, False)])
+    def test_sink_holds_one_query_row_per_head_and_stream(self, small_setup, spot, ctx):
+        # a dropped branch (None) is no guide, so it leaves no weights
         _, cfg, params, _, _ = small_setup
         rng = np.random.default_rng(42)
         mk = lambda rows: BranchOutput(Tensor(rng.normal(size=(rows, 16))), None)
         sink = []
-        fuse(mk(4), mk(6), mk(9), [4, 7], params, cfg, attn_sink=sink)
-        assert [a.shape for a in sink] == [(1, 2)] * 2 * cfg.n_heads + [(1, 3)] * 2 * cfg.n_heads
+        fuse(mk(4) if spot else None, mk(6) if ctx else None, mk(9), [4, 7], params, cfg,
+             attn_sink=sink)
+        assert [a.shape for a in sink] == ([(1, 2)] * 2 * cfg.n_heads * spot
+                                           + [(1, 3)] * 2 * cfg.n_heads * ctx)
 
     def test_target_index_out_of_range(self, small_setup):
         _, cfg, params, _, _ = small_setup
@@ -933,31 +941,44 @@ class TestSlideForwardCost:
             assert sum(counts) == expected[scope]
         assert windows < 2 * ds.n_spots
 
-    @pytest.mark.parametrize("flags,heads", [({}, 4), ({"drop_spot": True}, 3),
-                                             ({"drop_ctx": True}, 3)])
+    @pytest.mark.parametrize("flags", [{}, {"drop_spot": True}, {"drop_ctx": True},
+                                       {"drop_global": True},
+                                       {"drop_global": True, "drop_spot": True},
+                                       {"drop_global": True, "drop_ctx": True}])
     @pytest.mark.parametrize("size", [5, 7])
-    def test_dropped_guide_projects_the_global_stream_once(self, monkeypatch, flags, heads,
-                                                            size):
-        # every fused chunk attends to the whole global stream in place of a
-        # dropped guide; its keys and values are projected once per pass.
-        # Odd spot counts keep chunk row counts (4 tokens a member) off n.
+    def test_batch_pass_reads_only_the_batch_windows(self, monkeypatch, flags, size):
+        # a dropped branch has no part in fusion, so no product spans the
+        # slide and the branches that remain run on the requested spots only.
+        # Odd spot counts keep row counts (4 tokens a member, 9 cells) off n.
         ds, _ = synth_dataset(size, size, 6, 0.05, seed=23)
         cfg = ModelConfig(d_model=16, n_heads=2, **flags)
         params = ModelParams(cfg, k_genes=3, seed=3)
-        n_row, cell_rows, real_matmul = [], [], ad.matmul
+        rows, targets = [], []
+        real_matmul, real_branch = ad.matmul, model.guided_branch
 
         def counting_matmul(a, b):
             out = real_matmul(a, b)
-            n_row.append(out.shape[0] == ds.n_spots)
-            cell_rows.append(out.shape[0] == 9 * ds.n_spots)
+            rows.append(out.shape[0])
             return out
 
+        def recording_branch(inputs, chunk, *args, **kwargs):
+            targets.extend(chunk)
+            return real_branch(inputs, chunk, *args, **kwargs)
+
         monkeypatch.setattr(ad, "matmul", counting_matmul)
+        monkeypatch.setattr(model, "guided_branch", recording_branch)
+        batch = [size * r + c for r, c in ((0, 0), (1, 1), (2, 2), (1, 1), (0, 2), (4, 4))]
+        preds = forward_batch(ds, params, cfg, 3, spot_indices=batch)
+        assert rows and ds.n_spots not in rows
+        branches = 2 - cfg.drop_spot - cfg.drop_ctx
+        assert {s: targets.count(s) for s in targets} == dict.fromkeys(batch, branches)
+        assert all(p.shape[0] == len(batch) for p in preds.values())
+        # whole-slide inference: n rows only at each head's input, and the
+        # global branch projects the 3x3 cells of every spot once
+        rows.clear()
         forward_slide(ds, params, cfg, 3)
-        # each head's input, and keys and values for a dropped guide; the
-        # global tokens project the 3x3 cells of every spot once
-        assert sum(n_row) == heads + 2 * len(flags)
-        assert sum(cell_rows) == 1
+        assert rows.count(ds.n_spots) == len(preds)
+        assert rows.count(9 * ds.n_spots) == (not cfg.drop_global)
 
     def test_step_global_projection_reads_only_the_batch_cells(self, monkeypatch):
         # a training step projects 9 cells per distinct batch spot, however
@@ -1184,34 +1205,6 @@ class TestGroupedForward:
         assert set(out) == set(ref)
         for name, pred in out.items():
             assert_matches(pred, ref[name].data, name)
-
-    @pytest.mark.parametrize("flags", [{"drop_global": True, "drop_spot": True},
-                                       {"drop_global": True, "drop_ctx": True}])
-    @pytest.mark.parametrize("batch", [[12], [0, 24], [6, 7, 0]])
-    def test_wide_ablation_fuses_only_chunks_holding_a_requested_spot(self, monkeypatch,
-                                                                       flags, batch):
-        # the remaining branch runs on every spot to build the global stream
-        ds, _ = synth_dataset(5, 5, 6, 0.05, seed=29)
-        cfg = ModelConfig(d_model=16, n_heads=4, **flags)
-        params = ModelParams(cfg, k_genes=4, seed=6)
-        chunks, fused = [], []
-        real_branch, real_fuse = model.guided_branch, model.fuse
-
-        def recording_branch(inputs, targets, *args, **kwargs):
-            chunks.append(tuple(targets))
-            return real_branch(inputs, targets, *args, **kwargs)
-
-        def recording_fuse(*args, **kwargs):
-            fused.append(1)
-            return real_fuse(*args, **kwargs)
-
-        monkeypatch.setattr(model, "guided_branch", recording_branch)
-        monkeypatch.setattr(model, "fuse", recording_fuse)
-        preds = forward_batch(ds, params, cfg, 3, spot_indices=batch)
-        assert sorted(s for chunk in chunks for s in chunk) == list(range(ds.n_spots))
-        assert len(fused) == sum(1 for chunk in chunks if set(chunk) & set(batch))
-        assert len(fused) < len(chunks)
-        assert all(p.shape[0] == len(batch) for p in preds.values())
 
     def test_varied_slide_has_several_shapes(self, grouping_slides):
         ds, d_context, batch = grouping_slides["varied"]

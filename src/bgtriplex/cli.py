@@ -296,7 +296,8 @@ def cmd_eval(checkpoint, manifest, provider, pcch_selector, report_path):
 def cmd_cv(manifests, out_dir, pcch_selector, config_path, provider, **overrides):
     """Leave-one-slide-out cross-validation over the given manifests.
 
-    ``BGT_THREADS`` (default 1) folds run at once.
+    ``BGT_THREADS`` (default 1) folds run at once, each in its own forked
+    process.
     """
     threads = os.environ.get("BGT_THREADS", "1")
     if not threads.isdecimal() or int(threads) < 1:

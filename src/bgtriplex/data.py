@@ -79,10 +79,9 @@ class SpotDataset:
         return len(self.spots)
 
     def windows(self, d):
-        """``grid_windows(spots, d)``, built once per size; of concurrent
-        first builds, the one stored first is the one every caller reads."""
+        """``grid_windows(spots, d)``, built once per size."""
         if d not in self._windows:
-            self._windows.setdefault(d, grid_windows(self.spots, d))
+            self._windows[d] = grid_windows(self.spots, d)
         return self._windows[d]
 
     @cached_property

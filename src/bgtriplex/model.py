@@ -88,6 +88,9 @@ class ModelConfig:
             raise ValueError(f"n_heads {self.n_heads} must divide d_model {self.d_model}")
         if self.drop_spot and self.drop_ctx:
             raise ValueError("cannot drop both drop_spot and drop_ctx: fusion would have no guide")
+        if set(self.stream_dims) != set(STREAMS) or min(self.stream_dims.values()) < 1:
+            raise ValueError(f"stream_dims must give a width of at least 1 to each of "
+                             f"{', '.join(STREAMS)}, got {self.stream_dims}")
 
     @property
     def d_head(self):
@@ -394,6 +397,14 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None):
         preds["global"] = ad.take_rows(global_out.tokens, [row_of[s] for s in indices])
     return {name: ad.add(ad.matmul(x, params[f"head.{name}.w"]), params[f"head.{name}.b"])
             for name, x in preds.items()}
+
+
+def build_tables(dataset, d_context):
+    """Build every lazy table of ``dataset`` that ``forward_batch`` reads,
+    so that processes forked afterwards share them."""
+    dataset.token_stacks, dataset.pooled_image_tokens
+    for d in (1, 3, d_context):
+        dataset.windows(d)
 
 
 def slide_forward(dataset, params, config, d_context, spot_indices=None):

@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .data import log1p_normalize, select_top_k_genes
 from .errors import NumericsError
 from .metrics import evaluate_predictions
-from .model import check_field_types, forward_batch, forward_slide
+from .model import ModelParams, build_tables, check_field_types, forward_batch, forward_slide
 from .seeding import substream
 
 ADAM_BETA1 = 0.9
@@ -258,39 +258,79 @@ def write_loss_log(path, log):
 
 
 def cross_validate(datasets, cfg, model_config, pcch_selector="predictive", make_params=None,
-                   progress=None, workers=1):
+                   workers=1):
     """Leave-one-slide-out cross-validation.
 
     Fold i trains fresh parameters on every slide but slide i and
-    evaluates on slide i. Folds share nothing, so ``workers`` may run
-    them concurrently without changing any output. Returns (per-fold
-    reports, aggregate mean/sd over folds).
+    evaluates on slide i. Returns (per-fold reports in fold order,
+    aggregate mean/sd over folds).
+
+    Up to ``workers`` folds run at once, each in a process forked from
+    this one, since training is Python code that threads could not run in
+    parallel. The slides' tables are built here before the fork, so the
+    workers share one copy. Only fold indices go out and only reports come
+    back, so every output equals that of ``workers=1``. If a fold raises,
+    the folds not yet started are cancelled and the exception of the
+    first failing fold is raised here. With one worker, or where the
+    platform cannot fork, the folds run in turn in this process.
     """
-    # imported here, not at module level, so commands other than cv do not
-    # load it (about 0.5 MB of resident memory)
-    from concurrent.futures import ThreadPoolExecutor
-
-    from .model import ModelParams
-
     if len(datasets) < 2:
         raise ValueError("leave-one-slide-out needs at least 2 slides")
     targets, indices, names = gene_targets(datasets, cfg.k_genes)
     if make_params is None:
         make_params = lambda: ModelParams(model_config, k_genes=len(indices), seed=cfg.seed)
+    for ds in datasets:
+        build_tables(ds, cfg.d_context)
 
     def run_fold(held):
         train_ids = [i for i in range(len(datasets)) if i != held]
         params = make_params()
         train([datasets[i] for i in train_ids], params, cfg,
-              targets=[targets[i] for i in train_ids], progress=progress)
+              targets=[targets[i] for i in train_ids])
         pred = forward_slide(datasets[held], params, model_config, cfg.d_context)["fused"]
         return evaluate_predictions(pred, targets[held], names, selector=pcch_selector)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        fold_reports = list(pool.map(run_fold, range(len(datasets))))
+    fold_reports = _map_in_workers(run_fold, range(len(datasets)), workers)
     aggregate = {}
     for metric in ("mse", "pcc_m", "pcc_h"):
         values = np.array([getattr(r, metric) for r in fold_reports], dtype=np.float64)
         sd = float(values.std(ddof=1)) if len(values) > 1 else 0.0
         aggregate[metric] = (float(values.mean()), sd)
     return fold_reports, aggregate
+
+
+# The function a forked worker applies to each item; set only in workers.
+_worker_fn = None
+
+
+def _install_worker_fn(fn):
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker_fn(item):
+    return _worker_fn(item)
+
+
+def _map_in_workers(fn, items, workers):
+    """[fn(item) for item in items], computed in up to ``workers`` processes
+    forked from this one. ``fn`` reaches them through the fork and is never
+    pickled; items and results are. Every worker has exited on return. With
+    one worker, or where the platform cannot fork, it runs here in turn."""
+    # imported here, not at module level, so that commands other than cv do
+    # not load them (about 2 MB of resident memory)
+    import multiprocessing
+
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(min(workers, len(items)),
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_install_worker_fn, initargs=(fn,)) as pool:
+        futures = [pool.submit(_call_worker_fn, item) for item in items]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise

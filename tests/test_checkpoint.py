@@ -106,7 +106,10 @@ def test_legacy_metadata_loads(tmp_path):
 @pytest.mark.parametrize("extra", [{"guide_mode": "concat"}, {"guide_mode": "sum"},
                                    {"tokens_per_step": 4}, {"drop_spot": True, "drop_ctx": True},
                                    {"drop_spot": "no"}, {"eps": "1e-5"}, {"n_heads": 2.0},
-                                   {"stream_dims": {"img": 3.0, "edge": 2, "nuc": 2}}])
+                                   {"stream_dims": {"img": 3.0, "edge": 2, "nuc": 2}},
+                                   {"stream_dims": {"img": 3, "edge": 2}},
+                                   {"stream_dims": {"img": -10, "edge": 2, "nuc": 2}},
+                                   {"stream_dims": {"img": 3, "edge": 2, "nuc": 2, "x": 4}}])
 def test_unsupported_metadata_rejected(tmp_path, extra):
     path = tmp_path / "bad.bgck"
     path.write_bytes(bgck_bytes(dict(TINY.to_dict(), **extra), 3, GENES, TINY_RECORDS))

@@ -62,7 +62,8 @@ BAD_CONFIGS = [{"train": {"grad_clipp": 1.0}}, {"model": {"d_modell": 8}},
                {"train": {"k_genes": True}}, {"train": {"distill_detach": 1}},
                {"model": {"eps": "1e-5"}},
                {"model": {"drop_spot": "no"}}, {"model": {"drop_spot": True, "drop_ctx": True}},
-               {"model": {"stream_dims": {"img": 10.0, "edge": 6, "nuc": 8}}}]
+               {"model": {"stream_dims": {"img": 10.0, "edge": 6, "nuc": 8}}},
+               {"model": {"stream_dims": {"img": 10, "edge": 6}}}]
 
 
 @pytest.mark.parametrize("doc", BAD_CONFIGS)
@@ -206,6 +207,27 @@ def test_missing_output_directory_exits_2_before_loading(manifest, checkpoint, t
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("stream_dims", [{"img": 10, "edge": 6},
+                                         {"img": -10, "edge": 6, "nuc": 8},
+                                         {"img": 10, "edge": 6, "nuc": 8, "x": 4}])
+def test_predict_on_bad_checkpoint_stream_dims_exits_4_before_output(manifest, checkpoint,
+                                                                      tmp_path, stream_dims):
+    blob = checkpoint.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", blob, 8)
+    meta = json.loads(blob[12:12 + meta_len])
+    meta["model"]["stream_dims"] = stream_dims
+    doc = json.dumps(meta).encode("utf-8")
+    bad = tmp_path / "bad.bgck"
+    bad.write_bytes(blob[:8] + struct.pack("<I", len(doc)) + doc + blob[12 + meta_len:])
+    out = tmp_path / "pred.tsv"
+    result = CliRunner().invoke(main, ["predict", "--checkpoint", str(bad), "--manifest",
+                                       str(manifest), "-o", str(out)])
+    assert result.exit_code == 4, result.output
+    assert result.stdout == ""
+    assert "invalid metadata" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["abc", "0", "-1", "1.5", ""])
 def test_bad_thread_count_exits_2_before_output(manifest, tmp_path, threads):
     out = tmp_path / "cv"
@@ -268,6 +290,21 @@ def test_cv_rerun_with_two_threads_is_byte_identical(manifest, tmp_path):
                                          "--d-context", "3"],
                               files, env={"BGT_THREADS": "2"})
     assert first == second
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_cv_with_a_diverging_fold_exits_3(manifest, tmp_path):
+    other = synth(tmp_path / "other", "--slide-id", "other")
+    out = tmp_path / "cv"
+    result = CliRunner().invoke(main, ["cv", "--manifest", str(manifest), "--manifest",
+                                       str(other), "-o", str(out), "--epochs", "1",
+                                       "--d-model", "8", "--n-heads", "2", "--k-genes", "4",
+                                       "--d-context", "3", "--batch-size", "4",
+                                       "--lr", "1e100"],
+                                env={"BGT_THREADS": "2"})
+    assert result.exit_code == 3, result.output
+    assert "error: non-finite loss" in result.stderr
+    assert not (out / "aggregate.json").exists()
 
 
 @pytest.mark.parametrize("d_context", ["1", "3", "5"])

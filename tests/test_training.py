@@ -1,6 +1,8 @@
 """Composite loss, Adam, the learning-rate schedule and cross-validation."""
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from bgtriplex import data, training
 from bgtriplex.autodiff import Tensor
 from bgtriplex.data import synth_dataset
+from bgtriplex.errors import NumericsError
 from bgtriplex.model import ModelConfig, ModelParams, forward_batch
 from bgtriplex.training import (AdamState, TrainConfig, adam_step, cross_validate,
                                 gene_targets, loss_fused, loss_total, lr_at, train)
@@ -167,9 +170,51 @@ def test_training_builds_each_grid_window_table_once(monkeypatch):
 
 
 class TestCrossValidate:
-    def test_two_workers_give_identical_reports(self, slides):
-        cfg = TrainConfig(epochs=1, k_genes=4, d_context=3, batch_size=4)
-        runs = [cross_validate(slides, cfg, SMALL_MODEL, workers=w) for w in (1, 2)]
-        (reports_1, aggregate_1), (reports_2, aggregate_2) = runs
-        assert aggregate_1 == aggregate_2
-        assert [r.to_json_dict() for r in reports_1] == [r.to_json_dict() for r in reports_2]
+    CFG = TrainConfig(epochs=1, k_genes=4, d_context=3, batch_size=4)
+
+    def test_one_two_and_three_workers_give_identical_reports(self, slides):
+        runs = [cross_validate(slides, self.CFG, SMALL_MODEL, workers=w) for w in (1, 2, 3)]
+        (reports_1, aggregate_1), *others = runs
+        for reports, aggregate in others:
+            assert aggregate == aggregate_1
+            assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in reports_1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_a_diverging_fold_raises_and_leaves_no_worker(self, slides):
+        cfg = TrainConfig(epochs=1, k_genes=4, d_context=3, batch_size=4, lr=1e100)
+        with pytest.raises(NumericsError, match="non-finite loss"):
+            cross_validate(slides, cfg, SMALL_MODEL, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_starts_no_process(self, slides, monkeypatch):
+        monkeypatch.setattr(os, "fork", forbidden_fork)
+        cross_validate(slides, self.CFG, SMALL_MODEL, workers=1)
+
+    def test_without_fork_the_folds_run_in_this_process(self, slides, monkeypatch):
+        expected = cross_validate(slides, self.CFG, SMALL_MODEL, workers=2)
+        methods = [m for m in multiprocessing.get_all_start_methods() if m != "fork"]
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        monkeypatch.setattr(os, "fork", forbidden_fork)
+        reports, aggregate = cross_validate(slides, self.CFG, SMALL_MODEL, workers=2)
+        assert aggregate == expected[1]
+        assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in expected[0]]
+
+    def test_slide_tables_are_built_before_the_fork(self, monkeypatch):
+        # a table a worker built would not show in this process
+        slides = [synth_dataset(3, 3, 6, 0.05, seed=13, slide_id=f"s{i}")[0] for i in range(3)]
+        calls, real = [], data.grid_windows
+
+        def counting(spots, d):
+            calls.append(d)
+            return real(spots, d)
+
+        monkeypatch.setattr(data, "grid_windows", counting)
+        cfg = TrainConfig(epochs=1, k_genes=4, d_context=5, batch_size=4)
+        cross_validate(slides, cfg, SMALL_MODEL, workers=2)
+        assert sorted(calls) == [1, 1, 1, 3, 3, 3, 5, 5, 5]
+        for ds in slides:
+            assert {"token_stacks", "pooled_image_tokens"} <= vars(ds).keys()
+
+
+def forbidden_fork():
+    raise AssertionError("a process was forked")

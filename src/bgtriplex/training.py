@@ -270,9 +270,13 @@ def cross_validate(datasets, cfg, model_config, pcch_selector="predictive", make
     parallel. The slides' tables are built here before the fork, so the
     workers share one copy. Only fold indices go out and only reports come
     back, so every output equals that of ``workers=1``. If a fold raises,
-    the folds not yet started are cancelled and the exception of the
-    first failing fold is raised here. With one worker, or where the
-    platform cannot fork, the folds run in turn in this process.
+    the folds not yet handed to a worker are cancelled and the exception
+    of the first failing fold is raised here; the pool hands out up to
+    ``workers + 1`` folds at once, and those still run to their end first.
+    With one worker, or where the platform cannot fork, the folds run in
+    turn in this process. So they do where a fold function has been
+    wrapped in this process, by a tracer or a test double: the wrapper's
+    records from a forked fold would stay in the worker.
     """
     if len(datasets) < 2:
         raise ValueError("leave-one-slide-out needs at least 2 slides")
@@ -281,6 +285,8 @@ def cross_validate(datasets, cfg, model_config, pcch_selector="predictive", make
         make_params = lambda: ModelParams(model_config, k_genes=len(indices), seed=cfg.seed)
     for ds in datasets:
         build_tables(ds, cfg.d_context)
+    if any(hasattr(fn, "__wrapped__") for fn in (train, forward_slide, evaluate_predictions)):
+        workers = 1
 
     def run_fold(held):
         train_ids = [i for i in range(len(datasets)) if i != held]
@@ -316,7 +322,10 @@ def _map_in_workers(fn, items, workers):
     """[fn(item) for item in items], computed in up to ``workers`` processes
     forked from this one. ``fn`` reaches them through the fork and is never
     pickled; items and results are. Every worker has exited on return. With
-    one worker, or where the platform cannot fork, it runs here in turn."""
+    one worker, or where the platform cannot fork, it runs here in turn.
+    A fork-context ``ProcessPoolExecutor`` must fork all its workers before
+    it starts its manager thread (CPython gh-90622); Python 3.11 does, and
+    older releases were not checked, hence ``requires-python``."""
     # imported here, not at module level, so that commands other than cv do
     # not load them (about 2 MB of resident memory)
     import multiprocessing

@@ -1,5 +1,6 @@
 """Composite loss, Adam, the learning-rate schedule and cross-validation."""
 
+import functools
 import math
 import multiprocessing
 import os
@@ -196,6 +197,24 @@ class TestCrossValidate:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
         monkeypatch.setattr(os, "fork", forbidden_fork)
         reports, aggregate = cross_validate(slides, self.CFG, SMALL_MODEL, workers=2)
+        assert aggregate == expected[1]
+        assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in expected[0]]
+
+    def test_a_wrapped_fold_function_keeps_the_folds_in_this_process(self, slides,
+                                                                      monkeypatch):
+        # a tracer's wrapper must see every fold's call, so nothing forks
+        expected = cross_validate(slides, self.CFG, SMALL_MODEL, workers=2)
+        calls, real = [], training.train
+
+        @functools.wraps(real)
+        def recording(*args, **kwargs):
+            calls.append(os.getpid())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train", recording)
+        monkeypatch.setattr(os, "fork", forbidden_fork)
+        reports, aggregate = cross_validate(slides, self.CFG, SMALL_MODEL, workers=2)
+        assert calls == [os.getpid()] * len(slides)
         assert aggregate == expected[1]
         assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in expected[0]]
 

@@ -4,6 +4,10 @@ predict and export prediction maps.
 Exit codes: 0 ok, 2 usage error, 3 numeric failure, 4 artifact/format
 mismatch. Every command is a pure function of its flags, input files and
 seed; reruns produce byte-identical outputs.
+
+``BGT_THREADS`` is read by ``train``, ``eval``, ``cv``, ``predict`` and
+``export-map``; a value that is not a positive integer exits 2 before any
+output.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .data import load_dataset, log1p_normalize, save_dataset, synth_dataset
 from .errors import FormatError, NumericsError, ParseError, ShapeError
 from .metrics import evaluate_predictions, export_prediction_map, write_report
 from .model import ModelConfig, ModelParams, forward_slide
+from .parallel import default_workers
 from .seeding import derive_seed
 from .training import (TrainConfig, cross_validate, gene_targets, train,
                        write_loss_log)
@@ -54,7 +59,15 @@ def guarded(fn):
 @click.group()
 @click.version_option(package_name="bgtriplex")
 def main():
-    """Boundary-guided three-branch gene expression prediction."""
+    """Boundary-guided three-branch gene expression prediction.
+
+    BGT_THREADS sets how many processes split the whole-slide passes of
+    eval, predict, export-map and train's closing PCC(M), and the folds of
+    cv. By default it is the number of CPUs this process may run on over
+    the threads each process's BLAS starts: one per CPU unless
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS sets fewer.
+    Outputs are the same for every value.
+    """
 
 
 def _config_options(fn):
@@ -168,6 +181,16 @@ def _stream_widths(bundle):
     return {name: tokens.shape[1] for name, tokens in bundle.streams()}
 
 
+def _workers():
+    """The process count ``BGT_THREADS`` sets, by default ``default_workers()``."""
+    threads = os.environ.get("BGT_THREADS")
+    if threads is None:
+        return default_workers()
+    if not threads.isdecimal() or int(threads) < 1:
+        raise click.UsageError(f"BGT_THREADS must be a positive integer, got {threads!r}")
+    return int(threads)
+
+
 def _parent_exists(ctx, param, value):
     """Reject an output path whose directory does not exist, before any work."""
     if value is not None and not Path(value).parent.is_dir():
@@ -211,12 +234,12 @@ def synth(rows, cols, genes, noise_sd, seed, slide_id, grid_tokens, out_dir, for
     click.echo(f"wrote {manifest}")
 
 
-def _train_summary(checkpoint_path, datasets, pcch_selector):
+def _train_summary(checkpoint_path, datasets, pcch_selector, workers):
     params, d_context, genes = load_checkpoint(checkpoint_path)
     pcc_values = []
     for ds in datasets:
         target = _targets_for_genes(ds, genes)
-        pred = forward_slide(ds, params, params.config, d_context)["fused"]
+        pred = forward_slide(ds, params, params.config, d_context, workers)["fused"]
         pcc_values.append(evaluate_predictions(pred, target, genes,
                                                selector=pcch_selector).pcc_m)
     return float(np.mean(pcc_values))
@@ -239,7 +262,12 @@ def _targets_for_genes(dataset, genes):
 @_config_options
 @guarded
 def cmd_train(manifests, out_dir, config_path, provider, **overrides):
-    """Train on one or more slides; writes checkpoint.bgck and loss.csv."""
+    """Train on one or more slides; writes checkpoint.bgck and loss.csv.
+
+    Training runs in this process; the closing train PCC(M) pass runs in
+    BGT_THREADS processes (see bgt --help).
+    """
+    workers = _workers()
     train_cfg, model_cfg, doc = _build_config(config_path, overrides)
     provider = provider or doc["provider"]
     datasets = _load_slides(manifests, provider, model_cfg, doc)
@@ -254,7 +282,8 @@ def cmd_train(manifests, out_dir, config_path, provider, **overrides):
                     f"epoch {s.epoch} lr {s.lr:.6g} loss_total {s.loss_total:.6f}"))
     write_loss_log(out / "loss.csv", log)
     save_checkpoint(out / "checkpoint.bgck", params, train_cfg.d_context, names)
-    train_pcc_m = _train_summary(out / "checkpoint.bgck", datasets, doc["pcch_selector"])
+    train_pcc_m = _train_summary(out / "checkpoint.bgck", datasets, doc["pcch_selector"],
+                                 workers)
     final_loss = log[-1].loss_total if log else float("nan")
     with open(out / "run.json", "w", encoding="utf-8") as fh:
         json.dump({"final_loss_total": final_loss, "train_pcc_m": train_pcc_m,
@@ -275,10 +304,15 @@ def cmd_train(manifests, out_dir, config_path, provider, **overrides):
 @click.option("-o", "--report", "report_path", type=click.Path(), callback=_parent_exists)
 @guarded
 def cmd_eval(checkpoint, manifest, provider, pcch_selector, report_path):
-    """Evaluate a checkpoint on a slide; prints MSE, PCC(M) and PCC(H)."""
+    """Evaluate a checkpoint on a slide; prints MSE, PCC(M) and PCC(H).
+
+    The slide's spots are split among BGT_THREADS processes (see bgt
+    --help).
+    """
+    workers = _workers()
     params, d_context, genes, ds = _load_for_checkpoint(checkpoint, manifest, provider)
     target = _targets_for_genes(ds, genes)
-    pred = forward_slide(ds, params, params.config, d_context)["fused"]
+    pred = forward_slide(ds, params, params.config, d_context, workers)["fused"]
     report = evaluate_predictions(pred, target, genes, selector=pcch_selector)
     if report_path is not None:
         write_report(report_path, report)
@@ -296,12 +330,10 @@ def cmd_eval(checkpoint, manifest, provider, pcch_selector, report_path):
 def cmd_cv(manifests, out_dir, pcch_selector, config_path, provider, **overrides):
     """Leave-one-slide-out cross-validation over the given manifests.
 
-    ``BGT_THREADS`` (default 1) folds run at once, each in its own forked
-    process.
+    The folds are split among BGT_THREADS forked processes (see bgt
+    --help).
     """
-    threads = os.environ.get("BGT_THREADS", "1")
-    if not threads.isdecimal() or int(threads) < 1:
-        raise click.UsageError(f"BGT_THREADS must be a positive integer, got {threads!r}")
+    workers = _workers()
     if len(manifests) < 2:
         raise click.UsageError("leave-one-slide-out needs at least 2 --manifest slides")
     train_cfg, model_cfg, doc = _build_config(config_path, overrides)
@@ -312,7 +344,7 @@ def cmd_cv(manifests, out_dir, pcch_selector, config_path, provider, **overrides
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports, aggregate = cross_validate(datasets, train_cfg, model_cfg,
-                                        pcch_selector=selector, workers=int(threads))
+                                        pcch_selector=selector, workers=workers)
     for i, report in enumerate(reports):
         write_report(out / f"fold{i}.json", report)
     with open(out / "aggregate.json", "w", encoding="utf-8") as fh:
@@ -332,9 +364,14 @@ def cmd_cv(manifests, out_dir, pcch_selector, config_path, provider, **overrides
 @click.option("-o", "--out", "out_path", type=click.Path(), required=True, callback=_parent_exists)
 @guarded
 def cmd_predict(checkpoint, manifest, provider, out_path):
-    """Write fused per-spot, per-gene predictions as TSV."""
+    """Write fused per-spot, per-gene predictions as TSV.
+
+    The slide's spots are split among BGT_THREADS processes (see bgt
+    --help).
+    """
+    workers = _workers()
     params, d_context, genes, ds = _load_for_checkpoint(checkpoint, manifest, provider)
-    pred = forward_slide(ds, params, params.config, d_context)["fused"]
+    pred = forward_slide(ds, params, params.config, d_context, workers)["fused"]
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("spot_id\t" + "\t".join(genes) + "\n")
         for spot, row_values in zip(ds.spots, pred.tolist()):
@@ -351,13 +388,18 @@ def cmd_predict(checkpoint, manifest, provider, out_path):
 @click.option("-o", "--out-prefix", type=click.Path(), required=True, callback=_parent_exists)
 @guarded
 def cmd_export_map(checkpoint, manifest, provider, gene, out_prefix):
-    """Export one gene's prediction map as CSV and grayscale PGM."""
+    """Export one gene's prediction map as CSV and grayscale PGM.
+
+    The slide's spots are split among BGT_THREADS processes (see bgt
+    --help).
+    """
+    workers = _workers()
     params, d_context, genes, ds = _load_for_checkpoint(checkpoint, manifest, provider)
     if gene not in genes:
         similar = difflib.get_close_matches(gene, genes, n=3)
         hint = f"; closest: {', '.join(similar)}" if similar else ""
         raise click.UsageError(f"unknown gene {gene!r}{hint}")
-    pred = forward_slide(ds, params, params.config, d_context)["fused"]
+    pred = forward_slide(ds, params, params.config, d_context, workers)["fused"]
     column = pred[:, genes.index(gene)]
     csv_path = Path(f"{out_prefix}.csv")
     pgm_path = Path(f"{out_prefix}.pgm")

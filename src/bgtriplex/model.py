@@ -13,7 +13,8 @@ does not grow with the slide, and runs each branch as single ops over
 spots whose sequences have the same shape; the spot and context branches
 project raw tokens through projections folded into their q/k/v weights.
 Inference (``forward_slide``) runs on detached weights and builds no graph,
-so it projects a token that overlapping context windows share only once.
+so it projects a token that overlapping context windows share only once
+and can split its chunks among forked processes.
 
 Every learned weight lives in one ordered ``name -> Tensor`` table
 (``ModelParams``); its order is defined once and fixes the initialization
@@ -33,6 +34,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .features import STREAMS, TOY_STREAM_DIMS
+from .parallel import fork_map
 from .seeding import substream
 
 MCA_BLOCKS = ("mca_spot", "mca_ctx", "mca_fuse")
@@ -259,20 +261,22 @@ def branch_inputs(dataset, params, config, scope, members):
     block = params.block(f"mca_{scope}")
     no_edge, no_nuclei = ((config.no_edge_spot, config.no_nuclei_spot) if scope == "spot"
                           else (config.no_edge_ctx, config.no_nuclei_ctx))
-    members = {t: np.asarray(spots) for t, spots in members.items()}
+    spots = [np.asarray(s) for s in members.values()]
+    member_spots = np.concatenate(spots)
+    last_member = np.cumsum([len(s) for s in spots]) - 1
     reads = []
     for stream, names in (("img", ("w_q",)),
                           ("img" if no_edge else "edge", ("w_k_a", "w_v_a")),
                           ("img" if no_nuclei else "nuc", ("w_k_b", "w_v_b"))):
         stack, offsets = dataset.token_stacks[(stream, scope)]
-        rows = {t: _ranges(offsets[spots], offsets[spots + 1] - offsets[spots])
-                for t, spots in members.items()}
+        counts = offsets[member_spots + 1] - offsets[member_spots]
+        read = _ranges(offsets[member_spots], counts)
         folded = [ad.matmul(params[f"proj.{stream}.{scope}"], block[name]) for name in names]
-        read = np.concatenate(list(rows.values()))
         used = np.unique(read)
         if used.size < read.size and not folded[0].requires_grad:
-            rows = {t: np.searchsorted(used, r) for t, r in rows.items()}
+            read = np.searchsorted(used, read)
             stack, folded = [stack[used] @ w.data for w in folded], None
+        rows = dict(zip(members, np.split(read, np.cumsum(counts)[last_member[:-1]])))
         reads.append((stack, rows, folded))
     return BranchInputs(block, tuple(reads))
 
@@ -337,7 +341,7 @@ def fuse(spot_out, ctx_out, global_out, rows, params, config, attn_sink=None):
                             guides, block, config, attn_sink)
 
 
-def forward_batch(dataset, params, config, d_context, spot_indices=None):
+def forward_batch(dataset, params, config, d_context, spot_indices=None, workers=1):
     """Differentiable forward pass; returns {branch: (B, k_genes) predictions},
     row b for ``spot_indices[b]`` (every spot when None).
 
@@ -348,9 +352,17 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None):
     stacked rows, each spot attending and pooling over exactly its own
     rows. A spot's fusion query is its global token (``global_branch``),
     and it attends to its own spot and context tokens, for the branches
-    that are not dropped. With ``drop_global`` the global token is the
+    that are not dropped. With ``drop_global`` the query is the spot's
     pooled spot-branch (or, with ``drop_spot``, context-branch) token. A
     pass therefore reads only the windows of the requested spots.
+
+    A pass that builds no graph splits its chunks between this process and
+    up to ``workers - 1`` forked ones (``parallel.fork_map``), which inherit
+    the projected stacks and global tokens and send back only each chunk's
+    fused and pooled rows; the heads run here on the rows stacked in chunk
+    order, so outputs do not depend on ``workers``. A pass that builds a
+    graph, or whose ``guided_branch`` or ``fuse`` has been wrapped here (by
+    a tracer or a test double), runs every chunk in this process.
     """
     n = dataset.n_spots
     indices = list(range(n)) if spot_indices is None else list(spot_indices)
@@ -370,30 +382,33 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None):
         groups.setdefault(shape, []).append(s)
     chunks = [group[i:i + CHUNK_SPOTS] for group in groups.values()
               for i in range(0, len(group), CHUNK_SPOTS)]
-    fused_spots = [s for chunk in chunks for s in chunk]
-    outs = ({name: guided_branch(inputs, chunk, config) for name, inputs in branches.items()}
-            for chunk in chunks)
+    global_out = (None if config.drop_global
+                  else BranchOutput(global_branch(dataset, params, scope), None))
+    row_of = {s: r for r, s in enumerate(scope)}
 
-    if config.drop_global:
-        outs = list(outs)
-        source = "ctx" if config.drop_spot else "spot"
-        global_spots = fused_spots
-        global_out = BranchOutput(ad.concat_rows([out[source].pooled for out in outs]), None)
+    def run_chunk(chunk):
+        """The chunk's fused rows, then the pooled rows of each branch."""
+        outs = {name: guided_branch(inputs, chunk, config) for name, inputs in branches.items()}
+        if global_out is None:
+            query = BranchOutput(outs["ctx" if config.drop_spot else "spot"].pooled, None)
+            rows = range(len(chunk))
+        else:
+            query, rows = global_out, [row_of[s] for s in chunk]
+        return [fuse(outs.get("spot"), outs.get("ctx"), query, rows, params, config),
+                *(out.pooled for out in outs.values())]
+
+    if (any(tensor.requires_grad for _, tensor in params.named())
+            or any(hasattr(fn, "__wrapped__") for fn in (guided_branch, fuse))):
+        parts = [run_chunk(chunk) for chunk in chunks]
     else:
-        global_spots = scope
-        global_out = BranchOutput(global_branch(dataset, params, scope), None)
-    row_of = {s: r for r, s in enumerate(global_spots)}
-    stacked = {"fused": [], **{name: [] for name in branches}}
-    for chunk, out in zip(chunks, outs):
-        stacked["fused"].append(fuse(out.get("spot"), out.get("ctx"), global_out,
-                                     [row_of[s] for s in chunk], params, config))
-        for name, branch_out in out.items():
-            stacked[name].append(branch_out.pooled)
+        parts = fork_map(lambda chunk: [t.data for t in run_chunk(chunk)], chunks, workers,
+                         caller_share=True)
 
-    rank = {s: r for r, s in enumerate(fused_spots)}
+    rank = {s: r for r, s in enumerate(s for chunk in chunks for s in chunk)}
     order = [rank[s] for s in indices]
-    preds = {name: ad.take_rows(ad.concat_rows(parts), order) for name, parts in stacked.items()}
-    if not config.drop_global:
+    preds = {name: ad.take_rows(ad.concat_rows(stacked), order)
+             for name, stacked in zip(("fused", *branches), zip(*parts))}
+    if global_out is not None:
         preds["global"] = ad.take_rows(global_out.tokens, [row_of[s] for s in indices])
     return {name: ad.add(ad.matmul(x, params[f"head.{name}.w"]), params[f"head.{name}.b"])
             for name, x in preds.items()}
@@ -416,11 +431,13 @@ def slide_forward(dataset, params, config, d_context, spot_indices=None):
             for b, s in enumerate(indices)]
 
 
-def forward_slide(dataset, params, config, d_context):
+def forward_slide(dataset, params, config, d_context, workers=1):
     """Whole-slide forward pass returning numpy prediction matrices.
 
     It runs on ``params.detached()``, so it builds no graph and leaves
-    every gradient buffer untouched.
+    every gradient buffer untouched. Its chunks are split between this
+    process and up to ``workers - 1`` forked ones (see ``forward_batch``);
+    the outputs are the same for every ``workers``.
     """
     return {name: p.data for name, p in
-            forward_batch(dataset, params.detached(), config, d_context).items()}
+            forward_batch(dataset, params.detached(), config, d_context, workers=workers).items()}

@@ -18,6 +18,7 @@ from .data import log1p_normalize, select_top_k_genes
 from .errors import NumericsError
 from .metrics import evaluate_predictions
 from .model import ModelParams, build_tables, check_field_types, forward_batch, forward_slide
+from .parallel import fork_map
 from .seeding import substream
 
 ADAM_BETA1 = 0.9
@@ -265,14 +266,14 @@ def cross_validate(datasets, cfg, model_config, pcch_selector="predictive", make
     evaluates on slide i. Returns (per-fold reports in fold order,
     aggregate mean/sd over folds).
 
-    Up to ``workers`` folds run at once, each in a process forked from
-    this one, since training is Python code that threads could not run in
-    parallel. The slides' tables are built here before the fork, so the
-    workers share one copy. Only fold indices go out and only reports come
-    back, so every output equals that of ``workers=1``. If a fold raises,
-    the folds not yet handed to a worker are cancelled and the exception
-    of the first failing fold is raised here; the pool hands out up to
-    ``workers + 1`` folds at once, and those still run to their end first.
+    The folds are split into round-robin shares among ``min(workers,
+    folds)`` processes forked from this one (``parallel.fork_map``), since
+    training is Python code that threads could not run in parallel; this
+    process computes none, so no fold's graph is built here. The slides'
+    tables are built here before the fork, so the workers share one copy.
+    Only reports come back, so every output equals that of ``workers=1``.
+    A worker stops at its first failing fold, and the exception of the
+    lowest-index failing fold is raised here once every worker has exited.
     With one worker, or where the platform cannot fork, the folds run in
     turn in this process. So they do where a fold function has been
     wrapped in this process, by a tracer or a test double: the wrapper's
@@ -296,50 +297,10 @@ def cross_validate(datasets, cfg, model_config, pcch_selector="predictive", make
         pred = forward_slide(datasets[held], params, model_config, cfg.d_context)["fused"]
         return evaluate_predictions(pred, targets[held], names, selector=pcch_selector)
 
-    fold_reports = _map_in_workers(run_fold, range(len(datasets)), workers)
+    fold_reports = fork_map(run_fold, range(len(datasets)), workers, caller_share=False)
     aggregate = {}
     for metric in ("mse", "pcc_m", "pcc_h"):
         values = np.array([getattr(r, metric) for r in fold_reports], dtype=np.float64)
         sd = float(values.std(ddof=1)) if len(values) > 1 else 0.0
         aggregate[metric] = (float(values.mean()), sd)
     return fold_reports, aggregate
-
-
-# The function a forked worker applies to each item; set only in workers.
-_worker_fn = None
-
-
-def _install_worker_fn(fn):
-    global _worker_fn
-    _worker_fn = fn
-
-
-def _call_worker_fn(item):
-    return _worker_fn(item)
-
-
-def _map_in_workers(fn, items, workers):
-    """[fn(item) for item in items], computed in up to ``workers`` processes
-    forked from this one. ``fn`` reaches them through the fork and is never
-    pickled; items and results are. Every worker has exited on return. With
-    one worker, or where the platform cannot fork, it runs here in turn.
-    A fork-context ``ProcessPoolExecutor`` must fork all its workers before
-    it starts its manager thread (CPython gh-90622); Python 3.11 does, and
-    older releases were not checked, hence ``requires-python``."""
-    # imported here, not at module level, so that commands other than cv do
-    # not load them (about 2 MB of resident memory)
-    import multiprocessing
-
-    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(min(workers, len(items)),
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_install_worker_fn, initargs=(fn,)) as pool:
-        futures = [pool.submit(_call_worker_fn, item) for item in items]
-        try:
-            return [future.result() for future in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise

@@ -229,15 +229,32 @@ def test_predict_on_bad_checkpoint_stream_dims_exits_4_before_output(manifest, c
 
 
 @pytest.mark.parametrize("threads", ["abc", "0", "-1", "1.5", ""])
-def test_bad_thread_count_exits_2_before_output(manifest, tmp_path, threads):
-    out = tmp_path / "cv"
-    result = CliRunner().invoke(main, ["cv", "--manifest", str(manifest), "--manifest",
-                                       str(manifest), "-o", str(out), "--epochs", "1"],
-                                env={"BGT_THREADS": threads})
-    assert result.exit_code == 2, result.output
-    assert result.stdout == ""
-    assert "BGT_THREADS" in result.output
-    assert not out.exists()
+def test_bad_thread_count_exits_2_before_output(manifest, checkpoint, tmp_path, threads):
+    # every command that reads BGT_THREADS
+    model = ["--checkpoint", str(checkpoint), "--manifest", str(manifest)]
+    for args in (["train", "--manifest", str(manifest), "--epochs", "1"],
+                 ["eval", *model],
+                 ["cv", "--manifest", str(manifest), "--manifest", str(manifest), "--epochs", "1"],
+                 ["predict", *model],
+                 ["export-map", *model, "--gene", "g0"]):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [*args, "-o", str(out)], env={"BGT_THREADS": threads})
+        assert result.exit_code == 2, (args[0], result.output)
+        assert result.stdout == "", args[0]
+        assert "BGT_THREADS" in result.output, args[0]
+        assert list(tmp_path.iterdir()) == [], args[0]
+
+
+def test_predict_writes_the_same_bytes_in_one_and_two_processes(manifest, checkpoint, tmp_path):
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"pred{threads}.tsv"
+        result = CliRunner().invoke(main, ["predict", "--checkpoint", str(checkpoint),
+                                           "--manifest", str(manifest), "-o", str(out)],
+                                    env={"BGT_THREADS": threads})
+        assert result.exit_code == 0, result.output
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("doc", BAD_CONFIGS)

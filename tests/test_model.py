@@ -23,8 +23,10 @@ The variable only affects the test process. CI runs the Haswell and
 Sandybridge passes; SkylakeX needs AVX-512, which a runner may lack.
 """
 
+import functools
 import json
 import math
+import os
 import zlib
 from pathlib import Path
 from types import SimpleNamespace
@@ -873,6 +875,98 @@ class TestForwardSlide:
         ref = forward_ref(NUMPY, ds, params, 3)
         for name in ("fused", "spot", "ctx", "global"):
             assert_matches(out[name], ref[name], name)
+
+
+# Every config ModelConfig admits: no flag, each ablation, and drop_global
+# with each guide branch dropped.
+ALLOWED_FLAGS = [{}, {"drop_spot": True}, {"drop_ctx": True}, {"drop_global": True},
+                 {"drop_global": True, "drop_spot": True}, {"drop_global": True, "drop_ctx": True},
+                 {"no_edge_spot": True, "no_nuclei_spot": True},
+                 {"no_edge_ctx": True, "no_nuclei_ctx": True}]
+
+
+def forbidden_fork():
+    raise AssertionError("a process was forked")
+
+
+class TestForwardSlideWorkers:
+    @pytest.fixture(scope="class")
+    def slide(self):
+        # 5x4 spots: at D=1 one shape group of 20 spots, 3 chunks
+        return synth_dataset(5, 4, 6, 0.05, seed=31)[0]
+
+    @pytest.mark.parametrize("d_context", [1, 3, 5])
+    @pytest.mark.parametrize("flags", ALLOWED_FLAGS, ids=lambda f: "+".join(f) or "default")
+    def test_outputs_are_byte_identical_for_every_worker_count(self, slide, flags, d_context):
+        cfg = ModelConfig(d_model=16, n_heads=4, **flags)
+        params = ModelParams(cfg, k_genes=4, seed=8)
+        rng = np.random.default_rng(8)
+        for _, values in params.records():
+            values[...] = rng.normal(0.0, 0.5, values.shape)
+        outs = [forward_slide(slide, params, cfg, d_context, workers=w) for w in (1, 2, 3)]
+        for out in outs[1:]:
+            assert out.keys() == outs[0].keys()
+            for name, pred in out.items():
+                assert pred.tobytes() == outs[0][name].tobytes(), name
+
+    def test_one_chunk_or_one_worker_starts_no_process(self, slide, monkeypatch):
+        cfg = ModelConfig(d_model=16, n_heads=2)
+        params = ModelParams(cfg, k_genes=4, seed=8)
+        expected = forward_slide(slide, params, cfg, 3, workers=2)
+        monkeypatch.setattr(os, "fork", forbidden_fork)
+        out = forward_slide(slide, params, cfg, 3, workers=1)
+        for name, pred in out.items():
+            assert pred.tobytes() == expected[name].tobytes(), name
+        one_chunk, _ = synth_dataset(2, 2, 6, 0.05, seed=31)
+        forward_slide(one_chunk, params, cfg, 1, workers=4)
+
+    def test_a_share_that_raises_leaves_no_child(self, slide, monkeypatch):
+        cfg = ModelConfig(d_model=16, n_heads=2)
+        params = ModelParams(cfg, k_genes=4, seed=8)
+        real, caller, calls = model.fuse, os.getpid(), []
+
+        def failing_fuse(*args, **kwargs):  # no __wrapped__, so the chunks fork
+            # this process computes chunks 0 and 2, the child chunk 1
+            calls.append(1)
+            if os.getpid() != caller:
+                raise FloatingPointError("chunk 1, in the child")
+            if len(calls) == 2:
+                raise FloatingPointError("chunk 2, in this process")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, "fuse", failing_fuse)
+        with pytest.raises(FloatingPointError, match="chunk 1, in the child"):
+            forward_slide(slide, params, cfg, 1, workers=2)
+        assert len(calls) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("name", ["guided_branch", "fuse"])
+    def test_a_wrapped_stage_keeps_the_chunks_in_this_process(self, slide, monkeypatch, name):
+        # a tracer's wrapper must see every chunk's call, so nothing forks
+        cfg = ModelConfig(d_model=16, n_heads=2)
+        params = ModelParams(cfg, k_genes=4, seed=8)
+        expected = forward_slide(slide, params, cfg, 3, workers=2)
+        calls, real = [], getattr(model, name)
+
+        @functools.wraps(real)
+        def recording(*args, **kwargs):
+            calls.append(os.getpid())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, name, recording)
+        monkeypatch.setattr(os, "fork", forbidden_fork)
+        out = forward_slide(slide, params, cfg, 3, workers=2)
+        assert calls and set(calls) == {os.getpid()}
+        for key, pred in out.items():
+            assert pred.tobytes() == expected[key].tobytes(), key
+
+    def test_a_graph_pass_never_forks(self, slide, monkeypatch):
+        cfg = ModelConfig(d_model=16, n_heads=2)
+        params = ModelParams(cfg, k_genes=4, seed=8)
+        monkeypatch.setattr(os, "fork", forbidden_fork)
+        preds = forward_batch(slide, params, cfg, 3, workers=3)
+        assert all(p.requires_grad for p in preds.values())
 
 
 class TestSlideForwardCost:

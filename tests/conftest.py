@@ -15,3 +15,8 @@ def checksum(*arrays):
     for arr in arrays:
         h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
     return h.hexdigest()[:16]
+
+
+def forbidden_fork():
+    """Stands in for ``os.fork`` where a test requires that nothing forks."""
+    raise AssertionError("a process was forked")

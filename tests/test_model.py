@@ -33,7 +33,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import checksum
+from conftest import checksum, forbidden_fork
 
 from bgtriplex import autodiff as ad
 from bgtriplex import model
@@ -883,10 +883,6 @@ ALLOWED_FLAGS = [{}, {"drop_spot": True}, {"drop_ctx": True}, {"drop_global": Tr
                  {"drop_global": True, "drop_spot": True}, {"drop_global": True, "drop_ctx": True},
                  {"no_edge_spot": True, "no_nuclei_spot": True},
                  {"no_edge_ctx": True, "no_nuclei_ctx": True}]
-
-
-def forbidden_fork():
-    raise AssertionError("a process was forked")
 
 
 class TestForwardSlideWorkers:

@@ -6,6 +6,7 @@ import signal
 import time
 
 import pytest
+from conftest import forbidden_fork
 
 from bgtriplex.parallel import BLAS_THREAD_VARS, default_workers, fork_map
 
@@ -17,10 +18,6 @@ class Interrupt(BaseException):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def forbidden_fork():
-    raise AssertionError("a process was forked")
 
 
 def square_with_pid(x):

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import forbidden_fork
 
 from bgtriplex import data, training
 from bgtriplex.autodiff import Tensor
@@ -231,7 +232,3 @@ class TestCrossValidate:
         assert sorted(calls) == [1, 1, 1, 3, 3, 3, 5, 5, 5]
         for ds in slides:
             assert {"token_stacks", "pooled_image_tokens"} <= vars(ds).keys()
-
-
-def forbidden_fork():
-    raise AssertionError("a process was forked")

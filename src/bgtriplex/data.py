@@ -1,23 +1,26 @@
 """Dataset model, TSV ingestion, gene preprocessing and grid windows.
 
 Spots live on an integer array grid; expression is a nonnegative count
-matrix joined to the spot table by spot_id. A deterministic synthetic
-slide generator provides desk-scale data whose log1p-transformed counts
-follow a known linear map of the toy features, so end-to-end learning
-can be checked against ground truth.
+matrix joined to the spot table by spot_id; a slide keeps each feature
+token once, in per-stream stacks. A deterministic synthetic slide
+generator provides desk-scale data whose log1p-transformed counts follow
+a known linear map of the toy features, so end-to-end learning can be
+checked against ground truth.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
-from functools import cached_property
+import operator
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, ParseError
-from .features import STREAMS, PrecomputedFeatureProvider, ToyFeatureProvider, encode_bgft
+from .features import (STREAMS, FeatureBundle, PrecomputedFeatureProvider, ToyFeatureProvider,
+                       encode_bgft)
 from .seeding import derive_seed, substream
 
 SPOT_COLUMNS = ("spot_id", "array_row", "array_col", "px_x", "px_y")
@@ -51,28 +54,47 @@ class ExpressionMatrix:
 
 @dataclass
 class SpotDataset:
-    """One slide: spots, expression and per-spot feature bundles.
+    """One slide: spots, expression and its feature tokens, kept once.
 
-    Treated as immutable once built: the grid windows, the stacked tokens
-    and the pooled image tokens are computed on first use and kept for the
-    slide's lifetime.
+    The bundles ``features`` (and ``features_ctx``, by default the same) are
+    constructor inputs only. ``token_stacks`` maps (stream, scope) to (tokens,
+    offsets): every spot's tokens, of one width, in spot order, spot s in rows
+    offsets[s]:offsets[s + 1]; a ctx-scope stream whose arrays are all the
+    spot-scope ones shares that entry. ``pooled_image_tokens`` is each spot's
+    mean spot-scope image token, then a zero row for the empty cells of
+    ``windows(d)``. Both are read-only: two scopes and forked processes share them.
     """
 
     spots: list
     expr: ExpressionMatrix
-    features: list
+    features: InitVar[list]
     slide_id: str
-    features_ctx: list = field(default=None)
+    features_ctx: InitVar[list] = None
     _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        n = len(self.spots)
-        if self.expr.values.shape[0] != n or len(self.features) != n:
-            raise ValueError("spots, expression rows and feature bundles must align")
-        if self.features_ctx is None:
-            self.features_ctx = self.features
-        elif len(self.features_ctx) != n:
-            raise ValueError("context feature bundles must align with spots")
+    def __post_init__(self, features, features_ctx):
+        n, ctx_features = len(self.spots), features_ctx or features
+        if not n or {self.expr.values.shape[0], len(features), len(ctx_features)} != {n}:
+            raise ValueError("spots (at least one), expression rows and bundles must align")
+        self.token_stacks = {}
+        for k, stream in enumerate(STREAMS):
+            spot = [bundle.streams()[k][1] for bundle in features]
+            ctx = [bundle.streams()[k][1] for bundle in ctx_features]
+            for scope, tokens in (("spot", spot), ("ctx", ctx)):
+                s = next((s for s, t in enumerate(tokens) if t.shape[1] != spot[0].shape[1]), None)
+                if s is not None:
+                    raise ValueError(f"{stream} tokens of spot {self.spots[s].spot_id!r} are "
+                                     f"{tokens[s].shape[1]} wide in the {scope} scope, not "
+                                     f"{spot[0].shape[1]}")
+                if scope == "spot" or not all(map(operator.is_, ctx, spot)):
+                    self.token_stacks[(stream, scope)] = (
+                        np.concatenate(tokens), np.cumsum([0] + [t.shape[0] for t in tokens]))
+            self.token_stacks.setdefault((stream, "ctx"), self.token_stacks[(stream, "spot")])
+        self.pooled_image_tokens = np.zeros((n + 1, features[0].image_tokens.shape[1]))
+        for s, bundle in enumerate(features):
+            self.pooled_image_tokens[s] = bundle.image_tokens.mean(axis=0)
+        for array in (self.pooled_image_tokens, *itertools.chain(*self.token_stacks.values())):
+            array.flags.writeable = False
 
     @property
     def n_spots(self):
@@ -83,25 +105,6 @@ class SpotDataset:
         if d not in self._windows:
             self._windows[d] = grid_windows(self.spots, d)
         return self._windows[d]
-
-    @cached_property
-    def token_stacks(self):
-        """{(stream, scope): (tokens, offsets)}: every spot's tokens stacked in
-        spot order; spot s owns rows offsets[s]:offsets[s + 1]."""
-        stacks = {}
-        for scope, bundles in (("spot", self.features), ("ctx", self.features_ctx)):
-            for k, stream in enumerate(STREAMS):
-                tokens = [bundle.streams()[k][1] for bundle in bundles]
-                offsets = np.cumsum([0] + [t.shape[0] for t in tokens])
-                stacks[(stream, scope)] = (np.concatenate(tokens), offsets)
-        return stacks
-
-    @cached_property
-    def pooled_image_tokens(self):
-        """(n_spots + 1, img dim): the mean spot-scope image token of every
-        spot, then a zero row for the empty cells of ``windows(d)``."""
-        pooled = [b.image_tokens.mean(axis=0) for b in self.features]
-        return np.array(pooled + [np.zeros_like(pooled[0])])
 
 
 def _split_row(line, lineno, n_cols):
@@ -254,14 +257,16 @@ def synth_dataset(rows, cols, n_genes, noise_sd, seed, slide_id="synth",
     if noise_sd < 0:
         raise ValueError("noise_sd must be nonnegative")
     provider = ToyFeatureProvider(derive_seed(seed, "features", slide_id), grid_tokens, stream_dims)
-    spots = []
-    for r in range(rows):
-        for c in range(cols):
-            spots.append(SpotRecord(f"s{r}x{c}", r, c, c * 100.0 + 50.0, r * 100.0 + 50.0))
-    bundles = [provider.bundle(s) for s in spots]
-    pooled = np.array([b.pooled_vector() for b in bundles])
+    spots = [SpotRecord(f"s{r}x{c}", r, c, c * 100.0 + 50.0, r * 100.0 + 50.0)
+             for r in range(rows) for c in range(cols)]
+    # each spot's tokens go into one buffer per stream, freed whole once the slide stacks them
+    buffers = [np.empty((len(spots), provider.grid_tokens, provider.stream_dims[stream]))
+               for stream in STREAMS]
+    for i, spot in enumerate(spots):
+        for buffer, (_, tokens) in zip(buffers, provider.bundle(spot).streams()):
+            buffer[i] = tokens
 
-    n_features = pooled.shape[1]
+    n_features = sum(provider.stream_dims.values())
     rng_w = substream(seed, "weights")
     shared = rng_w.uniform(0.5, 1.5, n_features)
     individual = rng_w.uniform(0.0, 1.0, (n_features, n_genes))
@@ -269,15 +274,15 @@ def synth_dataset(rows, cols, n_genes, noise_sd, seed, slide_id="synth",
     raw = 0.8 * shared[:, None] + 0.4 * individual
     weights = raw / raw.sum(axis=0, keepdims=True) * gene_total
 
-    targets = pooled @ weights
+    # each spot's per-stream token means, concatenated, are its regression inputs
+    targets = np.hstack([buffer.mean(axis=1) for buffer in buffers]) @ weights
     rng_n = substream(seed, "noise", slide_id)
     noise = rng_n.normal(0.0, noise_sd, size=targets.shape) if noise_sd > 0 else 0.0
     counts = np.clip(np.round(np.exp(targets + noise) - 1.0), 0.0, None)
 
     genes = [f"G{j:04d}" for j in range(n_genes)]
-    expr = ExpressionMatrix(genes, counts)
-    dataset = SpotDataset(spots, expr, bundles, slide_id)
-    return dataset, weights
+    bundles = [FeatureBundle(*(buffer[i] for buffer in buffers)) for i in range(len(spots))]
+    return SpotDataset(spots, ExpressionMatrix(genes, counts), bundles, slide_id), weights
 
 
 def write_manifest(path, slide_id, spots_path, expression_path, features_prefix, toy=None):
@@ -295,15 +300,20 @@ def write_manifest(path, slide_id, spots_path, expression_path, features_prefix,
 
 
 def save_dataset(dataset, out_dir, toy_meta=None):
-    """Write spots TSV, expression TSV, BGFT feature files and the manifest."""
+    """Write spots TSV, expression TSV, BGFT feature files and the manifest:
+    a spot-scope file per spot and stream, and a ctx-scope one for each
+    stream whose ctx-scope stack is its own."""
     out_dir = Path(out_dir)
     features_dir = out_dir / "features"
     features_dir.mkdir(parents=True, exist_ok=True)
     write_spot_table(out_dir / "spots.tsv", dataset.spots)
     write_expression_matrix(out_dir / "expression.tsv", dataset.expr, [s.spot_id for s in dataset.spots])
-    for spot, bundle in zip(dataset.spots, dataset.features):
-        for stream, tokens in bundle.streams():
-            (features_dir / f"{spot.spot_id}.{stream}.spot.bgft").write_bytes(encode_bgft(tokens))
+    stacks = dataset.token_stacks
+    for (stream, scope), (tokens, offsets) in stacks.items():
+        if scope == "spot" or stacks[(stream, "ctx")] is not stacks[(stream, "spot")]:
+            for spot, start, end in zip(dataset.spots, offsets, offsets[1:]):
+                path = features_dir / f"{spot.spot_id}.{stream}.{scope}.bgft"
+                path.write_bytes(encode_bgft(tokens[start:end]))
     write_manifest(out_dir / "manifest.json", dataset.slide_id,
                    "spots.tsv", "expression.tsv", "features", toy=toy_meta)
     return out_dir / "manifest.json"
@@ -311,7 +321,8 @@ def save_dataset(dataset, out_dir, toy_meta=None):
 
 def load_dataset(manifest_path, provider="precomputed"):
     """Assemble a SpotDataset from a manifest; paths resolve relative to it.
-    A key it lacks or a file it names that cannot be read is a FormatError."""
+    A key it lacks, a file it names that cannot be read, and a stream of
+    more than one token width are a FormatError."""
     manifest_path = Path(manifest_path)
     with open(manifest_path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -340,4 +351,7 @@ def load_dataset(manifest_path, provider="precomputed"):
         ctx_bundles = [prov.bundle(s, "ctx", spot_bundle=b) for s, b in zip(spots, bundles)]
     except OSError as exc:
         raise FormatError(f"{manifest_path}: cannot read {exc.filename}: {exc.strerror}") from None
-    return SpotDataset(spots, expr, bundles, slide_id, features_ctx=ctx_bundles)
+    try:
+        return SpotDataset(spots, expr, bundles, slide_id, features_ctx=ctx_bundles)
+    except ValueError as exc:
+        raise FormatError(f"{manifest_path}: {exc}") from None

@@ -51,10 +51,6 @@ class FeatureBundle:
             ("nuc", self.nuclei_tokens),
         )
 
-    def pooled_vector(self):
-        """Per-stream token means concatenated; the toy regression target input."""
-        return np.concatenate([tokens.mean(axis=0) for _, tokens in self.streams()])
-
 
 TOY_LATENT_DIM = 4
 
@@ -150,16 +146,14 @@ class PrecomputedFeatureProvider:
         spot-scope file."""
         if scope not in SCOPES:
             raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
-        fallback = dict(spot_bundle.streams()) if spot_bundle is not None else {}
-        tokens = {}
+        tokens = dict(spot_bundle.streams()) if scope == "ctx" and spot_bundle is not None else {}
         for stream in STREAMS:
             path = self.prefix / f"{spot.spot_id}.{stream}.{scope}.bgft"
-            if scope == "ctx" and not path.exists():
-                if stream in fallback:
-                    tokens[stream] = fallback[stream]
-                    continue
-                path = self.prefix / f"{spot.spot_id}.{stream}.spot.bgft"
-            tokens[stream] = load_feature_file(path)
+            if scope == "spot" or path.exists():
+                tokens[stream] = load_feature_file(path)
+            elif stream not in tokens:
+                tokens[stream] = load_feature_file(
+                    self.prefix / f"{spot.spot_id}.{stream}.spot.bgft")
         return FeatureBundle(tokens["img"], tokens["edge"], tokens["nuc"])
 
 

@@ -415,9 +415,8 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None, workers
 
 
 def build_tables(dataset, d_context):
-    """Build every lazy table of ``dataset`` that ``forward_batch`` reads,
+    """Build the grid windows of ``dataset`` that ``forward_batch`` reads,
     so that processes forked afterwards share them."""
-    dataset.token_stacks, dataset.pooled_image_tokens
     for d in (1, 3, d_context):
         dataset.windows(d)
 

@@ -270,7 +270,7 @@ def cross_validate(datasets, cfg, model_config, pcch_selector="predictive", make
     folds)`` processes forked from this one (``parallel.fork_map``), since
     training is Python code that threads could not run in parallel; this
     process computes none, so no fold's graph is built here. The slides'
-    tables are built here before the fork, so the workers share one copy.
+    grid windows are built here before the fork, so the workers share them.
     Only reports come back, so every output equals that of ``workers=1``.
     A worker stops at its first failing fold, and the exception of the
     lowest-index failing fold is raised here once every worker has exited.

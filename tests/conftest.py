@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 
+from bgtriplex.features import STREAMS, FeatureBundle
+
 
 def checksum(*arrays):
     """Short digest of the given arrays' bytes, taken as float64.
@@ -20,3 +22,14 @@ def checksum(*arrays):
 def forbidden_fork():
     """Stands in for ``os.fork`` where a test requires that nothing forks."""
     raise AssertionError("a process was forked")
+
+
+def bundle(dataset, s, scope="spot"):
+    """Spot ``s``'s ``scope`` tokens, as views into the slide's token stacks."""
+    stacks = [dataset.token_stacks[(stream, scope)] for stream in STREAMS]
+    return FeatureBundle(*(tokens[offsets[s]:offsets[s + 1]] for tokens, offsets in stacks))
+
+
+def bundles(dataset, scope="spot"):
+    """Every spot's ``scope`` tokens, in spot order, as ``bundle`` views."""
+    return [bundle(dataset, s, scope) for s in range(dataset.n_spots)]

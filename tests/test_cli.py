@@ -12,6 +12,7 @@ from bgtriplex import cli
 from bgtriplex.checkpoint import load_checkpoint
 from bgtriplex.cli import main
 from bgtriplex.data import load_dataset, save_dataset, synth_dataset
+from bgtriplex.features import encode_bgft
 from bgtriplex.training import TrainConfig
 
 SMALL_MODEL = {"d_model": 8, "n_heads": 2}
@@ -360,3 +361,23 @@ def test_manifest_faults_exit_4_before_output(manifest, checkpoint, tmp_path, fa
     assert result.stdout == ""
     assert ("'expression'" if fault == "key" else "s0x1.img.spot.bgft") in result.output
     assert not (tmp_path / "p.tsv").exists()
+
+
+@pytest.mark.parametrize("scope", ["spot", "ctx"])
+@pytest.mark.parametrize("command", ["train", "cv", "predict"])
+def test_a_stream_of_two_widths_exits_4_before_output(manifest, checkpoint, tmp_path, command,
+                                                      scope):
+    # one spot's edge tokens are 5 wide where every other spot's are 6
+    ragged = synth(tmp_path / "slide")
+    path = tmp_path / "slide" / "features" / f"s1x2.edge.{scope}.bgft"
+    path.write_bytes(encode_bgft(np.ones((4, 5))))
+    out = tmp_path / "out"
+    args = {"train": ["train", "--manifest", str(ragged), "-o", str(out)],
+            "cv": ["cv", "--manifest", str(manifest), "--manifest", str(ragged), "-o", str(out)],
+            "predict": ["predict", "--checkpoint", str(checkpoint), "--manifest", str(ragged),
+                        "-o", str(out)]}[command]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 4, result.output
+    assert result.stdout == ""
+    assert all(text in result.output for text in (str(ragged), "edge", f"{scope} scope", "s1x2"))
+    assert not out.exists()

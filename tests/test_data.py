@@ -8,19 +8,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import bundle, bundles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgtriplex import data, features
-from bgtriplex.data import (ExpressionMatrix, SpotRecord, grid_windows, load_dataset,
+from bgtriplex.data import (ExpressionMatrix, SpotDataset, SpotRecord, grid_windows, load_dataset,
                             load_expression_matrix, load_spot_table, log1p_normalize,
                             save_dataset, select_top_k_genes, synth_dataset,
                             write_expression_matrix, write_spot_table)
 from bgtriplex.errors import FormatError, ParseError
+from bgtriplex.features import FeatureBundle
 
 # sha256 of synth_dataset(6, 6, 32, 0.05, seed=13) counts; the counts are
 # checked value by value against synth_oracle in TestSynthDataset
 SYNTH_COUNTS_SHA256 = "eaa42876f31a0eaf8d08667d33331f5c4163785363b8f5cfd59f8586cd797b6f"
+# sha256 over the sorted names and bytes of the files save_dataset writes to
+# features/ for synth_dataset(3, 3, 4, 0.05, seed=21)
+SAVED_FEATURES_SHA256 = "26828d5768e04927a007e4ab4ba51fa5a8957ba7a99a2db966c0e93a7f012158"
 
 
 def _rng(*entropy):
@@ -336,7 +341,8 @@ class TestGridWindows:
 class TestSynthDataset:
     def test_noiseless_counts_recover_linear_target(self):
         ds, weights = synth_dataset(4, 4, 8, 0.0, seed=3)
-        pooled = np.array([b.pooled_vector() for b in ds.features])
+        pooled = np.array([np.concatenate([t.mean(axis=0) for _, t in b.streams()])
+                           for b in bundles(ds)])
         target = pooled @ weights
         err = np.abs(np.log1p(ds.expr.values) - target)
         bound = np.log1p(0.5 / np.maximum(1.0, ds.expr.values))
@@ -347,7 +353,7 @@ class TestSynthDataset:
         b, wb = synth_dataset(3, 4, 6, 0.1, seed=9)
         np.testing.assert_array_equal(a.expr.values, b.expr.values)
         np.testing.assert_array_equal(wa, wb)
-        for ba, bb in zip(a.features, b.features):
+        for ba, bb in zip(bundles(a), bundles(b)):
             np.testing.assert_array_equal(ba.image_tokens, bb.image_tokens)
 
     @pytest.mark.parametrize("args", [(6, 6, 32, 0.05, 13), (3, 3, 4, 0.05, 23),
@@ -356,7 +362,7 @@ class TestSynthDataset:
         ds, _ = synth_dataset(*args[:4], seed=args[4])
         tokens, counts = synth_oracle(*args)
         np.testing.assert_array_equal(ds.expr.values, counts)
-        for bundle, expected in zip(ds.features, tokens):
+        for bundle, expected in zip(bundles(ds), tokens):
             for stream, values in bundle.streams():
                 np.testing.assert_array_equal(values, expected[stream], err_msg=stream)
 
@@ -387,7 +393,7 @@ class TestManifestRoundTrip:
         assert back.slide_id == ds.slide_id
         assert [s.spot_id for s in back.spots] == [s.spot_id for s in ds.spots]
         np.testing.assert_array_equal(back.expr.values, ds.expr.values)
-        for ba, bb in zip(back.features, ds.features):
+        for ba, bb in zip(bundles(back), bundles(ds)):
             np.testing.assert_array_equal(ba.image_tokens, bb.image_tokens)
             np.testing.assert_array_equal(ba.edge_tokens, bb.edge_tokens)
             np.testing.assert_array_equal(ba.nuclei_tokens, bb.nuclei_tokens)
@@ -401,7 +407,7 @@ class TestManifestRoundTrip:
         manifest = save_dataset(ds, tmp_path / "slide", toy_meta=toy)
         from_files = load_dataset(manifest, provider="precomputed")
         from_toy = load_dataset(manifest, provider="toy")
-        for ba, bb in zip(from_files.features, from_toy.features):
+        for ba, bb in zip(bundles(from_files), bundles(from_toy)):
             np.testing.assert_array_equal(ba.image_tokens, bb.image_tokens)
 
     def test_one_ctx_stream_file_reads_each_file_once(self, tmp_path, monkeypatch):
@@ -424,12 +430,87 @@ class TestManifestRoundTrip:
         back = load_dataset(manifest)
         assert len(reads) == len(set(reads)) == 4 * ds.n_spots
         for bundle, ctx_bundle, loaded, loaded_ctx, edge in zip(
-                ds.features, ds.features_ctx, back.features, back.features_ctx, edge_ctx):
+                bundles(ds), bundles(ds, "ctx"), bundles(back), bundles(back, "ctx"), edge_ctx):
             for (stream, values), (_, got) in zip(bundle.streams(), loaded.streams()):
                 np.testing.assert_array_equal(got, values, err_msg=stream)
             np.testing.assert_array_equal(loaded_ctx.image_tokens, ctx_bundle.image_tokens)
             np.testing.assert_array_equal(loaded_ctx.nuclei_tokens, ctx_bundle.nuclei_tokens)
             np.testing.assert_array_equal(loaded_ctx.edge_tokens, edge)
+
+
+    def test_saved_feature_bytes_golden(self, tmp_path):
+        ds, _ = synth_dataset(3, 3, 4, 0.05, seed=21)
+        save_dataset(ds, tmp_path / "slide")
+        digest = hashlib.sha256()
+        for path in sorted((tmp_path / "slide" / "features").iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == SAVED_FEATURES_SHA256
+
+    def test_own_ctx_files_survive_a_round_trip(self, tmp_path):
+        manifest = mixed_ctx_slide(tmp_path / "slide")
+        ds = load_dataset(manifest)
+        back = load_dataset(save_dataset(ds, tmp_path / "again"))
+        assert ds.token_stacks.keys() == back.token_stacks.keys()
+        for key, (tokens, offsets) in ds.token_stacks.items():
+            np.testing.assert_array_equal(back.token_stacks[key][0], tokens, err_msg=str(key))
+            np.testing.assert_array_equal(back.token_stacks[key][1], offsets, err_msg=str(key))
+
+
+def mixed_ctx_slide(out_dir):
+    """A saved 2x3 slide (manifest path) in which every other spot has
+    edge tokens of its own in the ctx scope, 5 of them."""
+    ds, _ = synth_dataset(2, 3, 4, 0.05, seed=37)
+    manifest = save_dataset(ds, out_dir)
+    rng = np.random.default_rng(37)
+    for spot in ds.spots[::2]:
+        values = rng.uniform(size=(5, 6)).astype(np.float32).astype(np.float64)
+        (out_dir / "features" / f"{spot.spot_id}.edge.ctx.bgft").write_bytes(
+            features.encode_bgft(values))
+    return manifest
+
+
+def shared_streams(ds):
+    """The streams whose ctx-scope stack is the spot-scope one."""
+    return [stream for stream in features.STREAMS
+            if ds.token_stacks[(stream, "ctx")] is ds.token_stacks[(stream, "spot")]]
+
+
+class TestTokenStacks:
+    def test_synth_toy_and_fallback_slides_share_every_stream(self, tmp_path):
+        from bgtriplex.seeding import derive_seed
+
+        ds, _ = synth_dataset(2, 3, 4, 0.05, seed=31, slide_id="t")
+        toy = {"dataset_seed": derive_seed(31, "features", "t"), "grid_tokens": 4,
+               "stream_dims": {"img": 10, "edge": 6, "nuc": 8}}
+        manifest = save_dataset(ds, tmp_path / "slide", toy_meta=toy)
+        for slide in (ds, load_dataset(manifest, provider="toy"), load_dataset(manifest)):
+            assert shared_streams(slide) == ["img", "edge", "nuc"]
+
+    def test_own_edge_ctx_files_keep_a_stack_of_their_own(self, tmp_path):
+        ds = load_dataset(mixed_ctx_slide(tmp_path / "slide"))
+        assert shared_streams(ds) == ["img", "nuc"]
+        tokens, offsets = ds.token_stacks[("edge", "ctx")]
+        assert np.diff(offsets).tolist() == [5, 4, 5, 4, 5, 4]
+        spot_tokens, spot_offsets = ds.token_stacks[("edge", "spot")]
+        np.testing.assert_array_equal(tokens[offsets[1]:offsets[2]],
+                                      spot_tokens[spot_offsets[1]:spot_offsets[2]])
+
+    def test_a_write_into_a_stack_raises(self):
+        ds, _ = synth_dataset(2, 2, 4, 0.05, seed=5)
+        tokens, offsets = ds.token_stacks[("img", "ctx")]
+        for array in (tokens, offsets, ds.pooled_image_tokens, bundle(ds, 1, "ctx").edge_tokens):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    @pytest.mark.parametrize("scope", ["spot", "ctx"])
+    def test_a_stream_of_two_widths_is_refused(self, scope):
+        ds, _ = synth_dataset(2, 2, 4, 0.05, seed=5)
+        ragged = [FeatureBundle(b.image_tokens, b.edge_tokens, b.nuclei_tokens[:, :5])
+                  if s == 2 else b for s, b in enumerate(bundles(ds))]
+        spot, ctx = (ragged, None) if scope == "spot" else (bundles(ds), ragged)
+        with pytest.raises(ValueError, match=f"nuc tokens of spot 's1x0' are 5 wide in the "
+                                             f"{scope} scope, not 8"):
+            SpotDataset(ds.spots, ds.expr, spot, "ragged", features_ctx=ctx)
 
 
 class TestManifestFaults:

@@ -33,7 +33,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import checksum, forbidden_fork
+from conftest import bundle, bundles, checksum, forbidden_fork
 
 from bgtriplex import autodiff as ad
 from bgtriplex import model
@@ -175,7 +175,7 @@ def window_ref(ops, ds, params, center, d):
     """Row-major d x d neighborhood token streams; absent cells are zero and masked."""
     at = {(s.array_row, s.array_col): i for i, s in enumerate(ds.spots)}
     row, col = ds.spots[center].array_row, ds.spots[center].array_col
-    count = ds.features_ctx[center].image_tokens.shape[0]
+    count = bundle(ds, center, "ctx").image_tokens.shape[0]
     blocks = {stream: [] for stream in STREAM_ORDER}
     mask = []
     for dr in range(-(d // 2), d // 2 + 1):
@@ -185,7 +185,7 @@ def window_ref(ops, ds, params, center, d):
                 for stream in STREAM_ORDER:
                     blocks[stream].append(np.zeros((count, params.config.d_model)))
             else:
-                projected = project_ref(ops, ds.features_ctx[idx], params, "ctx")
+                projected = project_ref(ops, bundle(ds, idx, "ctx"), params, "ctx")
                 for stream in STREAM_ORDER:
                     blocks[stream].append(projected[stream])
             mask += [idx is not None] * count
@@ -195,7 +195,7 @@ def window_ref(ops, ds, params, center, d):
 def global_ref(ops, ds, params):
     """One mean image token per spot plus the 3x3 channelwise kernel applied
     over grid neighbors: tap (a, b) reads the spot at offset (a-1, b-1)."""
-    pooled = [ops.mean_rows(project_ref(ops, b, params, "spot")["img"])[0] for b in ds.features]
+    pooled = [ops.mean_rows(project_ref(ops, b, params, "spot")["img"])[0] for b in bundles(ds)]
     at = {(s.array_row, s.array_col): i for i, s in enumerate(ds.spots)}
     kernel = params["apeg.kernel"].data
     out = []
@@ -220,7 +220,7 @@ def forward_ref(ops, ds, params, d_context):
     global_tokens = global_ref(ops, ds, params)
     preds = {name: [] for name in ("fused", "spot", "ctx", "global")}
     for s in range(ds.n_spots):
-        spot_tokens, spot_pred = branch_ref(ops, project_ref(ops, ds.features[s], params, "spot"),
+        spot_tokens, spot_pred = branch_ref(ops, project_ref(ops, bundle(ds, s), params, "spot"),
                                             params, "spot")
         streams, mask = window_ref(ops, ds, params, s, d_context)
         ctx_tokens, ctx_pred = branch_ref(ops, streams, params, "ctx", mask=mask)
@@ -374,8 +374,8 @@ def full_slide_forward(ds, params, config, d_context, spot_indices, mca=mca):
     with ``drop_spot``). Each requested spot's global row is the fusion
     query, and it attends to its own spot and context tokens only, for the
     branches present."""
-    proj_spot = [project(b, params, "spot") for b in ds.features]
-    proj_ctx = [project(b, params, "ctx") for b in ds.features_ctx]
+    proj_spot = [project(b, params, "spot") for b in bundles(ds)]
+    proj_ctx = [project(b, params, "ctx") for b in bundles(ds, "ctx")]
     spot_outs = [branch(p, params, config, "spot", mca) for p in proj_spot]
     ctx_outs = []
     for s in range(ds.n_spots):
@@ -627,8 +627,8 @@ def small_setup():
     ds, _ = synth_dataset(3, 3, 8, 0.05, seed=13)
     cfg = ModelConfig(d_model=16, n_heads=2)
     params = ModelParams(cfg, k_genes=5, seed=1)
-    proj_spot = [project(b, params, "spot") for b in ds.features]
-    proj_ctx = [project(b, params, "ctx") for b in ds.features_ctx]
+    proj_spot = [project(b, params, "spot") for b in bundles(ds)]
+    proj_ctx = [project(b, params, "ctx") for b in bundles(ds, "ctx")]
     return ds, cfg, params, proj_spot, proj_ctx
 
 
@@ -648,7 +648,7 @@ class TestSpotBranch:
     def test_matches_scalar_oracle(self, small_setup):
         ds, cfg, params, _, _ = small_setup
         out_tokens, out_prediction = run_branch(ds, params, cfg, "spot", {4: [4]})
-        tokens, prediction = branch_ref(SCALAR, project_ref(SCALAR, ds.features[4], params, "spot"),
+        tokens, prediction = branch_ref(SCALAR, project_ref(SCALAR, bundle(ds, 4), params, "spot"),
                                         params, "spot")
         assert_matches(out_tokens.data, tokens, "tokens")
         assert_matches(out_prediction.data, prediction, "prediction")
@@ -738,8 +738,8 @@ class TestGlobalBranch:
         ds, cfg, _, _, _ = small_setup
         params = ModelParams(cfg, k_genes=5, seed=1)
         params["apeg.kernel"].data[...] = np.random.default_rng(31).normal(size=(3, 3, 16))
-        one = one_spot_dataset(ds, ds.features[4])
-        token = one.features[0].image_tokens.mean(axis=0, keepdims=True) @ params[
+        one = one_spot_dataset(ds, bundle(ds, 4))
+        token = bundle(one, 0).image_tokens.mean(axis=0, keepdims=True) @ params[
             "proj.img.spot"].data
         np.testing.assert_allclose(global_tokens(one, params),
                                    token + params["apeg.kernel"].data[1, 1] * token, atol=1e-15)
@@ -752,7 +752,7 @@ class TestGlobalBranch:
         perm = np.random.default_rng(33).permutation(ds.n_spots)
         permuted = SpotDataset([ds.spots[i] for i in perm],
                                ExpressionMatrix(ds.expr.genes, ds.expr.values[perm]),
-                               [ds.features[i] for i in perm], "permuted")
+                               [bundle(ds, i) for i in perm], "permuted")
         np.testing.assert_allclose(global_tokens(permuted, params), base[perm], atol=1e-14)
 
 
@@ -1230,7 +1230,7 @@ def varied_slide(out_dir):
     context-scope files."""
     ds, _ = synth_dataset(4, 4, 6, 0.05, seed=37)
     rng = np.random.default_rng(37)
-    dims = {stream: tokens.shape[1] for stream, tokens in ds.features[0].streams()}
+    dims = {stream: tokens.shape[1] for stream, tokens in bundle(ds, 0).streams()}
     draw = lambda stream: rng.uniform(size=(rng.integers(1, 4), dims[stream]))
     bundles = [FeatureBundle(*(draw(stream) for stream in STREAM_ORDER)) for _ in ds.spots]
     manifest = save_dataset(SpotDataset(ds.spots, ds.expr, bundles, "varied"), out_dir)

@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .autodiff import Tensor, grad_check
 from .data import SpotDataset, load_dataset, synth_dataset
-from .features import FeatureBundle, ToyFeatureProvider
 from .model import ModelConfig, ModelParams, forward_slide
 from .training import TrainConfig, cross_validate, train
 
@@ -16,8 +15,6 @@ __all__ = [
     "SpotDataset",
     "load_dataset",
     "synth_dataset",
-    "FeatureBundle",
-    "ToyFeatureProvider",
     "ModelConfig",
     "ModelParams",
     "forward_slide",

@@ -30,12 +30,11 @@ from .features import STREAMS
 from .metrics import evaluate_predictions, export_prediction_map, write_report
 from .model import ModelConfig, ModelParams, forward_slide
 from .parallel import default_workers
-from .seeding import derive_seed
 from .training import (TrainConfig, cross_validate, gene_targets, train,
                        write_loss_log)
 
 # The config document's string entries; the flags of the same name offer these choices.
-CHOICES = {"provider": ("toy", "precomputed"), "pcch_selector": ("predictive", "expressed")}
+CHOICES = {"pcch_selector": ("predictive", "expressed")}
 # The run.json that train writes is a valid config; its results are ignored.
 RUN_RESULT_KEYS = ("final_loss_total", "train_pcc_m")
 
@@ -61,6 +60,11 @@ def guarded(fn):
 @click.version_option(package_name="bgtriplex")
 def main():
     """Boundary-guided three-branch gene expression prediction.
+
+    A slide is a manifest naming its spot table, expression table and
+    BGFT feature files, <spot_id>.<img|edge|nuc>.<spot|ctx>.bgft, where a
+    missing ctx file means the spot-scope tokens. A missing, malformed or
+    non-finite input exits 4 before any output.
 
     BGT_THREADS sets how many processes split the whole-slide passes of
     eval, predict, export-map and train's closing PCC(M), and the folds of
@@ -109,7 +113,6 @@ def _config_options(fn):
         click.option("--no-nuclei-ctx", is_flag=True, default=None,
                      help="In the context branch, image tokens guide themselves in place "
                           "of nuclei tokens."),
-        click.option("--provider", type=click.Choice(CHOICES["provider"]), default=None),
     ]
     for opt in reversed(decorators):
         fn = opt(fn)
@@ -118,9 +121,9 @@ def _config_options(fn):
 
 def _build_config(config_path, overrides):
     """(train config, model config, document). A config file holds a JSON
-    object: ``train`` and ``model`` objects, ``provider`` and
-    ``pcch_selector`` choices and the ignored ``RUN_RESULT_KEYS``."""
-    doc = {"train": {}, "model": {}, "provider": "precomputed", "pcch_selector": "predictive"}
+    object: ``train`` and ``model`` objects, a ``pcch_selector`` choice and
+    the ignored ``RUN_RESULT_KEYS``."""
+    doc = {"train": {}, "model": {}, "pcch_selector": "predictive"}
     if config_path is not None:
         with open(config_path, encoding="utf-8") as fh:
             loaded = json.load(fh)
@@ -146,13 +149,13 @@ def _build_config(config_path, overrides):
         raise click.UsageError(f"bad config: {exc}") from None
 
 
-def _load_slides(manifests, provider, model_cfg, doc):
+def _load_slides(manifests, model_cfg, doc):
     """Load every slide and fit ``model_cfg.stream_dims`` to the feature widths.
 
     Unset widths are taken from the first slide; every slide must then have
     them, or the run stops before any output.
     """
-    datasets = [load_dataset(m, provider=provider) for m in manifests]
+    datasets = [load_dataset(m) for m in manifests]
     if "stream_dims" not in doc["model"]:
         model_cfg.stream_dims = _stream_widths(datasets[0])
     for manifest, ds in zip(manifests, datasets):
@@ -160,11 +163,11 @@ def _load_slides(manifests, provider, model_cfg, doc):
     return datasets
 
 
-def _load_for_checkpoint(checkpoint, manifest, provider):
+def _load_for_checkpoint(checkpoint, manifest):
     """(params, d_context, genes) of the checkpoint, and the slide; its
     feature widths must be the checkpoint's ``stream_dims`` (exit 4)."""
     params, d_context, genes = load_checkpoint(checkpoint)
-    ds = load_dataset(manifest, provider=provider)
+    ds = load_dataset(manifest)
     _check_widths(manifest, ds, params.config.stream_dims, FormatError)
     return params, d_context, genes, ds
 
@@ -217,19 +220,15 @@ def _echo_header(command, train_cfg, model_cfg, extra=None):
 @click.option("--force", is_flag=True, help="Overwrite an existing output directory.")
 @guarded
 def synth(rows, cols, genes, noise_sd, seed, slide_id, grid_tokens, out_dir, force):
-    """Write a synthetic slide (spots, expression, features, manifest)."""
+    """Write a synthetic slide: spot and expression tables, BGFT features
+    of the spot scope only, and its manifest."""
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()) and not force:
         raise click.UsageError(f"output directory {out} exists; use --force to overwrite")
     out.mkdir(parents=True, exist_ok=True)
     dataset, _ = synth_dataset(rows, cols, genes, noise_sd, seed,
                                slide_id=slide_id, grid_tokens=int(grid_tokens))
-    toy_meta = {
-        "dataset_seed": derive_seed(seed, "features", slide_id),
-        "grid_tokens": int(grid_tokens),
-        "stream_dims": _stream_widths(dataset),
-    }
-    manifest = save_dataset(dataset, out, toy_meta=toy_meta)
+    manifest = save_dataset(dataset, out)
     click.echo(f"wrote {manifest}")
 
 
@@ -256,11 +255,11 @@ def _targets_for_genes(dataset, genes):
 
 @main.command(name="train")
 @click.option("--manifest", "manifests", type=click.Path(exists=True), multiple=True,
-              required=True)
+              required=True, help="A slide's manifest (see bgt --help); repeatable.")
 @click.option("-o", "--out-dir", type=click.Path(), required=True)
 @_config_options
 @guarded
-def cmd_train(manifests, out_dir, config_path, provider, **overrides):
+def cmd_train(manifests, out_dir, config_path, **overrides):
     """Train on one or more slides; writes checkpoint.bgck and loss.csv.
 
     Training runs in this process; the closing train PCC(M) pass runs in
@@ -268,9 +267,8 @@ def cmd_train(manifests, out_dir, config_path, provider, **overrides):
     """
     workers = _workers()
     train_cfg, model_cfg, doc = _build_config(config_path, overrides)
-    provider = provider or doc["provider"]
-    datasets = _load_slides(manifests, provider, model_cfg, doc)
-    _echo_header("train", train_cfg, model_cfg, {"provider": provider})
+    datasets = _load_slides(manifests, model_cfg, doc)
+    _echo_header("train", train_cfg, model_cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -295,21 +293,20 @@ def cmd_train(manifests, out_dir, config_path, provider, **overrides):
 
 @main.command(name="eval")
 @click.option("--checkpoint", type=click.Path(exists=True), required=True)
-@click.option("--manifest", type=click.Path(exists=True), required=True)
-@click.option("--provider", type=click.Choice(CHOICES["provider"]), default="precomputed",
-              show_default=True)
+@click.option("--manifest", type=click.Path(exists=True), required=True,
+              help="The slide's manifest (see bgt --help).")
 @click.option("--pcch-selector", type=click.Choice(CHOICES["pcch_selector"]),
               default="predictive", show_default=True)
 @click.option("-o", "--report", "report_path", type=click.Path(), callback=_parent_exists)
 @guarded
-def cmd_eval(checkpoint, manifest, provider, pcch_selector, report_path):
+def cmd_eval(checkpoint, manifest, pcch_selector, report_path):
     """Evaluate a checkpoint on a slide; prints MSE, PCC(M) and PCC(H).
 
     The slide's spots are split among BGT_THREADS processes (see bgt
     --help).
     """
     workers = _workers()
-    params, d_context, genes, ds = _load_for_checkpoint(checkpoint, manifest, provider)
+    params, d_context, genes, ds = _load_for_checkpoint(checkpoint, manifest)
     target = _targets_for_genes(ds, genes)
     pred = forward_slide(ds, params, params.config, d_context, workers)["fused"]
     report = evaluate_predictions(pred, target, genes, selector=pcch_selector)
@@ -321,12 +318,12 @@ def cmd_eval(checkpoint, manifest, provider, pcch_selector, report_path):
 
 @main.command(name="cv")
 @click.option("--manifest", "manifests", type=click.Path(exists=True), multiple=True,
-              required=True)
+              required=True, help="A slide's manifest (see bgt --help); repeatable.")
 @click.option("-o", "--out-dir", type=click.Path(), required=True)
 @click.option("--pcch-selector", type=click.Choice(CHOICES["pcch_selector"]), default=None)
 @_config_options
 @guarded
-def cmd_cv(manifests, out_dir, pcch_selector, config_path, provider, **overrides):
+def cmd_cv(manifests, out_dir, pcch_selector, config_path, **overrides):
     """Leave-one-slide-out cross-validation over the given manifests.
 
     The folds are split among BGT_THREADS forked processes (see bgt
@@ -336,10 +333,9 @@ def cmd_cv(manifests, out_dir, pcch_selector, config_path, provider, **overrides
     if len(manifests) < 2:
         raise click.UsageError("leave-one-slide-out needs at least 2 --manifest slides")
     train_cfg, model_cfg, doc = _build_config(config_path, overrides)
-    provider = provider or doc["provider"]
     selector = pcch_selector or doc["pcch_selector"]
-    datasets = _load_slides(manifests, provider, model_cfg, doc)
-    _echo_header("cv", train_cfg, model_cfg, {"provider": provider, "folds": len(datasets)})
+    datasets = _load_slides(manifests, model_cfg, doc)
+    _echo_header("cv", train_cfg, model_cfg, {"folds": len(datasets)})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports, aggregate = cross_validate(datasets, train_cfg, model_cfg,
@@ -357,19 +353,18 @@ def cmd_cv(manifests, out_dir, pcch_selector, config_path, provider, **overrides
 
 @main.command(name="predict")
 @click.option("--checkpoint", type=click.Path(exists=True), required=True)
-@click.option("--manifest", type=click.Path(exists=True), required=True)
-@click.option("--provider", type=click.Choice(CHOICES["provider"]), default="precomputed",
-              show_default=True)
+@click.option("--manifest", type=click.Path(exists=True), required=True,
+              help="The slide's manifest (see bgt --help).")
 @click.option("-o", "--out", "out_path", type=click.Path(), required=True, callback=_parent_exists)
 @guarded
-def cmd_predict(checkpoint, manifest, provider, out_path):
+def cmd_predict(checkpoint, manifest, out_path):
     """Write fused per-spot, per-gene predictions as TSV.
 
     The slide's spots are split among BGT_THREADS processes (see bgt
     --help).
     """
     workers = _workers()
-    params, d_context, genes, ds = _load_for_checkpoint(checkpoint, manifest, provider)
+    params, d_context, genes, ds = _load_for_checkpoint(checkpoint, manifest)
     pred = forward_slide(ds, params, params.config, d_context, workers)["fused"]
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("spot_id\t" + "\t".join(genes) + "\n")
@@ -380,20 +375,19 @@ def cmd_predict(checkpoint, manifest, provider, out_path):
 
 @main.command(name="export-map")
 @click.option("--checkpoint", type=click.Path(exists=True), required=True)
-@click.option("--manifest", type=click.Path(exists=True), required=True)
-@click.option("--provider", type=click.Choice(CHOICES["provider"]), default="precomputed",
-              show_default=True)
+@click.option("--manifest", type=click.Path(exists=True), required=True,
+              help="The slide's manifest (see bgt --help).")
 @click.option("--gene", required=True)
 @click.option("-o", "--out-prefix", type=click.Path(), required=True, callback=_parent_exists)
 @guarded
-def cmd_export_map(checkpoint, manifest, provider, gene, out_prefix):
+def cmd_export_map(checkpoint, manifest, gene, out_prefix):
     """Export one gene's prediction map as CSV and grayscale PGM.
 
     The slide's spots are split among BGT_THREADS processes (see bgt
     --help).
     """
     workers = _workers()
-    params, d_context, genes, ds = _load_for_checkpoint(checkpoint, manifest, provider)
+    params, d_context, genes, ds = _load_for_checkpoint(checkpoint, manifest)
     if gene not in genes:
         similar = difflib.get_close_matches(gene, genes, n=3)
         hint = f"; closest: {', '.join(similar)}" if similar else ""

@@ -2,25 +2,25 @@
 
 Spots live on an integer array grid; expression is a nonnegative count
 matrix joined to the spot table by spot_id; a slide keeps each feature
-token once, in per-stream stacks. A deterministic synthetic slide
-generator provides desk-scale data whose log1p-transformed counts follow
-a known linear map of the toy features, so end-to-end learning can be
-checked against ground truth.
+token once, in per-stream token stacks, which ``load_dataset`` fills
+straight from the BGFT files. A deterministic synthetic slide generator
+provides desk-scale data whose log1p-transformed counts follow a known
+linear map of the toy features, so end-to-end learning can be checked
+against ground truth.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import operator
-from dataclasses import InitVar, dataclass, field
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, ParseError
-from .features import (STREAMS, FeatureBundle, PrecomputedFeatureProvider, ToyFeatureProvider,
-                       encode_bgft)
+from .features import SCOPES, STREAMS, TOY_STREAM_DIMS, encode_bgft, read_token_stacks, toy_extract
 from .seeding import derive_seed, substream
 
 SPOT_COLUMNS = ("spot_id", "array_row", "array_col", "px_x", "px_y")
@@ -48,6 +48,8 @@ class ExpressionMatrix:
             raise ValueError(
                 f"expression matrix shape {self.values.shape} does not match {len(self.genes)} genes"
             )
+        if not np.isfinite(self.values).all():
+            raise ValueError("expression counts must be finite")
         if (self.values < 0).any():
             raise ValueError("expression counts must be nonnegative")
 
@@ -56,43 +58,45 @@ class ExpressionMatrix:
 class SpotDataset:
     """One slide: spots, expression and its feature tokens, kept once.
 
-    The bundles ``features`` (and ``features_ctx``, by default the same) are
-    constructor inputs only. ``token_stacks`` maps (stream, scope) to (tokens,
-    offsets): every spot's tokens, of one width, in spot order, spot s in rows
-    offsets[s]:offsets[s + 1]; a ctx-scope stream whose arrays are all the
-    spot-scope ones shares that entry. ``pooled_image_tokens`` is each spot's
-    mean spot-scope image token, then a zero row for the empty cells of
-    ``windows(d)``. Both are read-only: two scopes and forked processes share them.
+    ``token_stacks`` maps every (stream, scope) to (tokens, offsets): every
+    spot's tokens, of one width in both scopes, in spot order, spot s in rows
+    offsets[s]:offsets[s + 1], at least one each. A ctx-scope entry may be
+    the spot-scope one itself. ``pooled_image_tokens`` is each spot's mean
+    spot-scope image token, then a zero row for the empty cells of
+    ``windows(d)``. Both are read-only: two scopes and forked processes
+    share them. Stacks that break this layout or hold a non-finite token are
+    a ValueError.
     """
 
     spots: list
     expr: ExpressionMatrix
-    features: InitVar[list]
+    token_stacks: dict
     slide_id: str
-    features_ctx: InitVar[list] = None
     _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self, features, features_ctx):
-        n, ctx_features = len(self.spots), features_ctx or features
-        if not n or {self.expr.values.shape[0], len(features), len(ctx_features)} != {n}:
-            raise ValueError("spots (at least one), expression rows and bundles must align")
-        self.token_stacks = {}
-        for k, stream in enumerate(STREAMS):
-            spot = [bundle.streams()[k][1] for bundle in features]
-            ctx = [bundle.streams()[k][1] for bundle in ctx_features]
-            for scope, tokens in (("spot", spot), ("ctx", ctx)):
-                s = next((s for s, t in enumerate(tokens) if t.shape[1] != spot[0].shape[1]), None)
-                if s is not None:
-                    raise ValueError(f"{stream} tokens of spot {self.spots[s].spot_id!r} are "
-                                     f"{tokens[s].shape[1]} wide in the {scope} scope, not "
-                                     f"{spot[0].shape[1]}")
-                if scope == "spot" or not all(map(operator.is_, ctx, spot)):
-                    self.token_stacks[(stream, scope)] = (
-                        np.concatenate(tokens), np.cumsum([0] + [t.shape[0] for t in tokens]))
-            self.token_stacks.setdefault((stream, "ctx"), self.token_stacks[(stream, "spot")])
-        self.pooled_image_tokens = np.zeros((n + 1, features[0].image_tokens.shape[1]))
-        for s, bundle in enumerate(features):
-            self.pooled_image_tokens[s] = bundle.image_tokens.mean(axis=0)
+    def __post_init__(self):
+        n = len(self.spots)
+        if not n or self.expr.values.shape[0] != n:
+            raise ValueError("spots (at least one) and expression rows must align")
+        for (stream, scope), (tokens, offsets) in self.token_stacks.items():
+            if (tokens.ndim != 2 or len(offsets) != n + 1 or offsets[0] != 0
+                    or offsets[-1] != len(tokens) or (np.diff(offsets) < 1).any()):
+                raise ValueError(f"{stream} tokens in the {scope} scope are not a (rows, width) "
+                                 f"stack that its offsets split among {n} spots")
+            width = self.token_stacks[(stream, "spot")][0].shape[1]
+            if tokens.shape[1] != width:
+                raise ValueError(f"{stream} tokens of spot {self.spots[0].spot_id!r} are "
+                                 f"{tokens.shape[1]} wide in the {scope} scope, not {width}")
+            # min and max are finite only if every token is, and need no stack-sized mask
+            if not (np.isfinite(tokens.min()) and np.isfinite(tokens.max())):
+                row = np.flatnonzero(~np.isfinite(tokens).all(axis=1))[0]
+                spot = self.spots[np.searchsorted(offsets, row, side="right") - 1]
+                raise ValueError(f"{stream} tokens of spot {spot.spot_id!r} are not all finite "
+                                 f"in the {scope} scope")
+        image, offsets = self.token_stacks[("img", "spot")]
+        self.pooled_image_tokens = np.zeros((n + 1, image.shape[1]))
+        for s in range(n):
+            self.pooled_image_tokens[s] = image[offsets[s]:offsets[s + 1]].mean(axis=0)
         for array in (self.pooled_image_tokens, *itertools.chain(*self.token_stacks.values())):
             array.flags.writeable = False
 
@@ -138,6 +142,8 @@ def load_spot_table(path):
             px_x, px_y = float(x_s), float(y_s)
         except ValueError:
             raise ParseError(f"line {lineno}: pixel coordinates must be numbers") from None
+        if not (math.isfinite(px_x) and math.isfinite(px_y)):
+            raise ParseError(f"line {lineno}: pixel coordinates must be finite")
         if (row, col) in seen_grid:
             raise ParseError(
                 f"line {lineno}: grid position ({row}, {col}) already used on line {seen_grid[(row, col)]}"
@@ -180,6 +186,8 @@ def load_expression_matrix(path, spot_ids=None):
             values = [float(v) for v in fields[1:]]
         except ValueError:
             raise ParseError(f"line {lineno}: counts must be numbers") from None
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"line {lineno}: counts must be finite")
         if any(v < 0 for v in values):
             raise ParseError(f"line {lineno}: negative count")
         rows[spot_id] = values
@@ -193,7 +201,8 @@ def load_expression_matrix(path, spot_ids=None):
         if missing:
             raise ParseError(f"no expression row for spot_id {missing[0]!r}")
         order = list(spot_ids)
-    return ExpressionMatrix(genes, np.array([rows[s] for s in order], dtype=np.float64))
+    values = np.array([rows[s] for s in order], dtype=np.float64).reshape(len(order), len(genes))
+    return ExpressionMatrix(genes, values)
 
 
 def write_expression_matrix(path, expr, spot_ids):
@@ -256,17 +265,17 @@ def synth_dataset(rows, cols, n_genes, noise_sd, seed, slide_id="synth",
         raise ValueError("rows, cols and n_genes must be positive")
     if noise_sd < 0:
         raise ValueError("noise_sd must be nonnegative")
-    provider = ToyFeatureProvider(derive_seed(seed, "features", slide_id), grid_tokens, stream_dims)
+    dataset_seed = derive_seed(seed, "features", slide_id)
+    dims = dict(TOY_STREAM_DIMS if stream_dims is None else stream_dims)
     spots = [SpotRecord(f"s{r}x{c}", r, c, c * 100.0 + 50.0, r * 100.0 + 50.0)
              for r in range(rows) for c in range(cols)]
-    # each spot's tokens go into one buffer per stream, freed whole once the slide stacks them
-    buffers = [np.empty((len(spots), provider.grid_tokens, provider.stream_dims[stream]))
-               for stream in STREAMS]
+    # one buffer per stream; its (spots * tokens, width) view is the stream's token stack
+    buffers = [np.empty((len(spots), grid_tokens, dims[stream])) for stream in STREAMS]
     for i, spot in enumerate(spots):
-        for buffer, (_, tokens) in zip(buffers, provider.bundle(spot).streams()):
+        for buffer, tokens in zip(buffers, toy_extract(spot, dataset_seed, grid_tokens, dims)):
             buffer[i] = tokens
 
-    n_features = sum(provider.stream_dims.values())
+    n_features = sum(dims.values())
     rng_w = substream(seed, "weights")
     shared = rng_w.uniform(0.5, 1.5, n_features)
     individual = rng_w.uniform(0.0, 1.0, (n_features, n_genes))
@@ -281,28 +290,28 @@ def synth_dataset(rows, cols, n_genes, noise_sd, seed, slide_id="synth",
     counts = np.clip(np.round(np.exp(targets + noise) - 1.0), 0.0, None)
 
     genes = [f"G{j:04d}" for j in range(n_genes)]
-    bundles = [FeatureBundle(*(buffer[i] for buffer in buffers)) for i in range(len(spots))]
-    return SpotDataset(spots, ExpressionMatrix(genes, counts), bundles, slide_id), weights
+    offsets = np.arange(0, len(spots) * grid_tokens + 1, grid_tokens)
+    entries = [(buffer.reshape(-1, buffer.shape[2]), offsets) for buffer in buffers]
+    stacks = {(stream, scope): entry for stream, entry in zip(STREAMS, entries) for scope in SCOPES}
+    return SpotDataset(spots, ExpressionMatrix(genes, counts), stacks, slide_id), weights
 
 
-def write_manifest(path, slide_id, spots_path, expression_path, features_prefix, toy=None):
+def write_manifest(path, slide_id, spots_path, expression_path, features_prefix):
     doc = {
         "slide_id": slide_id,
         "spots": str(spots_path),
         "expression": str(expression_path),
         "features": str(features_prefix),
     }
-    if toy is not None:
-        doc["toy"] = toy
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def save_dataset(dataset, out_dir, toy_meta=None):
+def save_dataset(dataset, out_dir):
     """Write spots TSV, expression TSV, BGFT feature files and the manifest:
     a spot-scope file per spot and stream, and a ctx-scope one for each
-    stream whose ctx-scope stack is its own."""
+    stream whose ctx-scope entry is not the spot-scope one."""
     out_dir = Path(out_dir)
     features_dir = out_dir / "features"
     features_dir.mkdir(parents=True, exist_ok=True)
@@ -315,43 +324,39 @@ def save_dataset(dataset, out_dir, toy_meta=None):
                 path = features_dir / f"{spot.spot_id}.{stream}.{scope}.bgft"
                 path.write_bytes(encode_bgft(tokens[start:end]))
     write_manifest(out_dir / "manifest.json", dataset.slide_id,
-                   "spots.tsv", "expression.tsv", "features", toy=toy_meta)
+                   "spots.tsv", "expression.tsv", "features")
     return out_dir / "manifest.json"
 
 
-def load_dataset(manifest_path, provider="precomputed"):
+def load_dataset(manifest_path):
     """Assemble a SpotDataset from a manifest; paths resolve relative to it.
-    A key it lacks, a file it names that cannot be read, and a stream of
-    more than one token width are a FormatError."""
+
+    The tokens are read by ``features.read_token_stacks`` straight into the
+    slide's stacks. Keys other than the four it reads are ignored. A key it
+    lacks, a file it names that cannot be read, a feature file that is not
+    a finite matrix of its stream's width and a slide without spots are a
+    FormatError; a malformed table is a ParseError naming its line.
+    """
     manifest_path = Path(manifest_path)
     with open(manifest_path, encoding="utf-8") as fh:
         doc = json.load(fh)
     base = manifest_path.parent
 
-    def entry(block, key):
-        if not isinstance(block, dict) or key not in block:
+    def entry(key):
+        if not isinstance(doc, dict) or key not in doc:
             raise FormatError(f"{manifest_path}: no {key!r} entry in the manifest")
-        return block[key]
+        return doc[key]
 
-    slide_id = entry(doc, "slide_id")
-    if provider == "toy":
-        toy = doc.get("toy")
-        if toy is None:
-            raise ValueError("manifest has no toy-provider block")
-        prov = ToyFeatureProvider(entry(toy, "dataset_seed"), entry(toy, "grid_tokens"),
-                                  {k: int(v) for k, v in entry(toy, "stream_dims").items()})
-    elif provider == "precomputed":
-        prov = PrecomputedFeatureProvider(base / entry(doc, "features"))
-    else:
-        raise ValueError(f"unknown provider {provider!r}")
+    slide_id = entry("slide_id")
+    spots_path, expression_path, features_dir = (
+        base / entry(key) for key in ("spots", "expression", "features"))
     try:
-        spots = load_spot_table(base / entry(doc, "spots"))
-        expr = load_expression_matrix(base / entry(doc, "expression"), [s.spot_id for s in spots])
-        bundles = [prov.bundle(s, "spot") for s in spots]
-        ctx_bundles = [prov.bundle(s, "ctx", spot_bundle=b) for s, b in zip(spots, bundles)]
+        spots = load_spot_table(spots_path)
+        expr = load_expression_matrix(expression_path, [s.spot_id for s in spots])
+        return SpotDataset(spots, expr, read_token_stacks(features_dir, spots), slide_id)
     except OSError as exc:
         raise FormatError(f"{manifest_path}: cannot read {exc.filename}: {exc.strerror}") from None
-    try:
-        return SpotDataset(spots, expr, bundles, slide_id, features_ctx=ctx_bundles)
+    except ParseError:
+        raise
     except ValueError as exc:
         raise FormatError(f"{manifest_path}: {exc}") from None

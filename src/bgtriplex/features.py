@@ -1,16 +1,16 @@
-"""Pluggable per-spot feature providers and the BGFT tensor file format.
+"""Per-spot feature tokens: the BGFT tensor file format, the reader that
+fills a slide's token stacks from it, and a deterministic toy extractor.
 
 Pretrained extractors are out of scope; the model consumes their outputs
-through this contract instead. Two providers ship: a deterministic toy
-extractor for desk-scale runs, and a loader for precomputed BGFT files
-laid out as ``<prefix>/<spot_id>.<img|edge|nuc>.<spot|ctx>.bgft``.
+as BGFT files laid out as ``<prefix>/<spot_id>.<img|edge|nuc>.<spot|ctx>.bgft``.
+``toy_extract`` generates desk-scale tokens for synthetic slides.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -23,33 +23,8 @@ TOY_GRID_TOKENS = (1, 4, 9, 16, 49)
 TOY_STREAM_DIMS = {"img": 10, "edge": 6, "nuc": 8}
 
 _BGFT_MAGIC = b"BGFT"
+_BGFT_MAX_NDIM = 8
 _STREAM_CODE = {"img": 11, "edge": 23, "nuc": 37}
-
-
-@dataclass
-class FeatureBundle:
-    """Three token matrices (tokens x dim) for one field of view.
-
-    Every token is real: each branch attends over and pools all of them.
-    """
-
-    image_tokens: np.ndarray
-    edge_tokens: np.ndarray
-    nuclei_tokens: np.ndarray
-
-    def __post_init__(self):
-        for name, tokens in self.streams():
-            if tokens.ndim != 2 or tokens.shape[0] < 1:
-                raise ValueError(f"{name} tokens must be a non-empty 2-D matrix, got {tokens.shape}")
-            if not np.isfinite(tokens).all():
-                raise ValueError(f"{name} tokens contain non-finite entries")
-
-    def streams(self):
-        return (
-            ("img", self.image_tokens),
-            ("edge", self.edge_tokens),
-            ("nuc", self.nuclei_tokens),
-        )
 
 
 TOY_LATENT_DIM = 4
@@ -94,14 +69,15 @@ def toy_extract(spot, dataset_seed, grid_tokens, stream_dims=None):
     reflects it through its own fixed channel loadings, plus token-level
     texture. Spots therefore vary along a few factor directions, the
     three streams carry distinct views of the same state, and the latent
-    geometry is shared across slides. Values are rounded through float32
-    so in-memory bundles match their BGFT on-disk form bit for bit.
+    geometry is shared across slides. Returns the (img, edge, nuc) token
+    matrices, rounded through float32 so in-memory tokens match their BGFT
+    on-disk form bit for bit.
     """
     if grid_tokens not in TOY_GRID_TOKENS:
         raise ValueError(f"grid_tokens must be one of {TOY_GRID_TOKENS}, got {grid_tokens}")
     dims = dict(TOY_STREAM_DIMS if stream_dims is None else stream_dims)
     latent = _toy_latent_state(dataset_seed, spot.array_row, spot.array_col)
-    tokens = {}
+    tokens = []
     for stream in STREAMS:
         rng = np.random.default_rng(
             np.random.SeedSequence(
@@ -111,50 +87,73 @@ def toy_extract(spot, dataset_seed, grid_tokens, stream_dims=None):
         profile = _toy_loadings(stream, dims[stream]) @ latent
         texture = rng.uniform(0.0, 1.0, size=(grid_tokens, dims[stream]))
         values = 0.9 * profile + 0.1 * texture
-        tokens[stream] = values.astype(np.float32).astype(np.float64)
-    return FeatureBundle(tokens["img"], tokens["edge"], tokens["nuc"])
+        tokens.append(values.astype(np.float32).astype(np.float64))
+    return tuple(tokens)
 
 
-class ToyFeatureProvider:
-    """Pure deterministic extractor; same spot always yields the same bundle."""
+def read_token_stacks(prefix, spots):
+    """The ``SpotDataset.token_stacks`` of ``spots``, read from the BGFT
+    files under ``prefix``.
 
-    def __init__(self, dataset_seed, grid_tokens=4, stream_dims=None):
-        self.dataset_seed = int(dataset_seed)
-        self.grid_tokens = int(grid_tokens)
-        self.stream_dims = dict(TOY_STREAM_DIMS if stream_dims is None else stream_dims)
+    Each stream's file headers are read first, so its stack is allocated
+    once and filled file by file: the tokens are never held twice. A
+    ctx-scope stream with no ``<spot_id>.<stream>.ctx.bgft`` file for any
+    spot shares the spot-scope entry; otherwise spots without such a file
+    take their rows from the spot-scope stack. Every payload is read once. A
+    file that is not a matrix of its stream's width is a FormatError that
+    names the spot, stream and scope.
+    """
+    listed = set(os.listdir(prefix))
+    stacks = {}
+    for stream in STREAMS:
+        spot_paths = [os.path.join(prefix, f"{spot.spot_id}.{stream}.spot.bgft") for spot in spots]
+        ctx_paths = [os.path.join(prefix, name) if name in listed else None
+                     for name in (f"{spot.spot_id}.{stream}.ctx.bgft" for spot in spots)]
+        entry = stacks[(stream, "spot")] = _read_stack(spots, stream, "spot", spot_paths)
+        stacks[(stream, "ctx")] = (_read_stack(spots, stream, "ctx", ctx_paths, entry)
+                                   if any(ctx_paths) else entry)
+    return stacks
 
-    def bundle(self, spot, scope="spot", spot_bundle=None):
-        """The spot's bundle; extraction ignores the scope, so a given
-        ``spot_bundle`` (this spot's spot-scope bundle) is returned as is."""
-        if scope not in SCOPES:
-            raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
-        if spot_bundle is not None:
-            return spot_bundle
-        return toy_extract(spot, self.dataset_seed, self.grid_tokens, self.stream_dims)
+
+def _read_stack(spots, stream, scope, paths, spot_entry=None):
+    """(tokens, offsets) of one stream in one scope from the given files;
+    a spot whose path is None takes its rows of ``spot_entry``."""
+    width = spot_entry[0].shape[1] if spot_entry else None
+    rows = np.diff(spot_entry[1]).tolist() if spot_entry else [None] * len(spots)
+    for s, (spot, path) in enumerate(zip(spots, paths)):
+        if path is None:
+            continue
+        shape = _file_shape(path)
+        if len(shape) != 2:
+            raise FormatError(f"{stream} tokens of spot {spot.spot_id!r} have shape {shape} in "
+                              f"the {scope} scope, not (tokens, width)")
+        width = shape[1] if width is None else width
+        if shape[1] != width:
+            raise FormatError(f"{stream} tokens of spot {spot.spot_id!r} are {shape[1]} wide in "
+                              f"the {scope} scope, not {width}")
+        rows[s] = shape[0]
+    offsets = np.cumsum([0] + rows)
+    tokens = np.empty((offsets[-1], width or 0))
+    for s, path in enumerate(paths):
+        tokens[offsets[s]:offsets[s + 1]] = (
+            load_feature_file(path) if path is not None
+            else spot_entry[0][spot_entry[1][s]:spot_entry[1][s + 1]])
+    return tokens, offsets
 
 
-class PrecomputedFeatureProvider:
-    """Reads BGFT files; context-scope files fall back to spot-scope ones."""
-
-    def __init__(self, prefix):
-        self.prefix = Path(prefix)
-
-    def bundle(self, spot, scope="spot", spot_bundle=None):
-        """The spot's bundle in ``scope``. A context-scope stream with no
-        file of its own takes the array of ``spot_bundle`` (this spot's
-        spot-scope bundle, already read) when given, else reads the
-        spot-scope file."""
-        if scope not in SCOPES:
-            raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
-        tokens = dict(spot_bundle.streams()) if scope == "ctx" and spot_bundle is not None else {}
-        for stream in STREAMS:
-            path = self.prefix / f"{spot.spot_id}.{stream}.{scope}.bgft"
-            if scope == "spot" or path.exists():
-                tokens[stream] = load_feature_file(path)
-            elif stream not in tokens:
-                tokens[stream] = load_feature_file(
-                    self.prefix / f"{spot.spot_id}.{stream}.spot.bgft")
-        return FeatureBundle(tokens["img"], tokens["edge"], tokens["nuc"])
+def _file_shape(path):
+    """The shape a BGFT file declares, once its size is checked against it."""
+    with open(path, "rb", buffering=0) as fh:
+        head = fh.read(12 + 4 * _BGFT_MAX_NDIM)
+        size = os.fstat(fh.fileno()).st_size
+    name = os.path.basename(path)
+    try:
+        shape, _, end = _decode_header(head, 0)
+    except FormatError as exc:
+        raise FormatError(f"{name}: {exc}") from None
+    if size != end:
+        raise FormatError(f"{name}: {size} bytes, not the {end} its header declares")
+    return shape
 
 
 def load_feature_file(path):
@@ -177,6 +176,15 @@ def encode_bgft(array):
 
 def decode_bgft(blob, offset):
     """Decode one BGFT record starting at ``offset``; returns (array, next offset)."""
+    shape, start, end = _decode_header(blob, offset)
+    if len(blob) < end:
+        raise FormatError(f"truncated payload at byte {len(blob)}, expected {end}")
+    values = np.frombuffer(blob, dtype="<f4", count=(end - start) // 4, offset=start)
+    return values.astype(np.float64).reshape(shape), end
+
+
+def _decode_header(blob, offset):
+    """(shape, payload start, payload end) of the BGFT record at ``offset``."""
     if len(blob) < offset + 4 or blob[offset:offset + 4] != _BGFT_MAGIC:
         raise FormatError(f"bad magic at byte {offset}")
     if len(blob) < offset + 12:
@@ -184,7 +192,7 @@ def decode_bgft(blob, offset):
     version, ndim = struct.unpack_from("<II", blob, offset + 4)
     if version != 1:
         raise FormatError(f"unsupported version {version} at byte {offset + 4}")
-    if ndim > 8:
+    if ndim > _BGFT_MAX_NDIM:
         raise FormatError(f"implausible ndim {ndim} at byte {offset + 8}")
     extents_end = offset + 12 + 4 * ndim
     if len(blob) < extents_end:
@@ -192,10 +200,4 @@ def decode_bgft(blob, offset):
     shape = struct.unpack_from(f"<{ndim}I", blob, offset + 12)
     if any(extent < 1 for extent in shape):
         raise FormatError(f"non-positive extent in shape {shape} at byte {offset + 12}")
-    count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-    payload_end = extents_end + 4 * count
-    if len(blob) < payload_end:
-        raise FormatError(f"truncated payload at byte {len(blob)}, expected {payload_end}")
-    values = np.frombuffer(blob, dtype="<f4", count=count, offset=extents_end)
-    return values.astype(np.float64).reshape(shape), payload_end
-
+    return shape, extents_end, extents_end + 4 * math.prod(shape)

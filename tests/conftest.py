@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 
-from bgtriplex.features import STREAMS, FeatureBundle
+from bgtriplex.features import STREAMS
 
 
 def checksum(*arrays):
@@ -25,11 +25,27 @@ def forbidden_fork():
 
 
 def bundle(dataset, s, scope="spot"):
-    """Spot ``s``'s ``scope`` tokens, as views into the slide's token stacks."""
+    """Spot ``s``'s (img, edge, nuc) ``scope`` tokens, as views into the
+    slide's token stacks."""
     stacks = [dataset.token_stacks[(stream, scope)] for stream in STREAMS]
-    return FeatureBundle(*(tokens[offsets[s]:offsets[s + 1]] for tokens, offsets in stacks))
+    return tuple(tokens[offsets[s]:offsets[s + 1]] for tokens, offsets in stacks)
 
 
 def bundles(dataset, scope="spot"):
     """Every spot's ``scope`` tokens, in spot order, as ``bundle`` views."""
     return [bundle(dataset, s, scope) for s in range(dataset.n_spots)]
+
+
+def token_stacks(spot, ctx=None):
+    """``SpotDataset.token_stacks`` of per-spot (img, edge, nuc) arrays; the
+    ctx scope shares the spot-scope entries unless ``ctx`` gives its own."""
+    stacks = {}
+    for k, stream in enumerate(STREAMS):
+        for scope, arrays in (("spot", spot), ("ctx", ctx)):
+            if arrays is None:
+                stacks[(stream, scope)] = stacks[(stream, "spot")]
+            else:
+                tokens = [a[k] for a in arrays]
+                stacks[(stream, scope)] = (np.concatenate(tokens),
+                                           np.cumsum([0] + [len(t) for t in tokens]))
+    return stacks

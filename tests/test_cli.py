@@ -58,7 +58,8 @@ BAD_CONFIGS = [{"train": {"grad_clipp": 1.0}}, {"model": {"d_modell": 8}},
                {"model": {"guide_mode": "sum"}},
                {"model": {"stream_dims": {"img": 4, "edge": 6, "nuc": 8}}},
                {"trian": {"epochs": 1}}, [1], {"train": 3}, {"model": []},
-               {"pcch_selector": "best"}, {"provider": "files"}, {"train": {"lr": "fast"}},
+               {"pcch_selector": "best"}, {"provider": "files"}, {"provider": "precomputed"},
+               {"train": {"lr": "fast"}},
                {"train": {"d_context": 3.0}}, {"train": {"batch_size": 2.5}},
                {"train": {"k_genes": True}}, {"train": {"distill_detach": 1}},
                {"model": {"eps": "1e-5"}},
@@ -380,4 +381,93 @@ def test_a_stream_of_two_widths_exits_4_before_output(manifest, checkpoint, tmp_
     assert result.exit_code == 4, result.output
     assert result.stdout == ""
     assert all(text in result.output for text in (str(ragged), "edge", f"{scope} scope", "s1x2"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "eval", "predict", "export-map"])
+def test_the_removed_provider_flag_exits_2_before_output(manifest, checkpoint, tmp_path, command):
+    model = ["--checkpoint", str(checkpoint), "--manifest", str(manifest)]
+    args = {"train": ["train", "--manifest", str(manifest)],
+            "cv": ["cv", "--manifest", str(manifest), "--manifest", str(manifest)],
+            "eval": ["eval", *model], "predict": ["predict", *model],
+            "export-map": ["export-map", *model, "--gene", "G0001"]}[command]
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [*args, "--provider", "precomputed", "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert "--provider" in result.output
+    assert not out.exists()
+
+
+def test_a_manifest_with_a_toy_block_predicts_the_same_bytes(manifest, checkpoint, tmp_path):
+    # manifests that bgt synth wrote before the toy provider was removed carry a "toy" block
+    doc = json.loads(manifest.read_text())
+    doc.update({key: str(manifest.parent / doc[key])
+                for key in ("spots", "expression", "features")},
+               toy={"dataset_seed": 1, "grid_tokens": 4,
+                    "stream_dims": {"img": 10, "edge": 6, "nuc": 8}})
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(doc))
+    runs = []
+    for name, path in (("plain", manifest), ("legacy", legacy)):
+        out = tmp_path / f"{name}.tsv"
+        result = CliRunner().invoke(main, ["predict", "--checkpoint", str(checkpoint),
+                                           "--manifest", str(path), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[1]
+
+
+def slide_commands(slide, checkpoint, out):
+    return {"train": ["train", "--manifest", str(slide), "-o", str(out), "--epochs", "1"],
+            "eval": ["eval", "--checkpoint", str(checkpoint), "--manifest", str(slide),
+                     "-o", str(out)],
+            "predict": ["predict", "--checkpoint", str(checkpoint), "--manifest", str(slide),
+                        "-o", str(out)]}
+
+
+@pytest.mark.parametrize("fault", ["count nan", "count inf", "px_x nan", "px_y -inf"])
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_a_non_finite_table_value_exits_4_before_output(checkpoint, tmp_path, command, fault):
+    slide = synth(tmp_path / "slide")
+    column, value = fault.split()
+    table = tmp_path / "slide" / ("expression.tsv" if column == "count" else "spots.tsv")
+    lines = table.read_text().splitlines()
+    fields = lines[2].split("\t")
+    fields[{"count": 2, "px_x": 3, "px_y": 4}[column]] = value
+    lines[2] = "\t".join(fields)
+    table.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, slide_commands(slide, checkpoint, out)[command])
+    assert result.exit_code == 4, result.output
+    assert result.stdout == ""
+    assert "line 3" in result.output and "must be finite" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_a_slide_without_spots_exits_4_before_output(checkpoint, tmp_path, command):
+    slide = synth(tmp_path / "slide")
+    for table in ("spots.tsv", "expression.tsv"):
+        path = tmp_path / "slide" / table
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, slide_commands(slide, checkpoint, out)[command])
+    assert result.exit_code == 4, result.output
+    assert result.stdout == ""
+    assert "at least one" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", [np.ones((4, 2, 3)), np.full((4, 6), np.nan),
+                                    np.full((4, 6), -np.inf)])
+@pytest.mark.parametrize("scope", ["spot", "ctx"])
+def test_a_feature_file_that_is_not_a_finite_matrix_exits_4(checkpoint, tmp_path, scope, values):
+    slide = synth(tmp_path / "slide")
+    (tmp_path / "slide" / "features" / f"s2x1.edge.{scope}.bgft").write_bytes(encode_bgft(values))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, slide_commands(slide, checkpoint, out)["predict"])
+    assert result.exit_code == 4, result.output
+    assert result.stdout == ""
+    assert all(text in result.output for text in (str(slide), "edge", f"{scope} scope", "s2x1"))
     assert not out.exists()

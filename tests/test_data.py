@@ -3,12 +3,13 @@
 import hashlib
 import json
 import math
+import os
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bundle, bundles
+from conftest import bundle, bundles, token_stacks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,6 @@ from bgtriplex.data import (ExpressionMatrix, SpotDataset, SpotRecord, grid_wind
                             save_dataset, select_top_k_genes, synth_dataset,
                             write_expression_matrix, write_spot_table)
 from bgtriplex.errors import FormatError, ParseError
-from bgtriplex.features import FeatureBundle
 
 # sha256 of synth_dataset(6, 6, 32, 0.05, seed=13) counts; the counts are
 # checked value by value against synth_oracle in TestSynthDataset
@@ -164,6 +164,14 @@ class TestSpotTable:
         with pytest.raises(ParseError, match="line 2"):
             load_spot_table(path)
 
+    @pytest.mark.parametrize("px", ["nan\t0", "0\tinf", "-inf\t1"])
+    def test_non_finite_pixel_coordinates(self, tmp_path, px):
+        path = tmp_path / "spots.tsv"
+        path.write_text("spot_id\tarray_row\tarray_col\tpx_x\tpx_y\n"
+                        f"A\t0\t0\t0\t0\nB\t0\t1\t{px}\n")
+        with pytest.raises(ParseError, match="line 3: pixel coordinates must be finite"):
+            load_spot_table(path)
+
 
 class TestExpressionMatrix:
     def test_single_cell(self, tmp_path):
@@ -210,6 +218,23 @@ class TestExpressionMatrix:
         path.write_text("spot_id\tG1\tG2\nA\t1\n")
         with pytest.raises(ParseError, match="line 2"):
             load_expression_matrix(path)
+
+    @pytest.mark.parametrize("count", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_count_rejected(self, tmp_path, count):
+        path = tmp_path / "expr.tsv"
+        path.write_text(f"spot_id\tG1\tG2\nA\t1\t2\nB\t3\t{count}\n")
+        with pytest.raises(ParseError, match="line 3: counts must be finite"):
+            load_expression_matrix(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_matrix_rejects_non_finite_values(self, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            ExpressionMatrix(["G1", "G2"], np.array([[1.0, value]]))
+
+    def test_header_only_table_has_one_column_per_gene(self, tmp_path):
+        path = tmp_path / "expr.tsv"
+        path.write_text("spot_id\tG1\tG2\n")
+        assert load_expression_matrix(path, spot_ids=[]).values.shape == (0, 2)
 
 
 class TestLog1pNormalize:
@@ -341,7 +366,7 @@ class TestGridWindows:
 class TestSynthDataset:
     def test_noiseless_counts_recover_linear_target(self):
         ds, weights = synth_dataset(4, 4, 8, 0.0, seed=3)
-        pooled = np.array([np.concatenate([t.mean(axis=0) for _, t in b.streams()])
+        pooled = np.array([np.concatenate([t.mean(axis=0) for t in b])
                            for b in bundles(ds)])
         target = pooled @ weights
         err = np.abs(np.log1p(ds.expr.values) - target)
@@ -354,7 +379,7 @@ class TestSynthDataset:
         np.testing.assert_array_equal(a.expr.values, b.expr.values)
         np.testing.assert_array_equal(wa, wb)
         for ba, bb in zip(bundles(a), bundles(b)):
-            np.testing.assert_array_equal(ba.image_tokens, bb.image_tokens)
+            np.testing.assert_array_equal(ba[0], bb[0])
 
     @pytest.mark.parametrize("args", [(6, 6, 32, 0.05, 13), (3, 3, 4, 0.05, 23),
                                       (2, 3, 5, 0.0, 4)])
@@ -363,7 +388,7 @@ class TestSynthDataset:
         tokens, counts = synth_oracle(*args)
         np.testing.assert_array_equal(ds.expr.values, counts)
         for bundle, expected in zip(bundles(ds), tokens):
-            for stream, values in bundle.streams():
+            for stream, values in zip(features.STREAMS, bundle):
                 np.testing.assert_array_equal(values, expected[stream], err_msg=stream)
 
     def test_golden_checksum(self):
@@ -394,21 +419,21 @@ class TestManifestRoundTrip:
         assert [s.spot_id for s in back.spots] == [s.spot_id for s in ds.spots]
         np.testing.assert_array_equal(back.expr.values, ds.expr.values)
         for ba, bb in zip(bundles(back), bundles(ds)):
-            np.testing.assert_array_equal(ba.image_tokens, bb.image_tokens)
-            np.testing.assert_array_equal(ba.edge_tokens, bb.edge_tokens)
-            np.testing.assert_array_equal(ba.nuclei_tokens, bb.nuclei_tokens)
+            for tokens_a, tokens_b in zip(ba, bb, strict=True):
+                np.testing.assert_array_equal(tokens_a, tokens_b)
 
-    def test_toy_provider_matches_files(self, tmp_path):
-        from bgtriplex.seeding import derive_seed
-
+    def test_a_manifest_with_a_toy_block_loads(self, tmp_path):
+        # manifests written before the toy provider was removed carry a "toy" block
         ds, _ = synth_dataset(2, 2, 4, 0.05, seed=31, slide_id="t")
-        toy = {"dataset_seed": derive_seed(31, "features", "t"), "grid_tokens": 4,
-               "stream_dims": {"img": 10, "edge": 6, "nuc": 8}}
-        manifest = save_dataset(ds, tmp_path / "slide", toy_meta=toy)
-        from_files = load_dataset(manifest, provider="precomputed")
-        from_toy = load_dataset(manifest, provider="toy")
-        for ba, bb in zip(bundles(from_files), bundles(from_toy)):
-            np.testing.assert_array_equal(ba.image_tokens, bb.image_tokens)
+        manifest = save_dataset(ds, tmp_path / "slide")
+        doc = json.loads(manifest.read_text())
+        assert "toy" not in doc
+        doc["toy"] = {"dataset_seed": 1, "grid_tokens": 4,
+                      "stream_dims": {"img": 10, "edge": 6, "nuc": 8}}
+        manifest.write_text(json.dumps(doc))
+        for ba, bb in zip(bundles(load_dataset(manifest)), bundles(ds)):
+            for tokens_a, tokens_b in zip(ba, bb, strict=True):
+                np.testing.assert_array_equal(tokens_a, tokens_b)
 
     def test_one_ctx_stream_file_reads_each_file_once(self, tmp_path, monkeypatch):
         ds, _ = synth_dataset(2, 3, 4, 0.05, seed=37)
@@ -419,23 +444,30 @@ class TestManifestRoundTrip:
         for spot, values in zip(ds.spots, edge_ctx):
             path = tmp_path / "slide" / "features" / f"{spot.spot_id}.edge.ctx.bgft"
             path.write_bytes(features.encode_bgft(values))
-        reads = []
-        real_load = features.load_feature_file
+        reads, listings = [], []
+        real_load, real_listdir = features.load_feature_file, features.os.listdir
 
         def counting_load(path):
-            reads.append(path.name)
+            reads.append(os.path.basename(path))
             return real_load(path)
 
+        def counting_listdir(path):
+            listings.append(path)
+            return real_listdir(path)
+
         monkeypatch.setattr(features, "load_feature_file", counting_load)
+        monkeypatch.setattr(features.os, "listdir", counting_listdir)
         back = load_dataset(manifest)
+        # each file's payload is read once; the ctx files are found by one listing
         assert len(reads) == len(set(reads)) == 4 * ds.n_spots
-        for bundle, ctx_bundle, loaded, loaded_ctx, edge in zip(
+        assert len(listings) == 1
+        for spot_tokens, ctx_tokens, loaded, loaded_ctx, edge in zip(
                 bundles(ds), bundles(ds, "ctx"), bundles(back), bundles(back, "ctx"), edge_ctx):
-            for (stream, values), (_, got) in zip(bundle.streams(), loaded.streams()):
+            for stream, values, got in zip(features.STREAMS, spot_tokens, loaded):
                 np.testing.assert_array_equal(got, values, err_msg=stream)
-            np.testing.assert_array_equal(loaded_ctx.image_tokens, ctx_bundle.image_tokens)
-            np.testing.assert_array_equal(loaded_ctx.nuclei_tokens, ctx_bundle.nuclei_tokens)
-            np.testing.assert_array_equal(loaded_ctx.edge_tokens, edge)
+            np.testing.assert_array_equal(loaded_ctx[0], ctx_tokens[0])
+            np.testing.assert_array_equal(loaded_ctx[2], ctx_tokens[2])
+            np.testing.assert_array_equal(loaded_ctx[1], edge)
 
 
     def test_saved_feature_bytes_golden(self, tmp_path):
@@ -476,15 +508,18 @@ def shared_streams(ds):
 
 
 class TestTokenStacks:
-    def test_synth_toy_and_fallback_slides_share_every_stream(self, tmp_path):
-        from bgtriplex.seeding import derive_seed
-
+    def test_synth_and_fallback_slides_share_every_stream(self, tmp_path):
         ds, _ = synth_dataset(2, 3, 4, 0.05, seed=31, slide_id="t")
-        toy = {"dataset_seed": derive_seed(31, "features", "t"), "grid_tokens": 4,
-               "stream_dims": {"img": 10, "edge": 6, "nuc": 8}}
-        manifest = save_dataset(ds, tmp_path / "slide", toy_meta=toy)
-        for slide in (ds, load_dataset(manifest, provider="toy"), load_dataset(manifest)):
+        manifest = save_dataset(ds, tmp_path / "slide")
+        for slide in (ds, load_dataset(manifest)):
             assert shared_streams(slide) == ["img", "edge", "nuc"]
+
+    def test_synth_stacks_are_views_of_one_buffer_per_stream(self):
+        ds, _ = synth_dataset(2, 3, 4, 0.05, seed=31)
+        for stream in features.STREAMS:
+            tokens, offsets = ds.token_stacks[(stream, "spot")]
+            assert tokens.base is not None and tokens.base.ndim == 3
+            assert offsets.tolist() == list(range(0, 25, 4))
 
     def test_own_edge_ctx_files_keep_a_stack_of_their_own(self, tmp_path):
         ds = load_dataset(mixed_ctx_slide(tmp_path / "slide"))
@@ -498,19 +533,53 @@ class TestTokenStacks:
     def test_a_write_into_a_stack_raises(self):
         ds, _ = synth_dataset(2, 2, 4, 0.05, seed=5)
         tokens, offsets = ds.token_stacks[("img", "ctx")]
-        for array in (tokens, offsets, ds.pooled_image_tokens, bundle(ds, 1, "ctx").edge_tokens):
+        for array in (tokens, offsets, ds.pooled_image_tokens, bundle(ds, 1, "ctx")[1]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
 
     @pytest.mark.parametrize("scope", ["spot", "ctx"])
-    def test_a_stream_of_two_widths_is_refused(self, scope):
+    def test_a_stream_of_two_widths_in_its_files_is_refused(self, tmp_path, scope):
         ds, _ = synth_dataset(2, 2, 4, 0.05, seed=5)
-        ragged = [FeatureBundle(b.image_tokens, b.edge_tokens, b.nuclei_tokens[:, :5])
-                  if s == 2 else b for s, b in enumerate(bundles(ds))]
-        spot, ctx = (ragged, None) if scope == "spot" else (bundles(ds), ragged)
-        with pytest.raises(ValueError, match=f"nuc tokens of spot 's1x0' are 5 wide in the "
-                                             f"{scope} scope, not 8"):
-            SpotDataset(ds.spots, ds.expr, spot, "ragged", features_ctx=ctx)
+        manifest = save_dataset(ds, tmp_path / "slide")
+        path = tmp_path / "slide" / "features" / f"s1x0.nuc.{scope}.bgft"
+        path.write_bytes(features.encode_bgft(bundle(ds, 2)[2][:, :5]))
+        with pytest.raises(FormatError, match=f"nuc tokens of spot 's1x0' are 5 wide in the "
+                                              f"{scope} scope, not 8"):
+            load_dataset(manifest)
+
+    def test_a_stream_of_two_widths_across_scopes_is_refused(self):
+        ds, _ = synth_dataset(2, 2, 4, 0.05, seed=5)
+        narrow = [(image, edge, nuclei[:, :5]) for image, edge, nuclei in bundles(ds)]
+        with pytest.raises(ValueError, match="nuc tokens of spot 's0x0' are 5 wide in the "
+                                             "ctx scope, not 8"):
+            SpotDataset(ds.spots, ds.expr, token_stacks(bundles(ds), narrow), "ragged")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("scope", ["spot", "ctx"])
+    def test_a_non_finite_token_is_refused(self, scope, value):
+        ds, _ = synth_dataset(2, 2, 4, 0.05, seed=5)
+        bad = [[tokens.copy() for tokens in spot_tokens] for spot_tokens in bundles(ds)]
+        bad[3][1][2, 4] = value
+        spot, ctx = (bad, None) if scope == "spot" else (bundles(ds), bad)
+        with pytest.raises(ValueError, match=f"edge tokens of spot 's1x1' are not all finite "
+                                             f"in the {scope} scope"):
+            SpotDataset(ds.spots, ds.expr, token_stacks(spot, ctx), "bad")
+
+    @pytest.mark.parametrize("fault", ["rows", "offsets", "empty spot", "3-D"])
+    def test_stacks_that_do_not_fit_the_spots_are_refused(self, fault):
+        ds, _ = synth_dataset(2, 2, 4, 0.05, seed=5)
+        stacks = dict(ds.token_stacks)
+        tokens, offsets = stacks[("edge", "spot")]
+        if fault == "rows":
+            stacks[("edge", "spot")] = (tokens[:-1], offsets)
+        elif fault == "offsets":
+            stacks[("edge", "spot")] = (tokens, offsets[:-1])
+        elif fault == "empty spot":
+            stacks[("edge", "spot")] = (tokens[:-4], np.array([0, 4, 4, 8, 12]))
+        else:
+            stacks[("edge", "spot")] = (tokens.reshape(4, 4, 6), offsets)
+        with pytest.raises(ValueError, match="edge tokens in the spot scope are not a"):
+            SpotDataset(ds.spots, ds.expr, stacks, "bad")
 
 
 class TestManifestFaults:
@@ -522,6 +591,15 @@ class TestManifestFaults:
         del doc[key]
         manifest.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=repr(key)):
+            load_dataset(manifest)
+
+    def test_a_slide_without_spots_is_refused(self, tmp_path):
+        ds, _ = synth_dataset(2, 2, 4, 0.05, seed=41)
+        manifest = save_dataset(ds, tmp_path / "slide")
+        write_spot_table(tmp_path / "slide" / "spots.tsv", [])
+        write_expression_matrix(tmp_path / "slide" / "expression.tsv", ExpressionMatrix(
+            ds.expr.genes, np.zeros((0, 4))), [])
+        with pytest.raises(FormatError, match="spots \\(at least one\\)"):
             load_dataset(manifest)
 
     def test_non_object_manifest(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Feature providers and the BGFT binary format."""
+"""The toy extractor, the BGFT binary format and the token-stack reader."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from bgtriplex.data import SpotRecord
 from bgtriplex.errors import FormatError
-from bgtriplex.features import (FeatureBundle, PrecomputedFeatureProvider,
-                                ToyFeatureProvider, decode_bgft, encode_bgft,
-                                load_feature_file, toy_extract)
+from bgtriplex.features import (decode_bgft, encode_bgft, load_feature_file, read_token_stacks,
+                                toy_extract)
 
 
 def write_bgft(path, array):
@@ -25,44 +24,26 @@ class TestToyExtract:
     def test_deterministic(self):
         a = toy_extract(spot(2, 3), dataset_seed=99, grid_tokens=4)
         b = toy_extract(spot(2, 3), dataset_seed=99, grid_tokens=4)
-        np.testing.assert_array_equal(a.image_tokens, b.image_tokens)
-        np.testing.assert_array_equal(a.edge_tokens, b.edge_tokens)
-        np.testing.assert_array_equal(a.nuclei_tokens, b.nuclei_tokens)
+        for tokens_a, tokens_b in zip(a, b, strict=True):
+            np.testing.assert_array_equal(tokens_a, tokens_b)
 
     def test_distinct_spots_differ(self):
         for seed in range(1, 101):
             a = toy_extract(spot(0, 0), dataset_seed=seed, grid_tokens=1)
             b = toy_extract(spot(0, 1), dataset_seed=seed, grid_tokens=1)
-            assert (a.image_tokens != b.image_tokens).any()
+            assert (a[0] != b[0]).any()
 
     def test_streams_are_distinct(self):
-        bundle = toy_extract(spot(1, 1), dataset_seed=7, grid_tokens=4)
-        assert bundle.image_tokens.shape != bundle.edge_tokens.shape or \
-            (bundle.image_tokens[:, :6] != bundle.edge_tokens).any()
+        image, edge, _ = toy_extract(spot(1, 1), dataset_seed=7, grid_tokens=4)
+        assert image.shape != edge.shape or (image[:, :6] != edge).any()
 
     def test_single_token_shapes(self):
-        bundle = toy_extract(spot(0, 0), dataset_seed=1, grid_tokens=1)
-        assert bundle.image_tokens.shape == (1, 10)
-        assert bundle.edge_tokens.shape == (1, 6)
-        assert bundle.nuclei_tokens.shape == (1, 8)
+        tokens = toy_extract(spot(0, 0), dataset_seed=1, grid_tokens=1)
+        assert [t.shape for t in tokens] == [(1, 10), (1, 6), (1, 8)]
 
     def test_unsupported_grid_tokens(self):
         with pytest.raises(ValueError):
             toy_extract(spot(0, 0), dataset_seed=1, grid_tokens=5)
-
-    def test_provider_referentially_transparent(self):
-        p1 = ToyFeatureProvider(5, grid_tokens=4)
-        p2 = ToyFeatureProvider(5, grid_tokens=4)
-        a = p1.bundle(spot(3, 1))
-        b = p2.bundle(spot(3, 1))
-        np.testing.assert_array_equal(a.image_tokens, b.image_tokens)
-
-
-class TestBundleValidation:
-    def test_rejects_nan(self):
-        bad = np.array([[np.nan, 1.0]])
-        with pytest.raises(ValueError):
-            FeatureBundle(bad, np.ones((1, 2)), np.ones((1, 2)))
 
 
 class TestBgftFormat:
@@ -132,27 +113,62 @@ class TestBgftFormat:
         assert offset == len(blob)
 
 
-class TestPrecomputedProvider:
-    def test_reads_spot_files_with_ctx_fallback(self, tmp_path):
-        rng = np.random.default_rng(3)
-        s = spot(0, 0)
-        for stream, dim in (("img", 4), ("edge", 3), ("nuc", 5)):
-            write_bgft(tmp_path / f"{s.spot_id}.{stream}.spot.bgft",
-                               rng.normal(size=(2, dim)).astype(np.float32))
-        provider = PrecomputedFeatureProvider(tmp_path)
-        spot_bundle = provider.bundle(s, "spot")
-        ctx_bundle = provider.bundle(s, "ctx")
-        np.testing.assert_array_equal(spot_bundle.image_tokens, ctx_bundle.image_tokens)
+DIMS = (("img", 4), ("edge", 3), ("nuc", 5))
+
+
+def write_slide(prefix, spots, counts, scope="spot", seed=3):
+    """One BGFT file per spot and stream in ``scope``, ``counts[s]`` tokens
+    for spot s, widths ``DIMS``; returns {(stream, spot index): tokens}."""
+    rng = np.random.default_rng(seed)
+    written = {}
+    for s, (record, count) in enumerate(zip(spots, counts)):
+        for stream, dim in DIMS:
+            values = rng.normal(size=(count, dim)).astype(np.float32).astype(np.float64)
+            write_bgft(prefix / f"{record.spot_id}.{stream}.{scope}.bgft", values)
+            written[(stream, s)] = values
+    return written
+
+
+class TestReadTokenStacks:
+    def test_ctx_scope_without_files_shares_the_spot_entry(self, tmp_path):
+        spots = [spot(0, 0), spot(0, 1)]
+        written = write_slide(tmp_path, spots, [2, 3])
+        stacks = read_token_stacks(tmp_path, spots)
+        for stream, dim in DIMS:
+            tokens, offsets = stacks[(stream, "spot")]
+            assert stacks[(stream, "ctx")] is stacks[(stream, "spot")]
+            assert tokens.shape == (5, dim) and offsets.tolist() == [0, 2, 5]
+            np.testing.assert_array_equal(tokens, np.vstack([written[(stream, 0)],
+                                                             written[(stream, 1)]]))
 
     def test_ctx_files_take_precedence(self, tmp_path):
-        rng = np.random.default_rng(4)
-        s = spot(1, 1)
-        for stream, dim in (("img", 4), ("edge", 3), ("nuc", 5)):
-            write_bgft(tmp_path / f"{s.spot_id}.{stream}.spot.bgft",
-                               rng.normal(size=(2, dim)).astype(np.float32))
-            write_bgft(tmp_path / f"{s.spot_id}.{stream}.ctx.bgft",
-                               rng.normal(size=(3, dim)).astype(np.float32))
-        provider = PrecomputedFeatureProvider(tmp_path)
-        assert provider.bundle(s, "ctx").image_tokens.shape == (3, 4)
-        assert provider.bundle(s, "spot").image_tokens.shape == (2, 4)
+        spots = [spot(1, 1), spot(1, 2)]
+        own = write_slide(tmp_path, spots, [2, 2], seed=4)
+        ctx = write_slide(tmp_path, spots[:1], [3], scope="ctx", seed=5)
+        stacks = read_token_stacks(tmp_path, spots)
+        for stream, _ in DIMS:
+            tokens, offsets = stacks[(stream, "ctx")]
+            assert offsets.tolist() == [0, 3, 5]
+            np.testing.assert_array_equal(tokens[:3], ctx[(stream, 0)])
+            np.testing.assert_array_equal(tokens[3:], own[(stream, 1)])
+            assert stacks[(stream, "spot")][1].tolist() == [0, 2, 4]
 
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (4,)])
+    def test_a_file_that_is_not_a_matrix_names_its_spot_and_stream(self, tmp_path, shape):
+        spots = [spot(0, 0), spot(0, 1)]
+        write_slide(tmp_path, spots, [2, 2])
+        write_bgft(tmp_path / "s0x1.edge.spot.bgft", np.ones(shape))
+        with pytest.raises(FormatError, match=f"edge tokens of spot 's0x1' have shape "
+                                              rf"\({', '.join(map(str, shape))},?\) in the spot"):
+            read_token_stacks(tmp_path, spots)
+
+    @pytest.mark.parametrize("fault", ["magic", "truncated", "trailing"])
+    def test_a_malformed_file_is_named(self, tmp_path, fault):
+        spots = [spot(0, 0), spot(0, 1)]
+        write_slide(tmp_path, spots, [2, 2])
+        path = tmp_path / "s0x1.nuc.spot.bgft"
+        blob = path.read_bytes()
+        path.write_bytes({"magic": b"NOPE" + blob[4:], "truncated": blob[:-1],
+                          "trailing": blob + b"!"}[fault])
+        with pytest.raises(FormatError, match="s0x1.nuc.spot.bgft: "):
+            read_token_stacks(tmp_path, spots)

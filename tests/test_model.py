@@ -33,14 +33,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import bundle, bundles, checksum, forbidden_fork
+from conftest import bundle, bundles, checksum, forbidden_fork, token_stacks
 
 from bgtriplex import autodiff as ad
 from bgtriplex import model
 from bgtriplex.autodiff import Tensor, grad_check
 from bgtriplex.data import (ExpressionMatrix, SpotDataset, SpotRecord, load_dataset,
                             save_dataset, synth_dataset)
-from bgtriplex.features import FeatureBundle, encode_bgft
+from bgtriplex.features import encode_bgft
 from bgtriplex.model import (CHUNK_SPOTS, MCA_WEIGHTS, BranchOutput, ModelConfig, ModelParams,
                              branch_inputs, forward_batch, forward_slide, fuse, global_branch,
                              guided_attention, guided_branch, slide_forward)
@@ -159,7 +159,7 @@ def head_ref(ops, params, name, pooled):
 
 def project_ref(ops, bundle, params, scope):
     return {stream: ops.matmul(tokens, params[f"proj.{stream}.{scope}"].data)
-            for stream, tokens in bundle.streams()}
+            for stream, tokens in zip(STREAM_ORDER, bundle)}
 
 
 def branch_ref(ops, streams, params, name, mask=None):
@@ -175,7 +175,7 @@ def window_ref(ops, ds, params, center, d):
     """Row-major d x d neighborhood token streams; absent cells are zero and masked."""
     at = {(s.array_row, s.array_col): i for i, s in enumerate(ds.spots)}
     row, col = ds.spots[center].array_row, ds.spots[center].array_col
-    count = bundle(ds, center, "ctx").image_tokens.shape[0]
+    count = bundle(ds, center, "ctx")[0].shape[0]
     blocks = {stream: [] for stream in STREAM_ORDER}
     mask = []
     for dr in range(-(d // 2), d // 2 + 1):
@@ -337,7 +337,7 @@ def mca(guide_a, query, guide_b, block, config, attn_sink=None):
 
 def project(bundle, params, scope):
     return {stream: ad.matmul(tokens, params[f"proj.{stream}.{scope}"])
-            for stream, tokens in bundle.streams()}
+            for stream, tokens in zip(STREAM_ORDER, bundle)}
 
 
 def head(params, name, pooled):
@@ -543,8 +543,8 @@ def apeg_slide(tokens, positions, kernel, projection=None):
     position-encodes the tokens themselves: (slide, params)."""
     n, d = tokens.shape
     spots = [SpotRecord(f"s{i}", row, col, 0.0, 0.0) for i, (row, col) in enumerate(positions)]
-    bundles = [FeatureBundle(token[None], np.ones((1, 1)), np.ones((1, 1))) for token in tokens]
-    ds = SpotDataset(spots, ExpressionMatrix(["g"], np.zeros((n, 1))), bundles, "apeg")
+    stacks = token_stacks([(token[None], np.ones((1, 1)), np.ones((1, 1))) for token in tokens])
+    ds = SpotDataset(spots, ExpressionMatrix(["g"], np.zeros((n, 1))), stacks, "apeg")
     cfg = ModelConfig(d_model=d, n_heads=1, stream_dims={"img": d, "edge": 1, "nuc": 1})
     params = ModelParams(cfg, k_genes=1)
     params["proj.img.spot"].data[...] = np.eye(d) if projection is None else projection
@@ -634,7 +634,7 @@ def small_setup():
 
 def one_spot_dataset(ds, bundle):
     expr = ExpressionMatrix(ds.expr.genes, ds.expr.values[:1])
-    return SpotDataset(ds.spots[:1], expr, [bundle], "one")
+    return SpotDataset(ds.spots[:1], expr, token_stacks([bundle]), "one")
 
 
 class TestSpotBranch:
@@ -739,7 +739,7 @@ class TestGlobalBranch:
         params = ModelParams(cfg, k_genes=5, seed=1)
         params["apeg.kernel"].data[...] = np.random.default_rng(31).normal(size=(3, 3, 16))
         one = one_spot_dataset(ds, bundle(ds, 4))
-        token = bundle(one, 0).image_tokens.mean(axis=0, keepdims=True) @ params[
+        token = bundle(one, 0)[0].mean(axis=0, keepdims=True) @ params[
             "proj.img.spot"].data
         np.testing.assert_allclose(global_tokens(one, params),
                                    token + params["apeg.kernel"].data[1, 1] * token, atol=1e-15)
@@ -752,7 +752,7 @@ class TestGlobalBranch:
         perm = np.random.default_rng(33).permutation(ds.n_spots)
         permuted = SpotDataset([ds.spots[i] for i in perm],
                                ExpressionMatrix(ds.expr.genes, ds.expr.values[perm]),
-                               [bundle(ds, i) for i in perm], "permuted")
+                               token_stacks([bundle(ds, i) for i in perm]), "permuted")
         np.testing.assert_allclose(global_tokens(permuted, params), base[perm], atol=1e-14)
 
 
@@ -1230,10 +1230,10 @@ def varied_slide(out_dir):
     context-scope files."""
     ds, _ = synth_dataset(4, 4, 6, 0.05, seed=37)
     rng = np.random.default_rng(37)
-    dims = {stream: tokens.shape[1] for stream, tokens in bundle(ds, 0).streams()}
+    dims = {stream: tokens.shape[1] for stream, tokens in zip(STREAM_ORDER, bundle(ds, 0))}
     draw = lambda stream: rng.uniform(size=(rng.integers(1, 4), dims[stream]))
-    bundles = [FeatureBundle(*(draw(stream) for stream in STREAM_ORDER)) for _ in ds.spots]
-    manifest = save_dataset(SpotDataset(ds.spots, ds.expr, bundles, "varied"), out_dir)
+    stacks = token_stacks([[draw(stream) for stream in STREAM_ORDER] for _ in ds.spots])
+    manifest = save_dataset(SpotDataset(ds.spots, ds.expr, stacks, "varied"), out_dir)
     for spot in ds.spots[::2]:
         for stream in STREAM_ORDER:
             path = out_dir / "features" / f"{spot.spot_id}.{stream}.ctx.bgft"

@@ -68,9 +68,11 @@ def main():
 
     BGT_THREADS sets how many processes split the whole-slide passes of
     eval, predict, export-map and train's closing PCC(M), and the folds of
-    cv. By default it is the number of CPUs this process may run on over
-    the threads each process's BLAS starts: one per CPU unless
-    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS sets fewer.
+    cv. With 2 or more, train also computes the two halves of each step's
+    gradient at once, the second in one forked partner process. By default
+    it is the number of CPUs this process may run on over the threads each
+    process's BLAS starts: one per CPU unless OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS or OMP_NUM_THREADS sets fewer.
     A larger value oversubscribes the CPUs: with none of those set,
     BGT_THREADS=2 on 2 CPUs ran predict on a 20x20 slide in 0.38 s, against
     0.27 s with 1. Outputs are the same for every value.
@@ -262,8 +264,10 @@ def _targets_for_genes(dataset, genes):
 def cmd_train(manifests, out_dir, config_path, **overrides):
     """Train on one or more slides; writes checkpoint.bgck and loss.csv.
 
-    Training runs in this process; the closing train PCC(M) pass runs in
-    BGT_THREADS processes (see bgt --help).
+    Each step's spots are split in two halves of near-equal cost; with
+    BGT_THREADS of 2 or more (see bgt --help), a forked partner process
+    computes the second half's gradient while this one computes the first.
+    The closing train PCC(M) pass runs in BGT_THREADS processes.
     """
     workers = _workers()
     train_cfg, model_cfg, doc = _build_config(config_path, overrides)
@@ -276,7 +280,8 @@ def cmd_train(manifests, out_dir, config_path, **overrides):
     params = ModelParams(model_cfg, k_genes=len(indices), seed=train_cfg.seed)
     log = train(datasets, params, train_cfg, targets=targets,
                 progress=lambda s: click.echo(
-                    f"epoch {s.epoch} lr {s.lr:.6g} loss_total {s.loss_total:.6f}"))
+                    f"epoch {s.epoch} lr {s.lr:.6g} loss_total {s.loss_total:.6f}"),
+                workers=workers)
     write_loss_log(out / "loss.csv", log)
     save_checkpoint(out / "checkpoint.bgck", params, train_cfg.d_context, names)
     train_pcc_m = _train_summary(out / "checkpoint.bgck", datasets, doc["pcch_selector"],
@@ -327,7 +332,7 @@ def cmd_cv(manifests, out_dir, pcch_selector, config_path, **overrides):
     """Leave-one-slide-out cross-validation over the given manifests.
 
     The folds are split among BGT_THREADS forked processes (see bgt
-    --help).
+    --help); each fold trains in one process.
     """
     workers = _workers()
     if len(manifests) < 2:

@@ -335,7 +335,8 @@ def load_dataset(manifest_path):
     slide's stacks. Keys other than the four it reads are ignored. A key it
     lacks, a file it names that cannot be read, a feature file that is not
     a finite matrix of its stream's width and a slide without spots are a
-    FormatError; a malformed table is a ParseError naming its line.
+    FormatError; a malformed table is a ParseError that names the table's
+    file and, for a bad row, its line.
     """
     manifest_path = Path(manifest_path)
     with open(manifest_path, encoding="utf-8") as fh:
@@ -350,9 +351,16 @@ def load_dataset(manifest_path):
     slide_id = entry("slide_id")
     spots_path, expression_path, features_dir = (
         base / entry(key) for key in ("spots", "expression", "features"))
+
+    def table(load, path, *args):
+        try:
+            return load(path, *args)
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+
     try:
-        spots = load_spot_table(spots_path)
-        expr = load_expression_matrix(expression_path, [s.spot_id for s in spots])
+        spots = table(load_spot_table, spots_path)
+        expr = table(load_expression_matrix, expression_path, [s.spot_id for s in spots])
         return SpotDataset(spots, expr, read_token_stacks(features_dir, spots), slide_id)
     except OSError as exc:
         raise FormatError(f"{manifest_path}: cannot read {exc.filename}: {exc.strerror}") from None

@@ -4,11 +4,15 @@ Each branch is trained against a convex combination of the true label
 and the (detached) fused prediction; the total objective is the fused
 MSE plus the per-branch terms. Batches are target spots; the gradient of
 a step is the mean of per-spot totals over the batch, taken as one loss
-over each slide's stacked predictions.
+over each slide's stacked predictions. A step splits its spots into two
+parts of near-equal attention cost and sums the parts' gradients, so the
+second part can run in a forked partner process at the same time.
 """
 
 from __future__ import annotations
 
+import functools
+import mmap
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -18,7 +22,7 @@ from .data import log1p_normalize, select_top_k_genes
 from .errors import NumericsError
 from .metrics import evaluate_predictions
 from .model import ModelParams, build_tables, check_field_types, forward_batch, forward_slide
-from .parallel import fork_map
+from .parallel import Partner, default_workers, fork_map
 from .seeding import substream
 
 ADAM_BETA1 = 0.9
@@ -159,8 +163,6 @@ def _check_finite(params, loss_value):
     for name, tensor in params.named():
         if not np.isfinite(tensor.data).all():
             raise NumericsError(f"non-finite loss; parameter block {name} has diverged")
-        if tensor.grad is not None and not np.isfinite(tensor.grad).all():
-            raise NumericsError(f"non-finite loss; gradient of {name} has diverged")
     raise NumericsError("non-finite loss with finite parameters (bad input?)")
 
 
@@ -189,12 +191,26 @@ class EpochStats:
     loss_global: float
 
 
-def train(datasets, params, cfg, targets=None, progress=None):
+def train(datasets, params, cfg, targets=None, progress=None, workers=None):
     """Optimize ``params`` in place over the given slides.
 
     Returns the per-epoch loss log. ``targets`` (per-slide label
     matrices) may be precomputed via ``gene_targets``; otherwise they
     are derived here with ``cfg.k_genes``.
+
+    Each batch's spots are split into two parts of near-equal attention
+    cost (``_split``), and each part's share of the batch loss is
+    backpropagated on its own. A step's gradient is part 0's plus part 1's,
+    so the weights and the loss log are the same for every ``workers``.
+    With two or more ``workers`` (by default ``parallel.default_workers()``)
+    a partner process forked before the first step computes part 1 while
+    this one computes part 0. The weights and the two parts' gradients live
+    in one shared anonymous map, so the partner reads the weights that this
+    process's Adam step updates in place; only spot lists and loss values
+    cross the pipe. The slides' grid windows are built before the fork.
+    With one worker, where the platform cannot fork, or where
+    ``forward_batch`` or ``loss_total`` has been wrapped here (by a tracer
+    or a test double), both parts run in turn in this process.
     """
     if not isinstance(datasets, (list, tuple)):
         datasets = [datasets]
@@ -204,43 +220,124 @@ def train(datasets, params, cfg, targets=None, progress=None):
         if t.shape != (ds.n_spots, params.k_genes):
             raise ValueError(f"target matrix {t.shape} does not match slide "
                              f"({ds.n_spots} spots, {params.k_genes} genes)")
+    if workers is None:
+        workers = default_workers()
+    if any(hasattr(fn, "__wrapped__") for fn in (forward_batch, loss_total)):
+        workers = 1
+    for ds in datasets:
+        build_tables(ds, cfg.d_context)
+    costs = [_spot_costs(ds, params.config, cfg.d_context) for ds in datasets]
+
+    named = params.named()
+    originals = [tensor.data for _, tensor in named]
+    # Rows: the weights, then the gradients of parts 0 and 1; shared with
+    # a partner, private (and cheaper to map) without one.
+    size = 3 * 8 * sum(a.size for a in originals)
+    buffer = mmap.mmap(-1, size) if workers > 1 else bytearray(size)
+    shared = np.frombuffer(buffer, dtype=np.float64).reshape(3, -1)
+    weights, *slots = (_views(row, originals) for row in shared)
+    for (_, tensor), view in zip(named, weights):
+        view[...] = tensor.data
+        tensor.data = view
+
+    def run_part(part, batch_size, slot):
+        """Backpropagate ``part``'s share of the batch loss into gradient
+        slot ``slot``; returns (spots, total, terms) per slide of the part.
+        A non-finite loss is not backpropagated: the step raises."""
+        params.zero_grad()
+        shares, values = [], []
+        for d_idx, spots in _group_by_slide(part):
+            preds = forward_batch(datasets[d_idx], params, params.config, cfg.d_context,
+                                  spot_indices=spots)
+            total, terms = loss_total(preds, targets[d_idx][spots], cfg.lambda_,
+                                      detach_fused=cfg.distill_detach)
+            shares.append(ad.mul(total, len(spots) / batch_size))
+            values.append((len(spots), total.item(),
+                           {name: term.item() for name, term in terms.items()}))
+        if shares and all(np.isfinite(total) for _, total, _ in values):
+            functools.reduce(ad.add, shares).backward()
+        for (_, tensor), view in zip(named, slots[slot]):
+            view[...] = 0.0 if tensor.grad is None else tensor.grad
+        return values
 
     state = AdamState()
     shuffle = substream(cfg.seed, "shuffle")
     spot_pool = [(d, s) for d in range(len(datasets)) for s in range(datasets[d].n_spots)]
     log = []
-    for epoch in range(cfg.epochs):
-        lr = lr_at(epoch, cfg)
-        order = list(spot_pool)
-        shuffle.shuffle(order)
-        sums = {"total": 0.0, "fused": 0.0, "spot": 0.0, "ctx": 0.0, "global": 0.0}
-        seen = 0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            params.zero_grad()
-            batch_loss = None
-            for d_idx, spots in _group_by_slide(batch):
-                preds = forward_batch(datasets[d_idx], params, params.config, cfg.d_context,
-                                      spot_indices=spots)
-                total, terms = loss_total(preds, targets[d_idx][spots], cfg.lambda_,
-                                          detach_fused=cfg.distill_detach)
-                share = ad.mul(total, len(spots) / len(batch))
-                batch_loss = share if batch_loss is None else ad.add(batch_loss, share)
-                sums["total"] += total.item() * len(spots)
-                for name, term in terms.items():
-                    sums[name] += term.item() * len(spots)
-                seen += len(spots)
-            _check_finite(params, batch_loss.item())
-            batch_loss.backward()
-            if cfg.grad_clip is not None:
-                _clip_gradients(params.named(), cfg.grad_clip)
-            adam_step(params.named(), state, lr)
-        stats = EpochStats(epoch, lr, sums["total"] / seen, sums["fused"] / seen,
-                           sums["spot"] / seen, sums["ctx"] / seen, sums["global"] / seen)
-        log.append(stats)
-        if progress is not None:
-            progress(stats)
+    try:
+        with Partner(run_part, fork=workers > 1) as partner:
+            for epoch in range(cfg.epochs):
+                lr = lr_at(epoch, cfg)
+                order = list(spot_pool)
+                shuffle.shuffle(order)
+                sums = {"total": 0.0, "fused": 0.0, "spot": 0.0, "ctx": 0.0, "global": 0.0}
+                seen = 0
+                for start in range(0, len(order), cfg.batch_size):
+                    batch = order[start:start + cfg.batch_size]
+                    own, other = _split(batch, costs)
+                    partner.send(other, len(batch), 1)
+                    values = run_part(own, len(batch), 0) + partner.receive()
+                    for count, total, terms in values:
+                        sums["total"] += total * count
+                        for name, term in terms.items():
+                            sums[name] += term * count
+                        seen += count
+                    _check_finite(params, sum(total for _, total, _ in values))
+                    np.add(shared[1], shared[2], out=shared[1])
+                    for (_, tensor), grad in zip(named, slots[0]):
+                        tensor.grad = grad
+                    if cfg.grad_clip is not None:
+                        _clip_gradients(named, cfg.grad_clip)
+                    adam_step(named, state, lr)
+                stats = EpochStats(epoch, lr, sums["total"] / seen, sums["fused"] / seen,
+                                   sums["spot"] / seen, sums["ctx"] / seen,
+                                   sums["global"] / seen)
+                log.append(stats)
+                if progress is not None:
+                    progress(stats)
+    finally:
+        for (_, tensor), original in zip(named, originals):
+            original[...] = tensor.data
+            tensor.data = original
     return log
+
+
+def _views(flat, arrays):
+    """Views of the 1-D ``flat``, laid end to end and shaped like ``arrays``."""
+    ends = np.cumsum([a.size for a in arrays])
+    return [part.reshape(a.shape) for part, a in zip(np.split(flat, ends[:-1]), arrays)]
+
+
+def _spot_costs(dataset, config, d_context):
+    """Each spot's attention cost: the squared lengths of its spot and
+    context sequences (the image-token rows of its present window cells),
+    summed over the branches that run."""
+    cost = np.zeros(dataset.n_spots, dtype=np.int64)
+    for name, d in (("spot", 1), ("ctx", d_context)):
+        if not getattr(config, f"drop_{name}"):
+            # one more entry, 0 rows, for the index of an empty window cell
+            rows = np.append(np.diff(dataset.token_stacks[("img", name)][1]), 0)
+            cost += rows[dataset.windows(d)].sum(axis=1) ** 2
+    return cost.tolist()
+
+
+def _split(batch, costs):
+    """The batch's (slide, spot) pairs in two parts of near-equal cost, each
+    in batch order. The pairs are ordered by slide, then cost, largest
+    first, then batch position, and cut where the first part's cost comes
+    nearest half the total, the later cut on a tie. Spots of one slide and
+    one cost mostly share their sequence shapes, so a part runs them as one
+    chunk and the two parts together run about as many chunks and
+    ``forward_batch`` calls as the whole batch would."""
+    cost = [costs[d][s] for d, s in batch]
+    order = sorted(range(len(batch)), key=lambda i: (batch[i][0], -cost[i], i))
+    total, before, cut = sum(cost), 0, 0
+    for i in order:
+        if abs(2 * (before + cost[i]) - total) > abs(2 * before - total):
+            break
+        before += cost[i]
+        cut += 1
+    return [[batch[i] for i in sorted(part)] for part in (order[:cut], order[cut:])]
 
 
 def _group_by_slide(batch):
@@ -269,8 +366,10 @@ def cross_validate(datasets, cfg, model_config, pcch_selector="predictive", make
     The folds are split into round-robin shares among ``min(workers,
     folds)`` processes forked from this one (``parallel.fork_map``), since
     training is Python code that threads could not run in parallel; this
-    process computes none, so no fold's graph is built here. The slides'
-    grid windows are built here before the fork, so the workers share them.
+    process computes none, so no fold's graph is built here. Each fold
+    trains with one worker, both parts of a step in turn in its process,
+    since the fold processes already fill the CPUs. The slides' grid
+    windows are built here before the fork, so the workers share them.
     Only reports come back, so every output equals that of ``workers=1``.
     A worker stops at its first failing fold, and the exception of the
     lowest-index failing fold is raised here once every worker has exited.
@@ -293,7 +392,7 @@ def cross_validate(datasets, cfg, model_config, pcch_selector="predictive", make
         train_ids = [i for i in range(len(datasets)) if i != held]
         params = make_params()
         train([datasets[i] for i in train_ids], params, cfg,
-              targets=[targets[i] for i in train_ids])
+              targets=[targets[i] for i in train_ids], workers=1)
         pred = forward_slide(datasets[held], params, model_config, cfg.d_context)["fused"]
         return evaluate_predictions(pred, targets[held], names, selector=pcch_selector)
 

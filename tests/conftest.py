@@ -1,6 +1,8 @@
 import hashlib
+import os
 
 import numpy as np
+import pytest
 
 from bgtriplex.features import STREAMS
 
@@ -22,6 +24,15 @@ def checksum(*arrays):
 def forbidden_fork():
     """Stands in for ``os.fork`` where a test requires that nothing forks."""
     raise AssertionError("a process was forked")
+
+
+class Interrupt(BaseException):
+    """Stands in for KeyboardInterrupt, which pytest would treat as a stop."""
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def bundle(dataset, s, scope="spot"):

@@ -259,6 +259,19 @@ def test_predict_writes_the_same_bytes_in_one_and_two_processes(manifest, checkp
     assert runs[0] == runs[1]
 
 
+def test_train_writes_the_same_bytes_in_one_and_two_processes(manifest, tmp_path):
+    outputs = ["checkpoint.bgck", "loss.csv", "run.json"]
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        result = CliRunner().invoke(main, ["train", "--manifest", str(manifest), "-o", str(out),
+                                           "--epochs", "2", "--batch-size", "4"],
+                                    env={"BGT_THREADS": threads})
+        assert result.exit_code == 0, result.output
+        runs.append([(out / name).read_bytes() for name in outputs])
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("doc", BAD_CONFIGS)
 def test_cv_with_a_bad_config_exits_2_before_output(manifest, tmp_path, doc):
     out = tmp_path / "cv"
@@ -443,6 +456,21 @@ def test_a_non_finite_table_value_exits_4_before_output(checkpoint, tmp_path, co
     assert result.stdout == ""
     assert "line 3" in result.output and "must be finite" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("table, column", [("spots.tsv", 3), ("expression.tsv", 2)])
+def test_a_table_error_names_its_file(checkpoint, tmp_path, table, column):
+    # the same line number and text could come from either table
+    slide = synth(tmp_path / "slide")
+    path = tmp_path / "slide" / table
+    lines = path.read_text().splitlines()
+    fields = lines[2].split("\t")
+    fields[column] = "nan"
+    lines[2] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    result = CliRunner().invoke(main, slide_commands(slide, checkpoint, tmp_path / "out")["train"])
+    assert result.exit_code == 4, result.output
+    assert result.output.startswith(f"error: {path}: line 3: ")
 
 
 @pytest.mark.parametrize("command", ["train", "predict"])

@@ -1,27 +1,102 @@
-"""The fork-join helper: results in item order, failures raised here, and no
-process left behind."""
+"""The forked partner and the fork-join helper: results in order, failures
+raised here, and no process left behind."""
 
+import contextlib
 import os
 import signal
 import time
 
 import pytest
-from conftest import forbidden_fork
+from conftest import Interrupt, assert_no_child_left, forbidden_fork
 
-from bgtriplex.parallel import BLAS_THREAD_VARS, default_workers, fork_map
-
-
-class Interrupt(BaseException):
-    """Stands in for KeyboardInterrupt, which pytest would treat as a stop."""
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+from bgtriplex.parallel import BLAS_THREAD_VARS, Partner, default_workers, fork_map
 
 
 def square_with_pid(x):
     return x * x, os.getpid()
+
+
+def scaled_with_pid(x, factor):
+    if x < 0:
+        raise ValueError(f"negative {x}")
+    return x * factor, os.getpid()
+
+
+def test_a_partner_answers_each_call_in_its_own_process():
+    with Partner(scaled_with_pid) as partner:
+        for x in range(4):
+            partner.send(x, 3)
+            value, pid = partner.receive()
+            assert value == 3 * x and pid == partner.pid != os.getpid()
+    assert_no_child_left()
+
+
+def test_a_partner_raises_its_exception_here_and_serves_on():
+    with Partner(scaled_with_pid) as partner:
+        partner.send(-1, 2)
+        with pytest.raises(ValueError, match="^negative -1$"):
+            partner.receive()
+        partner.send(5, 2)
+        assert partner.receive()[0] == 10
+    assert_no_child_left()
+
+
+def test_a_partner_that_dies_is_an_error_here():
+    with pytest.raises(ChildProcessError, match="without sending its results"):
+        with Partner(lambda: os.kill(os.getpid(), signal.SIGKILL)) as partner:
+            partner.send()
+            partner.receive()
+    assert_no_child_left()
+
+
+@contextlib.contextmanager
+def deadline(seconds, what):
+    """Fail with ``what`` where the block takes longer than ``seconds``."""
+    def timeout(signum, frame):
+        raise AssertionError(what)
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_partner_left_first_is_not_held_by_a_later_one():
+    # the second partner closes its copies of the first one's pipes, so the
+    # first reads the end of its requests once this process closes them
+    first = Partner(scaled_with_pid).__enter__()
+    second = Partner(scaled_with_pid).__enter__()
+    try:
+        with deadline(20, "the first partner did not exit"):
+            first.__exit__(None, None, None)
+    finally:
+        second.__exit__(None, None, None)
+    assert_no_child_left()
+
+
+def test_an_ended_partner_exits_once_it_has_answered():
+    with Partner(scaled_with_pid) as partner:
+        partner.send(3, 2)
+        partner.end()
+        with deadline(20, "the partner did not exit"):
+            # waits for the exit without reaping, which the with block does
+            os.waitid(os.P_PID, partner.pid, os.WEXITED | os.WNOWAIT)
+        assert partner.receive()[0] == 6
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_without_fork_a_partner_calls_here(monkeypatch, fork):
+    if fork:
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", forbidden_fork)
+    with Partner(scaled_with_pid, fork=fork) as partner:
+        partner.send(4, 2)
+        assert partner.receive() == (8, os.getpid())
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5, 9])

@@ -3,10 +3,11 @@
 import functools
 import math
 import os
+import time
 
 import numpy as np
 import pytest
-from conftest import forbidden_fork
+from conftest import Interrupt, assert_no_child_left, forbidden_fork
 
 from bgtriplex import data, training
 from bgtriplex.autodiff import Tensor
@@ -142,21 +143,26 @@ class TestDistillDetach:
 
     @pytest.mark.parametrize("detach", [True, False])
     def test_train_passes_the_flag_to_the_loss(self, slides, monkeypatch, detach):
+        # a wrapped loss keeps both parts of every step in this process
         seen, real_loss = [], training.loss_total
 
+        @functools.wraps(real_loss)
         def recording_loss(*args, **kwargs):
             seen.append(kwargs["detach_fused"])
             return real_loss(*args, **kwargs)
 
         monkeypatch.setattr(training, "loss_total", recording_loss)
+        monkeypatch.setattr(os, "fork", forbidden_fork)
         cfg = TrainConfig(epochs=1, k_genes=4, d_context=3, batch_size=4, distill_detach=detach)
-        train(slides[:1], ModelParams(SMALL_MODEL, k_genes=4, seed=1), cfg)
-        assert seen and set(seen) == {detach}
+        train(slides[:1], ModelParams(SMALL_MODEL, k_genes=4, seed=1), cfg, workers=2)
+        # two parts per step; the last batch holds one spot, so its second part is empty
+        assert seen == [detach] * (2 * math.ceil(slides[0].n_spots / cfg.batch_size) - 1)
 
 
 def test_training_builds_each_grid_window_table_once(monkeypatch):
     # the spot, global and context branches read windows of size 1, 3 and
-    # d_context; every step of both epochs reads the slide's stored tables
+    # d_context; every step of both epochs, in both processes, reads the
+    # slide's stored tables
     ds, _ = synth_dataset(4, 4, 6, 0.05, seed=17)
     calls, real = [], data.grid_windows
 
@@ -166,8 +172,146 @@ def test_training_builds_each_grid_window_table_once(monkeypatch):
 
     monkeypatch.setattr(data, "grid_windows", counting)
     cfg = TrainConfig(epochs=2, k_genes=4, d_context=5, batch_size=4)
-    train([ds], ModelParams(SMALL_MODEL, k_genes=4, seed=1), cfg)
+    train([ds], ModelParams(SMALL_MODEL, k_genes=4, seed=1), cfg, workers=2)
     assert sorted(calls) == [1, 3, 5]
+
+
+def weight_bytes(params):
+    return [tensor.data.tobytes() for _, tensor in params.named()]
+
+
+class TestPartner:
+    # 27 spots in batches of 13: the first two span slides, the last holds
+    # one spot, so its second part is empty
+    CFG = TrainConfig(epochs=2, k_genes=4, d_context=3, batch_size=13)
+
+    def run(self, slides, workers, config=SMALL_MODEL, cfg=CFG):
+        params = ModelParams(config, k_genes=4, seed=3)
+        log = train(slides, params, cfg, workers=workers)
+        return log, weight_bytes(params)
+
+    @pytest.mark.parametrize("flags", [{}, {"drop_global": True}, {"drop_spot": True},
+                                       {"drop_ctx": True}, {"no_edge_ctx": True}])
+    def test_one_two_and_three_workers_train_the_same_bytes(self, slides, flags):
+        config = ModelConfig(d_model=8, n_heads=2, **flags)
+        (log, weights), *others = [self.run(slides, w, config) for w in (1, 2, 3)]
+        for other_log, other_weights in others:
+            assert other_log == log
+            assert other_weights == weights
+        assert_no_child_left()
+
+    def test_one_worker_starts_no_process(self, slides, monkeypatch):
+        expected = self.run(slides, 2)
+        monkeypatch.setattr(os, "fork", forbidden_fork)
+        assert self.run(slides, 1) == expected
+
+    @pytest.mark.parametrize("default, forks", [(1, 0), (2, 1)])
+    def test_workers_default_to_the_blas_fill(self, slides, monkeypatch, default, forks):
+        calls, real_fork = [], os.fork
+
+        def counting_fork():
+            calls.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(training, "default_workers", lambda: default)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        self.run(slides, None)
+        assert len(calls) == forks
+        assert_no_child_left()
+
+    def test_without_fork_both_parts_run_here(self, slides, monkeypatch):
+        expected = self.run(slides, 2)
+        monkeypatch.delattr(os, "fork")
+        assert self.run(slides, 2) == expected
+
+    @pytest.mark.parametrize("name", ["forward_batch", "loss_total"])
+    def test_a_wrapped_stage_keeps_both_parts_here(self, slides, monkeypatch, name):
+        expected = self.run(slides, 2)
+        calls, real = [], getattr(training, name)
+
+        @functools.wraps(real)
+        def recording(*args, **kwargs):
+            calls.append(os.getpid())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, name, recording)
+        monkeypatch.setattr(os, "fork", forbidden_fork)
+        self.run(slides, 1)
+        every = len(calls)
+        calls.clear()
+        assert self.run(slides, 2) == expected
+        assert calls == [os.getpid()] * every
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_a_diverging_step_raises_and_leaves_no_partner(self, slides):
+        cfg = TrainConfig(epochs=1, k_genes=4, d_context=3, batch_size=4, lr=1e100)
+        with pytest.raises(NumericsError, match="non-finite loss"):
+            self.run(slides, 2, cfg=cfg)
+        assert_no_child_left()
+
+    def test_an_exception_in_the_partner_is_raised_here(self, slides, monkeypatch):
+        caller, real = os.getpid(), training.forward_batch
+
+        def failing_in_the_partner(*args, **kwargs):
+            if os.getpid() != caller:
+                raise ValueError("raised in the partner")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forward_batch", failing_in_the_partner)
+        with pytest.raises(ValueError, match="raised in the partner"):
+            self.run(slides, 2)
+        assert_no_child_left()
+
+    def test_an_interrupt_here_kills_and_reaps_the_partner(self, slides, monkeypatch):
+        caller = os.getpid()
+
+        def interrupted(*args, **kwargs):
+            if os.getpid() == caller:
+                raise Interrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(training, "forward_batch", interrupted)
+        start = time.monotonic()
+        with pytest.raises(Interrupt):
+            self.run(slides, 2)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_the_caller_keeps_its_weight_arrays(self, slides):
+        params = ModelParams(SMALL_MODEL, k_genes=4, seed=3)
+        arrays = [tensor.data for _, tensor in params.named()]
+        train(slides, params, self.CFG, workers=2)
+        assert all(tensor.data is array for (_, tensor), array in zip(params.named(), arrays))
+        assert weight_bytes(params) == self.run(slides, 1)[1]
+
+
+class TestSplit:
+    def test_the_cut_comes_nearest_half_the_cost(self):
+        costs = [[5, 3, 3, 9, 1, 3]]
+        batch = [(0, s) for s in range(6)]
+        # in the order 3, 0, 1, 2, 5, 4 the prefix costs are 9, 14, 17, ...
+        # of 24, and 14 is nearest 12
+        own, other = training._split(batch, costs)
+        assert own == [(0, 0), (0, 3)]
+        assert other == [(0, 1), (0, 2), (0, 4), (0, 5)]
+
+    def test_a_slide_stays_in_one_part_when_the_cut_allows(self):
+        costs = [[0, 4, 0, 4], [2, 0, 2]]
+        # prefix costs 4, 8, 10 of 12: 4 and 8 are as near 6, the later cut wins
+        assert training._split([(1, 0), (0, 1), (1, 2), (0, 3)], costs) == [
+            [(0, 1), (0, 3)], [(1, 0), (1, 2)]]
+
+    def test_one_spot_leaves_the_second_part_empty(self):
+        assert training._split([(1, 4)], [[], [0, 0, 0, 0, 7]]) == [[(1, 4)], []]
+
+    def test_a_spot_costs_the_squared_lengths_of_its_sequences(self):
+        ds, _ = synth_dataset(3, 3, 6, 0.05, seed=13)
+        tokens = ds.token_stacks[("img", "spot")][1][1]  # every spot has as many tokens
+        members = (ds.windows(3) < ds.n_spots).sum(axis=1)
+        full = training._spot_costs(ds, SMALL_MODEL, 3)
+        assert full == list(tokens ** 2 + (members * tokens) ** 2)
+        config = ModelConfig(d_model=8, n_heads=2, drop_ctx=True)
+        assert training._spot_costs(ds, config, 3) == [tokens ** 2] * ds.n_spots
 
 
 class TestCrossValidate:
@@ -185,8 +329,7 @@ class TestCrossValidate:
         cfg = TrainConfig(epochs=1, k_genes=4, d_context=3, batch_size=4, lr=1e100)
         with pytest.raises(NumericsError, match="non-finite loss"):
             cross_validate(slides, cfg, SMALL_MODEL, workers=2)
-        with pytest.raises(ChildProcessError):  # every worker has been reaped
-            os.waitpid(-1, os.WNOHANG)
+        assert_no_child_left()
 
     def test_one_worker_starts_no_process(self, slides, monkeypatch):
         monkeypatch.setattr(os, "fork", forbidden_fork)

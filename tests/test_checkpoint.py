@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_model import init_oracle
+from reference import init_oracle
 
 from bgtriplex.checkpoint import load_checkpoint, save_checkpoint
 from bgtriplex.errors import FormatError

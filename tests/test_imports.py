@@ -1,8 +1,9 @@
-"""Every name a ``bgtriplex`` module or a test file imports is read there.
+"""Every name a ``bgtriplex`` module or a test file imports is read there,
+and the reference network in ``tests/reference.py`` uses no model code.
 
-A stdlib stand-in for a linter's unused-import rule (F401): an import
-statement marked ``# noqa: F401`` is exempt, and a name listed in the
-module's ``__all__`` counts as read.
+The first is a stdlib stand-in for a linter's unused-import rule (F401):
+an import statement marked ``# noqa: F401`` is exempt, and a name listed
+in the module's ``__all__`` counts as read.
 """
 
 import ast
@@ -77,3 +78,53 @@ def test_module_reads_every_name_it_imports(path):
 ])
 def test_the_check_itself(source, unused):
     assert unused_imports(source) == unused
+
+
+# What the reference must not use: the model module, and the model's or
+# autodiff's attention and the stages built on it.
+MODEL_CODE = {"bgtriplex.model", "attention", "guided_attention", "guided_branch", "fuse",
+              "forward_batch"}
+
+
+def model_code_reads(source):
+    """(line, name) of each use of ``MODEL_CODE`` in the source: an import
+    of ``bgtriplex.model``, or a name, attribute, imported name or string
+    constant that is one of the others."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            modules = [f"{node.module}.{alias.name}" for alias in node.names] + [node.module]
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules, names = [alias.name for alias in node.names], []
+        else:
+            modules, names = [dotted(node)], [getattr(node, "attr", getattr(node, "id", None))]
+            if isinstance(node, ast.Constant):
+                names.append(node.value)
+        if any(m and (m + ".").startswith("bgtriplex.model.") for m in modules):
+            found.append((node.lineno, "bgtriplex.model"))
+        found += [(node.lineno, name) for name in names
+                  if isinstance(name, str) and name in MODEL_CODE]
+    return sorted(set(found))
+
+
+def test_reference_uses_no_model_code():
+    assert model_code_reads((TESTS / "reference.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from bgtriplex.model import ModelParams\n", [(1, "bgtriplex.model")]),
+    ("from bgtriplex import model\n", [(1, "bgtriplex.model")]),
+    ("from bgtriplex import model as m\n", [(1, "bgtriplex.model")]),
+    ("import bgtriplex.model\n", [(1, "bgtriplex.model")]),
+    ("import bgtriplex\nbgtriplex.model.ModelConfig\n", [(2, "bgtriplex.model")]),
+    ("from bgtriplex import autodiff as ad\nad.attention(q, k, v, 1)\n", [(2, "attention")]),
+    ("from bgtriplex.autodiff import attention as a\n", [(1, "attention")]),
+    ("x = guided_attention\n", [(1, "guided_attention")]),
+    ("getattr(m, 'guided_branch')\n", [(1, "guided_branch")]),
+    ("m.fuse(a)\nforward_batch(ds)\n", [(1, "fuse"), (2, "forward_batch")]),
+    ("from bgtriplex import autodiff as ad\nad.matmul(a, b)\nmodel_free = 1\n", []),
+    ("from bgtriplex.modelling import x\n", []),
+])
+def test_the_reference_check_itself(source, found):
+    assert model_code_reads(source) == found

@@ -1,15 +1,22 @@
 """Attention block, position encoder, branches and fusion.
 
+Each check of the model against an independent computation uses the one
+network wiring in ``tests/reference.py``, written from the ``model.py``
+docstrings. It imports no ``bgtriplex.model`` function and runs over three
+sets of ops: scalar Python loops (``SCALAR``), plain numpy (``NUMPY``) and
+autodiff tensors (``AUTODIFF``), the last for the step-gradient checks.
+
 The five goldens pin output values, not bytes: the reference arrays in
-``tests/golden/`` were written (json, exact float repr) from the oracles
-below and are compared with ``assert_allclose(rtol=0, atol=1e-12)``.
-The ``d_model=16`` goldens come from scalar Python loops (``SCALAR``), the
-6x6 default-config golden from plain numpy (``NUMPY``). Both run one
-network wiring written from the ``model.py`` docstrings, with no
-``autodiff`` and no ``bgtriplex.model`` function, and each golden has a
-test that checks the model against its oracle. Each reference file
-also records the digest of the synthetic counts it was recorded on, so a
-generator change fails as an input change, not as a model change.
+``tests/golden/`` (json, exact float repr) are compared with
+``assert_allclose(rtol=0, atol=1e-12)``. They were recorded from the
+scalar and numpy backends of an earlier copy of this wiring: the
+``d_model=16`` goldens (``spot_branch``, ``context_branch``,
+``global_branch`` and ``fuse_4spot``) from ``SCALAR``, the 6x6
+default-config golden (``forward_6x6``) from ``NUMPY``. Each golden has a
+test that checks the model against the same backend of ``reference.py``.
+Each reference file also records the digest of the synthetic counts it
+was recorded on, so a generator change fails as an input change, not as
+a model change.
 
 The float64 bytes of these outputs depend on the BLAS kernel (OpenBLAS
 picks one per CPU); the values agree to ~1e-15. To check that the goldens
@@ -25,29 +32,27 @@ Sandybridge passes; SkylakeX needs AVX-512, which a runner may lack.
 
 import functools
 import json
-import math
 import os
-import zlib
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import bundle, bundles, checksum, forbidden_fork, token_stacks
+from conftest import bundle, checksum, forbidden_fork, token_stacks
+from reference import (AUTODIFF, NUMPY, SCALAR, branch, forward, global_token, guiding_block,
+                       head, init_oracle, window_members)
 
 from bgtriplex import autodiff as ad
 from bgtriplex import model
 from bgtriplex.autodiff import Tensor, grad_check
 from bgtriplex.data import (ExpressionMatrix, SpotDataset, SpotRecord, load_dataset,
                             save_dataset, synth_dataset)
-from bgtriplex.features import encode_bgft
+from bgtriplex.features import STREAMS, encode_bgft
 from bgtriplex.model import (CHUNK_SPOTS, MCA_WEIGHTS, BranchOutput, ModelConfig, ModelParams,
                              branch_inputs, forward_batch, forward_slide, fuse, global_branch,
                              guided_attention, guided_branch, slide_forward)
 from bgtriplex.training import gene_targets, loss_total
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-STREAM_ORDER = ("img", "edge", "nuc")
 
 
 def load_reference(name, dataset):
@@ -64,264 +69,43 @@ def assert_matches(actual, expected, name=""):
     np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12, err_msg=name)
 
 
-# Scalar oracles: Python floats and loops, no numpy reductions.
-
-def matmul_oracle(a, b):
-    a, b = np.asarray(a).tolist(), np.asarray(b).tolist()
-    return np.array([[sum(row[t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
-                     for row in a])
-
-
-def attention_oracle(query, kv, w_q, w_k, w_v, kv_mask=None):
-    """Straight-line scalar-loop attention, no numpy reductions.
-
-    Masked kv rows are left out of the softmax and get no weight.
-    """
-    query, kv, w_q, w_k, w_v = (np.asarray(m).tolist() for m in (query, kv, w_q, w_k, w_v))
-    t_q, d = len(query), len(query[0])
-    d_h = len(w_q[0])
-    keep = [j for j in range(len(kv)) if kv_mask is None or kv_mask[j]]
-    q = [[sum(query[i][t] * w_q[t][j] for t in range(d)) for j in range(d_h)] for i in range(t_q)]
-    k = {i: [sum(kv[i][t] * w_k[t][j] for t in range(d)) for j in range(d_h)] for i in keep}
-    v = {i: [sum(kv[i][t] * w_v[t][j] for t in range(d)) for j in range(d_h)] for i in keep}
-    out = np.zeros((t_q, d_h))
-    for i in range(t_q):
-        logits = {j: sum(q[i][x] * k[j][x] for x in range(d_h)) / math.sqrt(d_h) for j in keep}
-        peak = max(logits.values())
-        exps = {j: math.exp(logits[j] - peak) for j in keep}
-        total = sum(exps.values())
-        for x in range(d_h):
-            out[i, x] = sum(exps[j] / total * v[j][x] for j in keep)
-    return out
+def drawn_params(config, k_genes, seed):
+    """Weights with every record drawn from N(0, 0.5), in record order."""
+    params = ModelParams(config, k_genes=k_genes, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, values in params.records():
+        values[...] = rng.normal(0.0, 0.5, values.shape)
+    return params
 
 
-def layer_norm_oracle(x, gamma, beta, eps):
-    """Per row: (x - mean) / sqrt(var + eps) * gamma + beta, two-pass variance."""
-    gamma, beta = np.asarray(gamma).tolist(), np.asarray(beta).tolist()
-    out = []
-    for row in np.asarray(x).tolist():
-        mean = sum(row) / len(row)
-        var = sum((v - mean) ** 2 for v in row) / len(row)
-        scale = 1.0 / math.sqrt(var + eps)
-        out.append([(v - mean) * scale * g + b for v, g, b in zip(row, gamma, beta)])
-    return np.array(out)
+def assert_step_matches_reference(ds, config, d_context, batch):
+    """One training step on ``batch``, with N(0, 0.5) weights and the loss
+    summed over spots: the model's predictions, loss and every gradient
+    against those of the reference over ``AUTODIFF``."""
+    (targets,), _, _ = gene_targets([ds], 4)
 
+    def step(run):
+        params = drawn_params(config, 4, 6)
+        preds = run(params)
+        loss = functools.reduce(ad.add, [
+            loss_total({name: ad.take_rows(p, [b]) for name, p in preds.items()}, targets[s],
+                       0.3)[0] for b, s in enumerate(batch)])
+        loss.backward()
+        return ({name: p.data for name, p in preds.items()}, loss.item(),
+                {name: t.grad for name, t in params.named()})
 
-def mean_rows_oracle(x, mask=None):
-    kept = [row for i, row in enumerate(np.asarray(x).tolist()) if mask is None or mask[i]]
-    return np.array([[sum(col) / len(kept) for col in zip(*kept)]])
-
-
-SCALAR = SimpleNamespace(matmul=matmul_oracle, attention=attention_oracle,
-                         layer_norm=layer_norm_oracle, mean_rows=mean_rows_oracle)
-
-
-def _numpy_attention(query, kv, w_q, w_k, w_v, kv_mask=None):
-    logits = (query @ w_q) @ (kv @ w_k).T / math.sqrt(w_q.shape[1])
-    if kv_mask is not None:
-        logits[:, ~np.asarray(kv_mask, dtype=bool)] = -np.inf
-    weights = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return weights / weights.sum(axis=1, keepdims=True) @ (kv @ w_v)
-
-
-def _numpy_layer_norm(x, gamma, beta, eps):
-    centred = x - x.mean(axis=1, keepdims=True)
-    return centred / np.sqrt((centred ** 2).mean(axis=1, keepdims=True) + eps) * gamma + beta
-
-
-def _numpy_mean_rows(x, mask=None):
-    return (x if mask is None else x[np.asarray(mask, dtype=bool)]).mean(axis=0, keepdims=True)
-
-
-NUMPY = SimpleNamespace(matmul=np.matmul, attention=_numpy_attention,
-                        layer_norm=_numpy_layer_norm, mean_rows=_numpy_mean_rows)
-
-
-# The network, wired from the model.py docstrings over either set of ops.
-
-def mca_ref(ops, guide_a, query, guide_b, block, config, mask_a=None, mask_b=None):
-    """Each head attends from the query to guide a and to guide b with one
-    shared query projection; the two head-concatenated streams are summed
-    and layer-normalized. Head h owns columns h*d_head:(h+1)*d_head of
-    every packed projection."""
-    d_h = config.d_model // config.n_heads
-    heads = []
-    for h in range(config.n_heads):
-        w = {name: block[name].data[:, h * d_h:(h + 1) * d_h] for name in MCA_WEIGHTS}
-        heads.append(ops.attention(query, guide_a, w["w_q"], w["w_k_a"], w["w_v_a"], mask_a)
-                     + ops.attention(query, guide_b, w["w_q"], w["w_k_b"], w["w_v_b"], mask_b))
-    return ops.layer_norm(np.hstack(heads), block["gamma"].data, block["beta"].data, config.eps)
-
-
-def head_ref(ops, params, name, pooled):
-    return ops.matmul(pooled, params[f"head.{name}.w"].data) + params[f"head.{name}.b"].data
-
-
-def project_ref(ops, bundle, params, scope):
-    return {stream: ops.matmul(tokens, params[f"proj.{stream}.{scope}"].data)
-            for stream, tokens in zip(STREAM_ORDER, bundle)}
-
-
-def branch_ref(ops, streams, params, name, mask=None):
-    """A spot or context branch: edge and nuclei guide the image stream,
-    then a masked mean over tokens feeds the branch head."""
-    block = params.block(f"mca_{name}")
-    tokens = mca_ref(ops, streams["edge"], streams["img"], streams["nuc"], block, params.config,
-                     mask_a=mask, mask_b=mask)
-    return tokens, head_ref(ops, params, name, ops.mean_rows(tokens, mask))
-
-
-def window_ref(ops, ds, params, center, d):
-    """Row-major d x d neighborhood token streams; absent cells are zero and masked."""
-    at = {(s.array_row, s.array_col): i for i, s in enumerate(ds.spots)}
-    row, col = ds.spots[center].array_row, ds.spots[center].array_col
-    count = bundle(ds, center, "ctx")[0].shape[0]
-    blocks = {stream: [] for stream in STREAM_ORDER}
-    mask = []
-    for dr in range(-(d // 2), d // 2 + 1):
-        for dc in range(-(d // 2), d // 2 + 1):
-            idx = at.get((row + dr, col + dc))
-            if idx is None:
-                for stream in STREAM_ORDER:
-                    blocks[stream].append(np.zeros((count, params.config.d_model)))
-            else:
-                projected = project_ref(ops, bundle(ds, idx, "ctx"), params, "ctx")
-                for stream in STREAM_ORDER:
-                    blocks[stream].append(projected[stream])
-            mask += [idx is not None] * count
-    return {stream: np.vstack(blocks[stream]) for stream in STREAM_ORDER}, np.array(mask)
-
-
-def global_ref(ops, ds, params):
-    """One mean image token per spot plus the 3x3 channelwise kernel applied
-    over grid neighbors: tap (a, b) reads the spot at offset (a-1, b-1)."""
-    pooled = [ops.mean_rows(project_ref(ops, b, params, "spot")["img"])[0] for b in bundles(ds)]
-    at = {(s.array_row, s.array_col): i for i, s in enumerate(ds.spots)}
-    kernel = params["apeg.kernel"].data
-    out = []
-    for s, spot in enumerate(ds.spots):
-        token = pooled[s].copy()
-        for a in range(3):
-            for b in range(3):
-                idx = at.get((spot.array_row + a - 1, spot.array_col + b - 1))
-                if idx is not None:
-                    token = token + kernel[a, b] * pooled[idx]
-        out.append(token)
-    return np.array(out)
-
-
-def forward_ref(ops, ds, params, d_context):
-    """Every spot's fused, spot, context and global predictions.
-
-    Fusion attends from the target spot's global token alone: attention
-    and LayerNorm act row by row, so this is the target row of the fused
-    tokens.
-    """
-    global_tokens = global_ref(ops, ds, params)
-    preds = {name: [] for name in ("fused", "spot", "ctx", "global")}
-    for s in range(ds.n_spots):
-        spot_tokens, spot_pred = branch_ref(ops, project_ref(ops, bundle(ds, s), params, "spot"),
-                                            params, "spot")
-        streams, mask = window_ref(ops, ds, params, s, d_context)
-        ctx_tokens, ctx_pred = branch_ref(ops, streams, params, "ctx", mask=mask)
-        fused = mca_ref(ops, spot_tokens, global_tokens[s:s + 1], ctx_tokens,
-                        params.block("mca_fuse"), params.config, mask_b=mask)
-        preds["fused"].append(head_ref(ops, params, "fused", fused))
-        preds["spot"].append(spot_pred)
-        preds["ctx"].append(ctx_pred)
-        preds["global"].append(head_ref(ops, params, "global", global_tokens[s:s + 1]))
-    return {name: np.vstack(rows) for name, rows in preds.items()}
-
-
-def init_oracle(config, k_genes, seed):
-    """``ModelParams.records()`` as its docstring orders it: one uniform
-    (+-1/sqrt(fan_in)) draw per weight matrix, in record order, each
-    guiding-block projection drawn head by head;
-    LayerNorm gains are ones, LayerNorm shifts, head biases and the
-    position-encoder kernel are zeros."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(b"init")]))
-    d, d_h = config.d_model, config.d_model // config.n_heads
-    named = []
-    draw = lambda name, shape: named.append(
-        (name, rng.uniform(-1 / math.sqrt(shape[0]), 1 / math.sqrt(shape[0]), shape)))
-    for scope in ("spot", "ctx"):
-        for stream in STREAM_ORDER:
-            draw(f"proj.{stream}.{scope}", (config.stream_dims[stream], d))
-    for block in ("mca_spot", "mca_ctx", "mca_fuse"):
-        for h in range(config.n_heads):
-            for name in ("w_q", "w_k_a", "w_v_a", "w_k_b", "w_v_b"):
-                draw(f"{block}.h{h}.{name}", (d, d_h))
-        named += [(f"{block}.gamma", np.ones(d)), (f"{block}.beta", np.zeros(d))]
-    named.append(("apeg.kernel", np.zeros((3, 3, d))))
-    for head in ("fused", "spot", "ctx", "global"):
-        draw(f"head.{head}.w", (d, k_genes))
-        named.append((f"head.{head}.b", np.zeros((1, k_genes))))
-    return named
-
-
-def per_head_mca(guide_a, query, guide_b, block, config, attn_sink=None):
-    """``model.guided_attention`` as a per-head composition of autodiff ops: each head's
-    projections are cut out of the packed ones and its output put back in
-    place by 0/1 column selectors (exact in float64), and attention is one
-    explicit matmul, row softmax and matmul per head and stream."""
-    d, d_h = config.d_model, config.d_model // config.n_heads
-    scale = 1.0 / math.sqrt(d_h)
-
-    def transpose(x):
-        return ad.compose(x.data.T, (x,), lambda g: x._accumulate(g.T))
-
-    def softmax_rows(x):
-        e = np.exp(x.data - x.data.max(axis=1, keepdims=True))
-        w = e / e.sum(axis=1, keepdims=True)
-        return ad.compose(w, (x,), lambda g: x._accumulate(
-            w * (g - (g * w).sum(axis=1, keepdims=True))))
-
-    def attend(q, guide, w_k, w_v):
-        logits = ad.matmul(q, transpose(ad.matmul(guide, w_k)))
-        return ad.matmul(softmax_rows(logits), ad.matmul(guide, w_v))
-
-    summed = None
-    for h in range(config.n_heads):
-        select = Tensor(np.eye(d)[:, h * d_h:(h + 1) * d_h])
-        w = {name: ad.matmul(block[name], select) for name in MCA_WEIGHTS}
-        q = ad.mul(ad.matmul(query, w["w_q"]), scale)
-        head = ad.add(attend(q, guide_a, w["w_k_a"], w["w_v_a"]),
-                      attend(q, guide_b, w["w_k_b"], w["w_v_b"]))
-        placed = ad.matmul(head, transpose(select))
-        summed = placed if summed is None else ad.add(summed, placed)
-    return ad.layer_norm(summed, block["gamma"], block["beta"], config.eps)
-
-
-def kernel_tap(kernel, a, b):
-    """Tap (a, b) of a (3, 3, d) kernel tensor, as a (d,) tensor."""
-    def backward(g):
-        grad = np.zeros_like(kernel.data)
-        grad[a, b] = g
-        kernel._accumulate(grad)
-
-    return ad.compose(kernel.data[a, b].copy(), (kernel,), backward)
-
-
-def apeg_ref(tokens, positions, kernel):
-    """Each spot's token plus the 3x3 channelwise kernel over its grid
-    neighbors, spot by spot from autodiff ops: tap (a, b) reads the spot at
-    grid offset (a-1, b-1), and an empty cell adds nothing."""
-    at = {p: i for i, p in enumerate(positions)}
-    rows = []
-    for s, (row, col) in enumerate(positions):
-        token = ad.take_rows(tokens, [s])
-        for a in range(3):
-            for b in range(3):
-                idx = at.get((row + a - 1, col + b - 1))
-                if idx is not None:
-                    token = ad.add(token, ad.mul(kernel_tap(kernel, a, b),
-                                                 ad.take_rows(tokens, [idx])))
-        rows.append(token)
-    return ad.concat_rows(rows)
-
-
-def grid_positions(ds):
-    return [(s.array_row, s.array_col) for s in ds.spots]
+    outputs, loss, grads = step(lambda params: forward_batch(ds, params, config, d_context, batch))
+    ref_outputs, ref_loss, ref_grads = step(
+        lambda params: forward(AUTODIFF, ds, params, d_context, batch))
+    assert outputs.keys() == ref_outputs.keys()
+    for name, pred in outputs.items():
+        assert_matches(pred, ref_outputs[name], name)
+    assert abs(loss - ref_loss) <= 1e-12
+    for name, grad in grads.items():
+        assert (grad is None) == (ref_grads[name] is None), name
+        if grad is not None:
+            assert np.abs(grad).max() > 0.0, name
+            assert_matches(grad, ref_grads[name], name)
 
 
 def mca(guide_a, query, guide_b, block, config, attn_sink=None):
@@ -335,99 +119,33 @@ def mca(guide_a, query, guide_b, block, config, attn_sink=None):
     return guided_attention(ad.matmul(query, block["w_q"]), guides, block, config, attn_sink)
 
 
-def project(bundle, params, scope):
-    return {stream: ad.matmul(tokens, params[f"proj.{stream}.{scope}"])
-            for stream, tokens in zip(STREAM_ORDER, bundle)}
-
-
-def head(params, name, pooled):
-    return ad.add(ad.matmul(pooled, params[f"head.{name}.w"]), params[f"head.{name}.b"])
-
-
-def window_members(ds, center, d):
-    """The spots of the d x d grid window centred on spot ``center``, row-major."""
-    at = {(s.array_row, s.array_col): i for i, s in enumerate(ds.spots)}
-    row, col, half = ds.spots[center].array_row, ds.spots[center].array_col, d // 2
-    return [at[(r, c)] for r in range(row - half, row + half + 1)
-            for c in range(col - half, col + half + 1) if (r, c) in at]
-
-
-def branch(streams, params, config, name, mca=mca):
-    """One spot or window's branch from its projected streams: edge and
-    nuclei guide the image stream unless ablated to image guidance.
-    Returns (tokens, pooled, prediction)."""
-    block = params.block(f"mca_{name}")
-    image = streams["img"]
-    tokens = mca(image if getattr(config, f"no_edge_{name}") else streams["edge"], image,
-                 image if getattr(config, f"no_nuclei_{name}") else streams["nuc"],
-                 block, config)
-    pooled = ad.mean_rows(tokens)
-    return tokens, pooled, head(params, name, pooled)
-
-
-def full_slide_forward(ds, params, config, d_context, spot_indices, mca=mca):
-    """``model.slide_forward`` computed spot by spot over the whole slide:
-    every bundle projected in both scopes, each spot's branches run on
-    their own, one window at a time, and the global tokens pooled from
-    projected image tokens and position-encoded by ``apeg_ref`` (with
-    ``drop_global``, the pooled spot-branch tokens, or context-branch ones
-    with ``drop_spot``). Each requested spot's global row is the fusion
-    query, and it attends to its own spot and context tokens only, for the
-    branches present."""
-    proj_spot = [project(b, params, "spot") for b in bundles(ds)]
-    proj_ctx = [project(b, params, "ctx") for b in bundles(ds, "ctx")]
-    spot_outs = [branch(p, params, config, "spot", mca) for p in proj_spot]
-    ctx_outs = []
-    for s in range(ds.n_spots):
-        members = window_members(ds, s, d_context)
-        streams = {stream: ad.concat_rows([proj_ctx[i][stream] for i in members])
-                   for stream in STREAM_ORDER}
-        ctx_outs.append(branch(streams, params, config, "ctx", mca))
-    if config.drop_global:
-        source = ctx_outs if config.drop_spot else spot_outs
-        stream = ad.concat_rows([pooled for _, pooled, _ in source])
-    else:
-        pooled = ad.concat_rows([ad.mean_rows(p["img"]) for p in proj_spot])
-        stream = apeg_ref(pooled, grid_positions(ds), params["apeg.kernel"])
-    results = []
-    for s in spot_indices:
-        query = ad.take_rows(stream, [s])
-        fused = mca(None if config.drop_spot else spot_outs[s][0], query,
-                    None if config.drop_ctx else ctx_outs[s][0], params.block("mca_fuse"), config)
-        preds = {}
-        if not config.drop_spot:
-            preds["spot"] = spot_outs[s][2]
-        if not config.drop_ctx:
-            preds["ctx"] = ctx_outs[s][2]
-        if not config.drop_global:
-            preds["global"] = head(params, "global", query)
-        preds["fused"] = head(params, "fused", fused)
-        results.append((s, preds))
-    return results
-
-
 def run_branch(ds, params, config, scope, members, attn_sink=None):
     """``model.guided_branch`` for targets of one shape: (tokens, prediction)."""
     out = guided_branch(branch_inputs(ds, params, config, scope, members), list(members), config,
                         attn_sink)
-    return out.tokens, head(params, scope, out.pooled)
+    return out.tokens, ad.add(ad.matmul(out.pooled, params[f"head.{scope}.w"]),
+                              params[f"head.{scope}.b"])
 
 
 CFG8 = ModelConfig(d_model=8, n_heads=2)
 
 
-def random_mca_params(rng, d_model):
-    draw = lambda: Tensor(rng.normal(size=(d_model, d_model)))
-    return {**{name: draw() for name in MCA_WEIGHTS},
-            "gamma": Tensor(rng.uniform(0.5, 1.5, d_model)),
-            "beta": Tensor(rng.normal(size=d_model))}
-
-
-def tie_streams(params):
-    """Make the two guide streams share key/value weights."""
-    params["w_k_b"] = params["w_k_a"]
-    params["w_v_b"] = params["w_v_a"]
+def random_mca_params(rng):
+    """``CFG8`` weights whose fusion block is drawn at unit scale."""
+    params = ModelParams(CFG8, k_genes=1)
+    block = params.block("mca_fuse")
+    for name in MCA_WEIGHTS:
+        block[name].data[...] = rng.normal(size=(8, 8))
+    block["gamma"].data[...] = rng.uniform(0.5, 1.5, 8)
+    block["beta"].data[...] = rng.normal(size=8)
     return params
+
+
+def tie_streams(block):
+    """Make the two guide streams share key/value weights."""
+    block["w_k_b"] = block["w_k_a"]
+    block["w_v_b"] = block["w_v_a"]
+    return block
 
 
 def copy_mca(dst, src):
@@ -470,24 +188,23 @@ class TestCrossAttention:
             cols = slice(h * d_h, (h + 1) * d_h)
             np.testing.assert_allclose(
                 out.data[:, cols],
-                attention_oracle(query, kv, w_q[:, cols], w_k[:, cols], w_v[:, cols]),
+                SCALAR.attend(*(SCALAR.matmul(x, w[:, cols])
+                                for x, w in ((query, w_q), (kv, w_k), (kv, w_v)))),
                 rtol=0, atol=1e-12)
 
 
 class TestMca:
     def test_matches_composition_oracle(self):
         rng = np.random.default_rng(9)
-        params = random_mca_params(rng, 8)
-        guide_a = Tensor(rng.normal(size=(3, 8)))
-        query = Tensor(rng.normal(size=(2, 8)))
-        guide_b = Tensor(rng.normal(size=(4, 8)))
-        out = mca(guide_a, query, guide_b, params, CFG8)
-        expected = per_head_mca(guide_a, query, guide_b, params, CFG8)
-        np.testing.assert_allclose(out.data, expected.data, atol=1e-13)
+        params = random_mca_params(rng)
+        guide_a, query, guide_b = (rng.normal(size=(rows, 8)) for rows in (3, 2, 4))
+        out = mca(Tensor(guide_a), Tensor(query), Tensor(guide_b), params.block("mca_fuse"), CFG8)
+        expected = guiding_block(NUMPY, params, "mca_fuse", query, {"a": guide_a, "b": guide_b})
+        np.testing.assert_allclose(out.data, expected, atol=1e-13)
 
     def test_output_rows_have_zero_mean_with_unit_gamma(self):
         rng = np.random.default_rng(10)
-        params = random_mca_params(rng, 8)
+        params = random_mca_params(rng).block("mca_fuse")
         params["gamma"] = Tensor(np.ones(8))
         params["beta"] = Tensor(np.zeros(8))
         out = mca(Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(4, 8))),
@@ -497,7 +214,7 @@ class TestMca:
     def test_stream_symmetry_identity(self):
         """Tied stream weights and identical guides: pre-norm sum is twice one stream."""
         rng = np.random.default_rng(11)
-        params = tie_streams(random_mca_params(rng, 8))
+        params = tie_streams(random_mca_params(rng).block("mca_fuse"))
         guide = Tensor(rng.normal(size=(3, 8)))
         q = ad.matmul(Tensor(rng.normal(size=(2, 8))), params["w_q"])
         phi_a, phi_b = (ad.attention(q, ad.matmul(guide, w_k), ad.matmul(guide, w_v), 2)
@@ -507,7 +224,7 @@ class TestMca:
 
     def test_guide_permutation_invariance(self):
         rng = np.random.default_rng(12)
-        params = random_mca_params(rng, 8)
+        params = random_mca_params(rng).block("mca_fuse")
         guide_a = rng.normal(size=(5, 8))
         query = Tensor(rng.normal(size=(3, 8)))
         guide_b = Tensor(rng.normal(size=(4, 8)))
@@ -518,7 +235,7 @@ class TestMca:
 
     def test_query_equivariance(self):
         rng = np.random.default_rng(13)
-        params = random_mca_params(rng, 8)
+        params = random_mca_params(rng).block("mca_fuse")
         guide_a = Tensor(rng.normal(size=(4, 8)))
         guide_b = Tensor(rng.normal(size=(4, 8)))
         query = rng.normal(size=(5, 8))
@@ -529,7 +246,7 @@ class TestMca:
 
     def test_sink_holds_stream_a_heads_then_stream_b_heads(self):
         rng = np.random.default_rng(14)
-        params = random_mca_params(rng, 8)
+        params = random_mca_params(rng).block("mca_fuse")
         sink = []
         mca(Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(2, 8))),
             Tensor(rng.normal(size=(5, 8))), params, CFG8, attn_sink=sink)
@@ -613,23 +330,20 @@ class TestApeg:
         weights = Tensor(rng.normal(size=(len(spots), 4)))
         out = global_branch(ds, params, spots)
         ad.mean_all(ad.mul(out, weights)).backward()
-        proj, kernel = (Tensor(params[name].data, requires_grad=True)
-                        for name in ("proj.img.spot", "apeg.kernel"))
-        ref = ad.take_rows(apeg_ref(ad.matmul(tokens, proj), positions, kernel), spots)
+        grads = {name: params[name].grad for name in ("proj.img.spot", "apeg.kernel")}
+        params.zero_grad()
+        ref = ad.concat_rows([global_token(AUTODIFF, ds, params, s) for s in spots])
         ad.mean_all(ad.mul(ref, weights)).backward()
         assert_matches(out.data, ref.data, "tokens")
-        assert_matches(params["proj.img.spot"].grad, proj.grad, "projection")
-        assert_matches(params["apeg.kernel"].grad, kernel.grad, "kernel")
+        for name, grad in grads.items():
+            assert_matches(grad, params[name].grad, name)
 
 
 @pytest.fixture(scope="module")
 def small_setup():
     ds, _ = synth_dataset(3, 3, 8, 0.05, seed=13)
     cfg = ModelConfig(d_model=16, n_heads=2)
-    params = ModelParams(cfg, k_genes=5, seed=1)
-    proj_spot = [project(b, params, "spot") for b in bundles(ds)]
-    proj_ctx = [project(b, params, "ctx") for b in bundles(ds, "ctx")]
-    return ds, cfg, params, proj_spot, proj_ctx
+    return ds, cfg, ModelParams(cfg, k_genes=5, seed=1)
 
 
 def one_spot_dataset(ds, bundle):
@@ -639,43 +353,43 @@ def one_spot_dataset(ds, bundle):
 
 class TestSpotBranch:
     def test_golden(self, small_setup):
-        ds, cfg, params, _, _ = small_setup
+        ds, cfg, params = small_setup
         ref = load_reference("spot_branch", ds)
         tokens, prediction = run_branch(ds, params, cfg, "spot", {4: [4]})
         assert_matches(tokens.data, ref["tokens"], "tokens")
         assert_matches(prediction.data, ref["prediction"], "prediction")
 
     def test_matches_scalar_oracle(self, small_setup):
-        ds, cfg, params, _, _ = small_setup
+        ds, cfg, params = small_setup
         out_tokens, out_prediction = run_branch(ds, params, cfg, "spot", {4: [4]})
-        tokens, prediction = branch_ref(SCALAR, project_ref(SCALAR, bundle(ds, 4), params, "spot"),
-                                        params, "spot")
+        tokens, pooled = branch(SCALAR, ds, params, "spot", [4])
         assert_matches(out_tokens.data, tokens, "tokens")
-        assert_matches(out_prediction.data, prediction, "prediction")
+        assert_matches(out_prediction.data, head(SCALAR, params, "spot", pooled), "prediction")
 
     def test_single_token_equals_plain_mca(self, small_setup):
-        ds, cfg, params, _, _ = small_setup
+        ds, cfg, params = small_setup
         from bgtriplex.features import toy_extract
 
         bundle = toy_extract(ds.spots[0], dataset_seed=50, grid_tokens=1)
-        proj = project(bundle, params, "spot")
+        img, edge, nuc = (tokens @ params[f"proj.{stream}.spot"].data
+                          for stream, tokens in zip(STREAMS, bundle))
         tokens, _ = run_branch(one_spot_dataset(ds, bundle), params, cfg, "spot", {0: [0]})
-        direct = mca(proj["edge"], proj["img"], proj["nuc"], params.block("mca_spot"), cfg)
-        np.testing.assert_allclose(tokens.data, direct.data, atol=1e-14)
+        direct = guiding_block(NUMPY, params, "mca_spot", img, {"a": edge, "b": nuc})
+        np.testing.assert_allclose(tokens.data, direct, atol=1e-14)
 
     def test_guidance_ablation_reduces_to_self_attention(self, small_setup):
-        ds, _, params, proj_spot, _ = small_setup
+        ds, _, params = small_setup
         cfg = ModelConfig(d_model=16, n_heads=2, no_edge_spot=True, no_nuclei_spot=True)
         tokens, _ = run_branch(ds, params, cfg, "spot", {0: [0]})
         assert np.isfinite(tokens.data).all()
-        direct = mca(proj_spot[0]["img"], proj_spot[0]["img"], proj_spot[0]["img"],
-                     params.block("mca_spot"), cfg)
-        np.testing.assert_allclose(tokens.data, direct.data, atol=1e-14)
+        img = bundle(ds, 0)[0] @ params["proj.img.spot"].data
+        direct = guiding_block(NUMPY, params, "mca_spot", img, {"a": img, "b": img})
+        np.testing.assert_allclose(tokens.data, direct, atol=1e-14)
 
 
 class TestContextBranch:
     def test_golden(self, small_setup):
-        ds, cfg, params, _, _ = small_setup
+        ds, cfg, params = small_setup
         ref = load_reference("context_branch", ds)
         tokens, prediction = run_branch(ds, params, cfg, "ctx", {4: window_members(ds, 4, 3)})
         assert_matches(tokens.data, ref["tokens"], "tokens")
@@ -683,16 +397,15 @@ class TestContextBranch:
 
     @pytest.mark.parametrize("center", [4, 0])
     def test_matches_scalar_oracle(self, small_setup, center):
-        ds, cfg, params, _, _ = small_setup
-        out_tokens, out_prediction = run_branch(ds, params, cfg, "ctx",
-                                                {center: window_members(ds, center, 3)})
-        streams, mask = window_ref(SCALAR, ds, params, center, 3)
-        tokens, prediction = branch_ref(SCALAR, streams, params, "ctx", mask=mask)
-        assert_matches(out_tokens.data, tokens[mask], "tokens")
-        assert_matches(out_prediction.data, prediction, "prediction")
+        ds, cfg, params = small_setup
+        members = window_members(ds, center, 3)
+        out_tokens, out_prediction = run_branch(ds, params, cfg, "ctx", {center: members})
+        tokens, pooled = branch(SCALAR, ds, params, "ctx", members)
+        assert_matches(out_tokens.data, tokens, "tokens")
+        assert_matches(out_prediction.data, head(SCALAR, params, "ctx", pooled), "prediction")
 
     def test_d1_window_equals_spot_branch_with_tied_weights(self, small_setup):
-        ds, cfg, params, proj_spot, _ = small_setup
+        ds, cfg, _ = small_setup
         tied = ModelParams(cfg, k_genes=5, seed=1)
         copy_mca(tied.block("mca_ctx"), tied.block("mca_spot"))
         for stream in ("img", "edge", "nuc"):
@@ -705,55 +418,55 @@ class TestContextBranch:
         np.testing.assert_allclose(ctx_tokens.data, spot_tokens.data, atol=1e-14)
         np.testing.assert_allclose(ctx_prediction.data, spot_prediction.data, atol=1e-14)
 
-    def test_corner_window_masks_absent_members(self, small_setup):
-        ds, cfg, params, _, _ = small_setup
+    def test_corner_window_reads_only_present_members(self, small_setup):
+        ds, cfg, params = small_setup
         sink = []
-        out_tokens, _ = run_branch(ds, params, cfg, "ctx", {0: window_members(ds, 0, 3)},
-                                   attn_sink=sink)
-        streams, mask = window_ref(NUMPY, ds, params, 0, 3)
-        tokens, _ = branch_ref(NUMPY, streams, params, "ctx", mask=mask)
-        present = int(mask.sum())
-        assert present < mask.size
-        assert_matches(out_tokens.data, tokens[mask], "present rows")
+        members = window_members(ds, 0, 3)
+        out_tokens, _ = run_branch(ds, params, cfg, "ctx", {0: members}, attn_sink=sink)
+        tokens, _ = branch(NUMPY, ds, params, "ctx", members)
+        present = tokens.shape[0]
+        assert len(members) < 9
+        assert_matches(out_tokens.data, tokens, "present rows")
         assert [attn.shape for attn in sink] == [(present, present)] * (2 * cfg.n_heads)
         for attn in sink:
             np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
 
 
-def global_tokens(ds, params):
+def run_global(ds, params):
     return global_branch(ds, params, range(ds.n_spots)).data
 
 
 class TestGlobalBranch:
     def test_golden(self, small_setup):
-        ds, cfg, params, _, _ = small_setup
+        ds, cfg, params = small_setup
         ref = load_reference("global_branch", ds)
-        assert_matches(global_tokens(ds, params), ref["tokens"], "tokens")
+        assert_matches(run_global(ds, params), ref["tokens"], "tokens")
 
     def test_matches_scalar_oracle(self, small_setup):
-        ds, cfg, params, _, _ = small_setup
-        assert_matches(global_tokens(ds, params), global_ref(SCALAR, ds, params))
+        ds, cfg, params = small_setup
+        assert_matches(run_global(ds, params),
+                       np.vstack([global_token(SCALAR, ds, params, s) for s in range(ds.n_spots)]))
 
     def test_single_spot_center_tap(self, small_setup):
-        ds, cfg, _, _, _ = small_setup
+        ds, cfg, _ = small_setup
         params = ModelParams(cfg, k_genes=5, seed=1)
         params["apeg.kernel"].data[...] = np.random.default_rng(31).normal(size=(3, 3, 16))
         one = one_spot_dataset(ds, bundle(ds, 4))
-        token = bundle(one, 0)[0].mean(axis=0, keepdims=True) @ params[
-            "proj.img.spot"].data
-        np.testing.assert_allclose(global_tokens(one, params),
+        image = np.array(bundle(one, 0)[0], dtype=np.float64)
+        token = image.mean(axis=0, keepdims=True) @ params["proj.img.spot"].data
+        np.testing.assert_allclose(run_global(one, params),
                                    token + params["apeg.kernel"].data[1, 1] * token, atol=1e-15)
 
     def test_spot_permutation_equivariance(self, small_setup):
-        ds, cfg, _, _, _ = small_setup
+        ds, cfg, _ = small_setup
         params = ModelParams(cfg, k_genes=5, seed=1)
         params["apeg.kernel"].data[...] = np.random.default_rng(32).normal(size=(3, 3, 16))
-        base = global_tokens(ds, params)
+        base = run_global(ds, params)
         perm = np.random.default_rng(33).permutation(ds.n_spots)
         permuted = SpotDataset([ds.spots[i] for i in perm],
                                ExpressionMatrix(ds.expr.genes, ds.expr.values[perm]),
                                token_stacks([bundle(ds, i) for i in perm]), "permuted")
-        np.testing.assert_allclose(global_tokens(permuted, params), base[perm], atol=1e-14)
+        np.testing.assert_allclose(run_global(permuted, params), base[perm], atol=1e-14)
 
 
 @pytest.fixture(scope="module")
@@ -767,7 +480,7 @@ def forward_4spot():
 
 class TestFuse:
     def test_bias_only_head(self, small_setup):
-        ds, cfg, _, _, _ = small_setup
+        ds, cfg, _ = small_setup
         params = ModelParams(cfg, k_genes=1, seed=2)
         params["head.fused.w"].data[...] = 0.0
         params["head.fused.b"].data[...] = 4.25
@@ -777,7 +490,7 @@ class TestFuse:
     @pytest.mark.parametrize("spot,ctx", [(True, True), (False, True), (True, False)])
     def test_sink_holds_one_query_row_per_head_and_stream(self, small_setup, spot, ctx):
         # a dropped branch (None) is no guide, so it leaves no weights
-        _, cfg, params, _, _ = small_setup
+        _, cfg, params = small_setup
         rng = np.random.default_rng(42)
         mk = lambda rows: BranchOutput(Tensor(rng.normal(size=(rows, 16))), None)
         sink = []
@@ -787,7 +500,7 @@ class TestFuse:
                                            + [(1, 3)] * 2 * cfg.n_heads * ctx)
 
     def test_target_index_out_of_range(self, small_setup):
-        _, cfg, params, _, _ = small_setup
+        _, cfg, params = small_setup
         rng = np.random.default_rng(41)
         mk = lambda rows: BranchOutput(Tensor(rng.normal(size=(rows, 16))), None)
         with pytest.raises(ValueError):
@@ -818,7 +531,18 @@ class TestFuse:
 
     def test_full_forward_matches_scalar_oracle_on_4_spot_slide(self, forward_4spot):
         ds, params, fused = forward_4spot
-        assert_matches(fused, forward_ref(SCALAR, ds, params, 3)["fused"], "fused")
+        assert_matches(fused, forward(SCALAR, ds, params, 3)["fused"], "fused")
+
+
+# A config of each kind ModelConfig admits: no flag, each ablation, and
+# drop_global with each guide branch dropped.
+ALLOWED_FLAGS = [{}, {"drop_spot": True}, {"drop_ctx": True}, {"drop_global": True},
+                 {"drop_global": True, "drop_spot": True}, {"drop_global": True, "drop_ctx": True},
+                 {"no_edge_spot": True, "no_nuclei_spot": True},
+                 {"no_edge_ctx": True, "no_nuclei_ctx": True}]
+# Each guide ablation alone in a branch, so that no_edge and no_nuclei differ.
+SPLIT_GUIDE_FLAGS = [{"no_edge_spot": True, "no_nuclei_ctx": True},
+                     {"no_nuclei_spot": True, "no_edge_ctx": True}]
 
 
 @pytest.fixture(scope="module")
@@ -858,31 +582,28 @@ class TestForwardSlide:
 
     def test_matches_numpy_reference_on_6x6_slide(self, forward_6x6):
         ds, params, out = forward_6x6
-        ref = forward_ref(NUMPY, ds, params, 5)
-        for name in ("fused", "spot", "ctx", "global"):
-            assert_matches(out[name], ref[name], name)
+        ref = forward(NUMPY, ds, params, 5)
+        assert out.keys() == ref.keys()
+        for name, pred in out.items():
+            assert_matches(pred, ref[name], name)
 
-    def test_matches_numpy_reference_with_every_parameter_drawn(self):
+    @pytest.mark.parametrize("d_context", [1, 3])
+    @pytest.mark.parametrize("flags", ALLOWED_FLAGS + SPLIT_GUIDE_FLAGS,
+                             ids=lambda f: "+".join(f) or "default")
+    def test_matches_numpy_reference_with_every_parameter_drawn(self, flags, d_context):
         # at init the LayerNorm shifts, biases and APEG kernel are zero;
         # draw them too, on a grid whose rows and columns differ
         ds, _ = synth_dataset(3, 4, 6, 0.05, seed=29)
-        cfg = ModelConfig(d_model=16, n_heads=4)
+        cfg = ModelConfig(d_model=16, n_heads=4, **flags)
         params = ModelParams(cfg, k_genes=6, seed=4)
         rng = np.random.default_rng(4)
         for _, tensor in params.named():
             tensor.data[...] = rng.normal(0.0, 0.5, tensor.data.shape)
-        out = forward_slide(ds, params, cfg, d_context=3)
-        ref = forward_ref(NUMPY, ds, params, 3)
-        for name in ("fused", "spot", "ctx", "global"):
-            assert_matches(out[name], ref[name], name)
-
-
-# Every config ModelConfig admits: no flag, each ablation, and drop_global
-# with each guide branch dropped.
-ALLOWED_FLAGS = [{}, {"drop_spot": True}, {"drop_ctx": True}, {"drop_global": True},
-                 {"drop_global": True, "drop_spot": True}, {"drop_global": True, "drop_ctx": True},
-                 {"no_edge_spot": True, "no_nuclei_spot": True},
-                 {"no_edge_ctx": True, "no_nuclei_ctx": True}]
+        out = forward_slide(ds, params, cfg, d_context)
+        ref = forward(NUMPY, ds, params, d_context)
+        assert out.keys() == ref.keys()
+        for name, pred in out.items():
+            assert_matches(pred, ref[name], name)
 
 
 class TestForwardSlideWorkers:
@@ -895,10 +616,7 @@ class TestForwardSlideWorkers:
     @pytest.mark.parametrize("flags", ALLOWED_FLAGS, ids=lambda f: "+".join(f) or "default")
     def test_outputs_are_byte_identical_for_every_worker_count(self, slide, flags, d_context):
         cfg = ModelConfig(d_model=16, n_heads=4, **flags)
-        params = ModelParams(cfg, k_genes=4, seed=8)
-        rng = np.random.default_rng(8)
-        for _, values in params.records():
-            values[...] = rng.normal(0.0, 0.5, values.shape)
+        params = drawn_params(cfg, 4, 8)
         outs = [forward_slide(slide, params, cfg, d_context, workers=w) for w in (1, 2, 3)]
         for out in outs[1:]:
             assert out.keys() == outs[0].keys()
@@ -1071,23 +789,33 @@ class TestSlideForwardCost:
         assert rows.count(9 * ds.n_spots) == (not cfg.drop_global)
 
     def test_step_global_projection_reads_only_the_batch_cells(self, monkeypatch):
-        # a training step projects 9 cells per distinct batch spot, however
-        # large the slide, and its backward still reaches every weight
+        # a training step's global branch projects 9 cells per distinct
+        # batch spot, however large the slide, and its backward still
+        # reaches every weight
         batch = [0, 6, 12, 6, 2]
         read = {}
+        real_matmul, real_global = ad.matmul, model.global_branch
         for size in (5, 9):
             ds, _ = synth_dataset(size, size, 6, 0.05, seed=23)
             cfg = ModelConfig(d_model=16, n_heads=2)
             params = ModelParams(cfg, k_genes=3, seed=3)
             targets, _, _ = gene_targets([ds], 3)
-            rows, real_matmul = [], ad.matmul
+            rows, inside = [], []
 
             def counting_matmul(a, b):
-                if b is params["proj.img.spot"]:
+                if inside and b is params["proj.img.spot"]:
                     rows.append(np.shape(a)[0])
                 return real_matmul(a, b)
 
+            def counted_global_branch(*args):
+                inside.append(True)
+                try:
+                    return real_global(*args)
+                finally:
+                    inside.pop()
+
             monkeypatch.setattr(ad, "matmul", counting_matmul)
+            monkeypatch.setattr(model, "global_branch", counted_global_branch)
             spots = [size * (s // 5) + s % 5 for s in batch]
             preds = forward_batch(ds, params, cfg, 3, spot_indices=spots)
             monkeypatch.setattr(ad, "matmul", real_matmul)
@@ -1187,28 +915,7 @@ class TestSlideForwardCost:
     def test_step_gradients_match_full_slide_reference(self, flags):
         ds, _ = synth_dataset(3, 4, 6, 0.05, seed=29)
         cfg = ModelConfig(d_model=16, n_heads=4, **flags)
-        targets, _, _ = gene_targets([ds], 4)
-
-        def loss_and_grads(forward):
-            params = ModelParams(cfg, k_genes=4, seed=6)
-            rng = np.random.default_rng(6)
-            for _, values in params.records():
-                values[...] = rng.normal(0.0, 0.5, values.shape)
-            loss = None
-            for s, preds in forward(ds, params, cfg, 3, spot_indices=[0, 5, 6, 11]):
-                term, _ = loss_total(preds, targets[0][s], 0.3)
-                loss = term if loss is None else ad.add(loss, term)
-            loss.backward()
-            return loss.item(), {name: t.grad for name, t in params.named()}
-
-        loss, grads = loss_and_grads(slide_forward)
-        ref_loss, ref_grads = loss_and_grads(full_slide_forward)
-        assert abs(loss - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
-        for name, grad in grads.items():
-            assert (grad is None) == (ref_grads[name] is None), name
-            if grad is not None:
-                assert np.abs(grad).max() > 0.0, name
-                assert_matches(grad, ref_grads[name], name)
+        assert_step_matches_reference(ds, cfg, 3, [0, 5, 6, 11])
 
 
 @pytest.fixture(scope="module")
@@ -1230,12 +937,12 @@ def varied_slide(out_dir):
     context-scope files."""
     ds, _ = synth_dataset(4, 4, 6, 0.05, seed=37)
     rng = np.random.default_rng(37)
-    dims = {stream: tokens.shape[1] for stream, tokens in zip(STREAM_ORDER, bundle(ds, 0))}
+    dims = {stream: tokens.shape[1] for stream, tokens in zip(STREAMS, bundle(ds, 0))}
     draw = lambda stream: rng.uniform(size=(rng.integers(1, 4), dims[stream]))
-    stacks = token_stacks([[draw(stream) for stream in STREAM_ORDER] for _ in ds.spots])
+    stacks = token_stacks([[draw(stream) for stream in STREAMS] for _ in ds.spots])
     manifest = save_dataset(SpotDataset(ds.spots, ds.expr, stacks, "varied"), out_dir)
     for spot in ds.spots[::2]:
-        for stream in STREAM_ORDER:
+        for stream in STREAMS:
             path = out_dir / "features" / f"{spot.spot_id}.{stream}.ctx.bgft"
             path.write_bytes(encode_bgft(draw(stream)))
     return load_dataset(manifest)
@@ -1251,33 +958,7 @@ class TestGroupedForward:
     def test_step_matches_spot_by_spot_reference(self, grouping_slides, slide, flags):
         ds, d_context, batch = grouping_slides[slide]
         cfg = ModelConfig(d_model=16, n_heads=4, **flags)
-        targets, _, _ = gene_targets([ds], 4)
-
-        def run(forward):
-            params = ModelParams(cfg, k_genes=4, seed=6)
-            rng = np.random.default_rng(6)
-            for _, values in params.records():
-                values[...] = rng.normal(0.0, 0.5, values.shape)
-            results = forward(ds, params, cfg, d_context, spot_indices=batch)
-            loss = None
-            for s, preds in results:
-                term, _ = loss_total(preds, targets[0][s], 0.3)
-                loss = term if loss is None else ad.add(loss, term)
-            outputs = [(s, {name: p.data for name, p in preds.items()}) for s, preds in results]
-            loss.backward()
-            return outputs, {name: t.grad for name, t in params.named()}
-
-        outputs, grads = run(slide_forward)
-        ref_outputs, ref_grads = run(full_slide_forward)
-        assert [s for s, _ in outputs] == [s for s, _ in ref_outputs] == batch
-        for (s, preds), (_, ref) in zip(outputs, ref_outputs):
-            assert set(preds) == set(ref)
-            for name in preds:
-                assert_matches(preds[name], ref[name], f"spot {s} {name}")
-        for name, grad in grads.items():
-            assert (grad is None) == (ref_grads[name] is None), name
-            if grad is not None:
-                assert_matches(grad, ref_grads[name], name)
+        assert_step_matches_reference(ds, cfg, d_context, batch)
 
     @pytest.mark.parametrize("flags", [{}, {"drop_global": True, "drop_spot": True},
                                        {"no_edge_spot": True, "no_nuclei_ctx": True}])
@@ -1286,10 +967,7 @@ class TestGroupedForward:
         # forward_slide projects each read row once; a graph forward per use
         ds, d_context, _ = grouping_slides[slide]
         cfg = ModelConfig(d_model=16, n_heads=4, **flags)
-        params = ModelParams(cfg, k_genes=4, seed=6)
-        rng = np.random.default_rng(6)
-        for _, values in params.records():
-            values[...] = rng.normal(0.0, 0.5, values.shape)
+        params = drawn_params(cfg, 4, 6)
         out = forward_slide(ds, params, cfg, d_context)
         ref = forward_batch(ds, params, cfg, d_context)
         assert set(out) == set(ref)
@@ -1323,34 +1001,13 @@ class TestModelParams:
 
     def test_gradients_match_per_head_reference_on_tiny_slide(self):
         ds, _ = synth_dataset(3, 3, 6, 0.05, seed=31)
-        cfg = ModelConfig(d_model=16, n_heads=4)
-        targets, _, _ = gene_targets([ds], 4)
-
-        def loss_and_grads(forward):
-            params = ModelParams(cfg, k_genes=4, seed=6)
-            rng = np.random.default_rng(6)
-            for _, values in params.records():
-                values[...] = rng.normal(0.0, 0.5, values.shape)
-            loss = None
-            for s, preds in forward(ds, params, cfg, 3, spot_indices=[0, 4, 7]):
-                term, _ = loss_total(preds, targets[0][s], 0.3)
-                loss = term if loss is None else ad.add(loss, term)
-            loss.backward()
-            return loss.item(), {name: t.grad for name, t in params.named()}
-
-        loss, grads = loss_and_grads(slide_forward)
-        ref_loss, ref_grads = loss_and_grads(
-            lambda *args, **kwargs: full_slide_forward(*args, **kwargs, mca=per_head_mca))
-        assert abs(loss - ref_loss) <= 1e-12
-        for name, grad in grads.items():
-            assert np.abs(grad).max() > 0.0, name
-            assert_matches(grad, ref_grads[name], name)
+        assert_step_matches_reference(ds, ModelConfig(d_model=16, n_heads=4), 3, [0, 4, 7])
 
     def test_named_lists_the_documented_order_and_shapes(self):
         config = ModelConfig(d_model=8, n_heads=2, stream_dims={"img": 5, "edge": 3, "nuc": 4})
         params = ModelParams(config, k_genes=3, seed=1)
         expected = ([(f"proj.{stream}.{scope}", (config.stream_dims[stream], 8))
-                     for scope in ("spot", "ctx") for stream in STREAM_ORDER]
+                     for scope in ("spot", "ctx") for stream in STREAMS]
                     + [(f"{block}.{name}", (8, 8) if name.startswith("w_") else (8,))
                        for block in ("mca_spot", "mca_ctx", "mca_fuse")
                        for name in ("w_q", "w_k_a", "w_v_a", "w_k_b", "w_v_b", "gamma", "beta")]

@@ -67,9 +67,10 @@ def main():
     non-finite input exits 4 before any output.
 
     BGT_THREADS sets how many processes split the whole-slide passes of
-    eval, predict, export-map and train's closing PCC(M), and the folds of
-    cv. With 2 or more, train also computes the two halves of each step's
-    gradient at once, the second in one forked partner process. By default
+    eval, predict, export-map and train's closing PCC(M), and the training
+    steps of cv's folds. With 2 or more, train also computes the two
+    halves of each step's gradient at once, the second in one forked
+    partner process. By default
     it is the number of CPUs this process may run on over the threads each
     process's BLAS starts: one per CPU unless OPENBLAS_NUM_THREADS,
     GOTO_NUM_THREADS or OMP_NUM_THREADS sets fewer.
@@ -331,8 +332,10 @@ def cmd_eval(checkpoint, manifest, pcch_selector, report_path):
 def cmd_cv(manifests, out_dir, pcch_selector, config_path, **overrides):
     """Leave-one-slide-out cross-validation over the given manifests.
 
-    The folds are split among BGT_THREADS forked processes (see bgt
-    --help); each fold trains in one process.
+    The folds' training steps are split into equal shares among
+    BGT_THREADS forked processes (see bgt --help), so a fold may train its
+    first steps in one process and go on in another; each step runs in one
+    process. The reports are the same for every BGT_THREADS.
     """
     workers = _workers()
     if len(manifests) < 2:

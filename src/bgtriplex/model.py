@@ -120,6 +120,20 @@ class ModelConfig:
         return cls(**doc)
 
 
+def parameter_shapes(config, k_genes):
+    """Each learned weight's shape, by name in ``ModelParams`` table order."""
+    d, k = config.d_model, int(k_genes)
+    shapes = {f"proj.{stream}.{scope}": (config.stream_dims[stream], d)
+              for scope in ("spot", "ctx") for stream in STREAMS}
+    for label in MCA_BLOCKS:
+        shapes.update({f"{label}.{name}": (d, d) for name in MCA_WEIGHTS})
+        shapes.update({f"{label}.gamma": (d,), f"{label}.beta": (d,)})
+    shapes["apeg.kernel"] = (3, 3, d)
+    for name in ("fused", "spot", "ctx", "global"):
+        shapes.update({f"head.{name}.w": (d, k), f"head.{name}.b": (1, k)})
+    return shapes
+
+
 class ModelParams:
     """All learned weights: one insertion-ordered ``name -> Tensor`` table.
 
@@ -141,17 +155,9 @@ class ModelParams:
     def __init__(self, config, k_genes, seed=0):
         self.config = config
         self.k_genes = int(k_genes)
-        d, k = config.d_model, self.k_genes
-        shapes = {f"proj.{stream}.{scope}": (config.stream_dims[stream], d)
-                  for scope in ("spot", "ctx") for stream in STREAMS}
-        for label in MCA_BLOCKS:
-            shapes.update({f"{label}.{name}": (d, d) for name in MCA_WEIGHTS})
-            shapes.update({f"{label}.gamma": (d,), f"{label}.beta": (d,)})
-        shapes["apeg.kernel"] = (3, 3, d)
-        for name in ("fused", "spot", "ctx", "global"):
-            shapes.update({f"head.{name}.w": (d, k), f"head.{name}.b": (1, k)})
         self._table = {name: Tensor((np.ones if name.endswith(".gamma") else np.zeros)(shape),
-                                    requires_grad=True) for name, shape in shapes.items()}
+                                    requires_grad=True)
+                       for name, shape in parameter_shapes(config, self.k_genes).items()}
         # LayerNorm gains and shifts, the position-encoder kernel and head
         # biases keep their constant start; every weight matrix is drawn
         rng = substream(seed, "init")

@@ -1,8 +1,11 @@
 """Forked partners and fork-join over a list: the ways this package runs
 work in parallel.
 
-The work is Python code that holds the interpreter lock, so it runs in
-processes forked from the caller. A forked child inherits the function and
+Training runs each step's second part in a ``Partner``, and
+cross-validation drives one ``Partner`` per worker, sending each piece
+of its folds' steps when it may start; whole-slide inference splits its
+chunks with ``fork_map``. The work is Python code that holds the
+interpreter lock, so it runs in processes forked from the caller. A forked child inherits the function and
 everything it reads, so only each call's arguments are pickled on the way
 out; the child pickles its results back over a pipe. The package starts no
 thread of its own, so the fork copies no lock that another thread holds.

@@ -6,13 +6,19 @@ MSE plus the per-branch terms. Batches are target spots; the gradient of
 a step is the mean of per-spot totals over the batch, taken as one loss
 over each slide's stacked predictions. A step splits its spots into two
 parts of near-equal attention cost and sums the parts' gradients, so the
-second part can run in a forked partner process at the same time.
+second part can run in a forked partner process at the same time. A
+fold's weights and Adam moments are flat rows of one map, so its training
+can stop after any step and go on in another process that maps them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
+import math
 import mmap
+import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -21,8 +27,9 @@ from . import autodiff as ad
 from .data import log1p_normalize, select_top_k_genes
 from .errors import NumericsError
 from .metrics import evaluate_predictions
-from .model import ModelParams, build_tables, check_field_types, forward_batch, forward_slide
-from .parallel import Partner, default_workers, fork_map
+from .model import (ModelParams, build_tables, check_field_types, forward_batch, forward_slide,
+                    parameter_shapes)
+from .parallel import Partner, default_workers
 from .seeding import substream
 
 ADAM_BETA1 = 0.9
@@ -60,15 +67,6 @@ class TrainConfig:
 
     def to_dict(self):
         return asdict(self)
-
-
-@dataclass
-class AdamState:
-    """First/second moment buffers per parameter plus the shared step count."""
-
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    t: int = 0
 
 
 def _mse(a, b):
@@ -116,25 +114,28 @@ def loss_total(predictions, g, lambda_, detach_fused=True):
     return total, terms
 
 
-def adam_step(named_params, state, lr):
-    """One bias-corrected Adam update; parameters with no gradient keep moving
-    on their moment history (grad treated as zero)."""
-    state.t += 1
-    correction1 = 1.0 - ADAM_BETA1 ** state.t
-    correction2 = 1.0 - ADAM_BETA2 ** state.t
-    for name, tensor in named_params:
-        grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        if grad.shape != tensor.data.shape:
-            raise ValueError(f"{name}: gradient shape {grad.shape} != parameter {tensor.data.shape}")
-        m = state.m.setdefault(name, np.zeros_like(tensor.data))
-        v = state.v.setdefault(name, np.zeros_like(tensor.data))
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad * grad
-        m_hat = m / correction1
-        v_hat = v / correction2
-        tensor.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+def adam_step(rows, t, lr):
+    """Adam's bias-corrected update number ``t`` (from 1), in place over
+    flat rows: ``rows[0]`` the weights, ``rows[1]`` and ``rows[2]`` the
+    moments, ``rows[3]`` the gradient (zero for a parameter without one,
+    which moves on its moment history) and ``rows[4]`` scratch; the last
+    two are overwritten. Each entry takes the per-tensor update's
+    operations in its order, so the bytes are the same."""
+    weights, m, v, grad, scratch = rows
+    correction1 = 1.0 - ADAM_BETA1 ** t
+    correction2 = 1.0 - ADAM_BETA2 ** t
+    m *= ADAM_BETA1
+    m += np.multiply(grad, 1.0 - ADAM_BETA1, out=scratch)
+    v *= ADAM_BETA2
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=scratch)
+    v += np.multiply(scratch, grad, out=scratch)
+    step = np.divide(m, correction1, out=grad)
+    step *= lr
+    np.divide(v, correction2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPS
+    step /= scratch
+    weights -= step
 
 
 def lr_at(epoch, cfg):
@@ -191,6 +192,25 @@ class EpochStats:
     loss_global: float
 
 
+# Rows of a fold's map: its weights and Adam moments, which are its whole
+# numeric state, then the gradients of a step's parts 0 and 1.
+ROWS = 5
+
+
+@dataclass
+class _Place:
+    """Where a fold's training stands between steps, beside its rows: the
+    steps taken (one Adam update each), the shuffle generator, the current
+    epoch's order and loss sums, and the epochs logged."""
+
+    shuffle: np.random.Generator
+    step: int = 0
+    order: list = field(default_factory=list)
+    sums: dict = field(default_factory=dict)
+    seen: int = 0
+    log: list = field(default_factory=list)
+
+
 def train(datasets, params, cfg, targets=None, progress=None, workers=None):
     """Optimize ``params`` in place over the given slides.
 
@@ -204,13 +224,15 @@ def train(datasets, params, cfg, targets=None, progress=None, workers=None):
     so the weights and the loss log are the same for every ``workers``.
     With two or more ``workers`` (by default ``parallel.default_workers()``)
     a partner process forked before the first step computes part 1 while
-    this one computes part 0. The weights and the two parts' gradients live
-    in one shared anonymous map, so the partner reads the weights that this
-    process's Adam step updates in place; only spot lists and loss values
-    cross the pipe. The slides' grid windows are built before the fork.
-    With one worker, where the platform cannot fork, or where
-    ``forward_batch`` or ``loss_total`` has been wrapped here (by a tracer
-    or a test double), both parts run in turn in this process.
+    this one computes part 0. The weights, the Adam moments and the two
+    parts' gradients are flat rows of one shared anonymous map, so the
+    partner reads the weights that this process's Adam step updates in
+    place; only spot lists and loss values cross the pipe. The slides' grid
+    windows are built before the fork. With one worker, where the platform
+    cannot fork, or where ``forward_batch`` or ``loss_total`` has been
+    wrapped here (by a tracer or a test double), both parts run in turn in
+    this process. The tensors of ``params`` keep their arrays, and no
+    gradient is left on them.
     """
     if not isinstance(datasets, (list, tuple)):
         datasets = [datasets]
@@ -226,19 +248,40 @@ def train(datasets, params, cfg, targets=None, progress=None, workers=None):
         workers = 1
     for ds in datasets:
         build_tables(ds, cfg.d_context)
-    costs = [_spot_costs(ds, params.config, cfg.d_context) for ds in datasets]
 
     named = params.named()
     originals = [tensor.data for _, tensor in named]
-    # Rows: the weights, then the gradients of parts 0 and 1; shared with
-    # a partner, private (and cheaper to map) without one.
-    size = 3 * 8 * sum(a.size for a in originals)
+    # shared with a partner, private (and cheaper to map) without one
+    size = ROWS * 8 * sum(a.size for a in originals)
     buffer = mmap.mmap(-1, size) if workers > 1 else bytearray(size)
-    shared = np.frombuffer(buffer, dtype=np.float64).reshape(3, -1)
-    weights, *slots = (_views(row, originals) for row in shared)
-    for (_, tensor), view in zip(named, weights):
-        view[...] = tensor.data
-        tensor.data = view
+    rows = np.frombuffer(buffer, dtype=np.float64).reshape(ROWS, -1)
+    _bind(params, rows[0], load=True)
+    place = _Place(substream(cfg.seed, "shuffle"))
+    steps = cfg.epochs * len(_batches(sum(ds.n_spots for ds in datasets), cfg.batch_size))
+    try:
+        _run_steps(datasets, targets, params, cfg, rows, place, steps, workers > 1, progress)
+    finally:
+        for (_, tensor), original in zip(named, originals):
+            original[...] = tensor.data
+            tensor.data = original
+        params.zero_grad()
+    return place.log
+
+
+def _run_steps(datasets, targets, params, cfg, rows, place, stop, fork=False, progress=None):
+    """Take training steps ``place.step`` up to ``stop``, updating ``place``.
+
+    ``rows`` is a fold's (ROWS, n) map; the tensors of ``params`` view its
+    weights (``_bind``). A step reads and writes nothing else, so a run
+    cut at any step goes on, in any process bound to the same rows, with
+    the bytes of one that was not. With ``fork`` a ``Partner`` computes
+    each step's part 1 (see ``train``).
+    """
+    named = params.named()
+    slots = [_views(row, [tensor.data for _, tensor in named]) for row in rows[3:]]
+    costs = [_spot_costs(ds, params.config, cfg.d_context) for ds in datasets]
+    pool = [(d, s) for d in range(len(datasets)) for s in range(datasets[d].n_spots)]
+    batches = len(_batches(len(pool), cfg.batch_size))
 
     def run_part(part, batch_size, slot):
         """Backpropagate ``part``'s share of the batch loss into gradient
@@ -256,50 +299,71 @@ def train(datasets, params, cfg, targets=None, progress=None, workers=None):
                            {name: term.item() for name, term in terms.items()}))
         if shares and all(np.isfinite(total) for _, total, _ in values):
             functools.reduce(ad.add, shares).backward()
-        for (_, tensor), view in zip(named, slots[slot]):
-            view[...] = 0.0 if tensor.grad is None else tensor.grad
+        _store_gradients(named, slots[slot])
         return values
 
-    state = AdamState()
-    shuffle = substream(cfg.seed, "shuffle")
-    spot_pool = [(d, s) for d in range(len(datasets)) for s in range(datasets[d].n_spots)]
-    log = []
-    try:
-        with Partner(run_part, fork=workers > 1) as partner:
-            for epoch in range(cfg.epochs):
-                lr = lr_at(epoch, cfg)
-                order = list(spot_pool)
-                shuffle.shuffle(order)
-                sums = {"total": 0.0, "fused": 0.0, "spot": 0.0, "ctx": 0.0, "global": 0.0}
-                seen = 0
-                for start in range(0, len(order), cfg.batch_size):
-                    batch = order[start:start + cfg.batch_size]
-                    own, other = _split(batch, costs)
-                    partner.send(other, len(batch), 1)
-                    values = run_part(own, len(batch), 0) + partner.receive()
-                    for count, total, terms in values:
-                        sums["total"] += total * count
-                        for name, term in terms.items():
-                            sums[name] += term * count
-                        seen += count
-                    _check_finite(params, sum(total for _, total, _ in values))
-                    np.add(shared[1], shared[2], out=shared[1])
-                    for (_, tensor), grad in zip(named, slots[0]):
-                        tensor.grad = grad
-                    if cfg.grad_clip is not None:
-                        _clip_gradients(named, cfg.grad_clip)
-                    adam_step(named, state, lr)
+    with Partner(run_part, fork=fork) as partner:
+        while place.step < stop:
+            epoch, b = divmod(place.step, batches)
+            if b == 0:
+                place.order = list(pool)
+                place.shuffle.shuffle(place.order)
+                place.sums = dict.fromkeys(("total", "fused", "spot", "ctx", "global"), 0.0)
+                place.seen = 0
+            lr = lr_at(epoch, cfg)
+            batch = place.order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            own, other = _split(batch, costs)
+            partner.send(other, len(batch), 1)
+            values = run_part(own, len(batch), 0) + partner.receive()
+            for count, total, terms in values:
+                place.sums["total"] += total * count
+                for name, term in terms.items():
+                    place.sums[name] += term * count
+                place.seen += count
+            _check_finite(params, sum(total for _, total, _ in values))
+            np.add(rows[3], rows[4], out=rows[3])
+            for (_, tensor), grad in zip(named, slots[0]):
+                tensor.grad = grad
+            if cfg.grad_clip is not None:
+                _clip_gradients(named, cfg.grad_clip)
+            adam_step(rows, place.step + 1, lr)
+            place.step += 1
+            if b == batches - 1:
+                sums, seen = place.sums, place.seen
                 stats = EpochStats(epoch, lr, sums["total"] / seen, sums["fused"] / seen,
                                    sums["spot"] / seen, sums["ctx"] / seen,
                                    sums["global"] / seen)
-                log.append(stats)
+                place.log.append(stats)
                 if progress is not None:
                     progress(stats)
-    finally:
-        for (_, tensor), original in zip(named, originals):
-            original[...] = tensor.data
-            tensor.data = original
-    return log
+
+
+def _batches(n_spots, batch_size):
+    """The spot counts of one epoch's batches over ``n_spots`` spots."""
+    return [min(batch_size, n_spots - start) for start in range(0, n_spots, batch_size)]
+
+
+def _bind(params, row, load):
+    """Point each tensor of ``params`` at its view of the flat ``row``; with
+    ``load``, copy the tensor's values in first."""
+    named = params.named()
+    for (_, tensor), view in zip(named, _views(row, [tensor.data for _, tensor in named])):
+        if load:
+            view[...] = tensor.data
+        tensor.data = view
+
+
+def _store_gradients(named, views):
+    """Copy each tensor's gradient into its view of a gradient row, zeros
+    where it has none."""
+    for (name, tensor), view in zip(named, views):
+        if tensor.grad is None:
+            view[...] = 0.0
+        elif tensor.grad.shape != view.shape:
+            raise ValueError(f"{name}: gradient shape {tensor.grad.shape} != "
+                             f"parameter {view.shape}")
+        else:
+            view[...] = tensor.grad
 
 
 def _views(flat, arrays):
@@ -363,20 +427,20 @@ def cross_validate(datasets, cfg, model_config, pcch_selector="predictive", make
     evaluates on slide i. Returns (per-fold reports in fold order,
     aggregate mean/sd over folds).
 
-    The folds are split into round-robin shares among ``min(workers,
-    folds)`` processes forked from this one (``parallel.fork_map``), since
-    training is Python code that threads could not run in parallel; this
-    process computes none, so no fold's graph is built here. Each fold
-    trains with one worker, both parts of a step in turn in its process,
-    since the fold processes already fill the CPUs. The slides' grid
-    windows are built here before the fork, so the workers share them.
-    Only reports come back, so every output equals that of ``workers=1``.
-    A worker stops at its first failing fold, and the exception of the
-    lowest-index failing fold is raised here once every worker has exited.
-    With one worker, or where the platform cannot fork, the folds run in
-    turn in this process. So they do where a fold function has been
-    wrapped in this process, by a tracer or a test double: the wrapper's
-    records from a forked fold would stay in the worker.
+    The folds' training steps are dealt out by ``_plan`` to ``min(workers,
+    folds)`` partner processes forked from this one, since training is
+    Python code that threads could not run in parallel; this process
+    computes none. A fold cut in two keeps its weights and Adam moments in
+    its rows of one anonymous map shared before the fork, and only its
+    ``_Place`` passes through here, so this process never holds them. Each
+    fold trains with one worker, and a step reads nothing but its place
+    and rows, so every output equals that of ``workers=1``. The slides'
+    grid windows are built before the fork. The first failure read is
+    raised once every worker has been killed and reaped. With one worker,
+    where the platform cannot fork, or where a fold function has been
+    wrapped here (by a tracer or a test double, whose records from a
+    forked fold would stay in the worker), the folds run in turn in this
+    process, one ``train`` call each.
     """
     if len(datasets) < 2:
         raise ValueError("leave-one-slide-out needs at least 2 slides")
@@ -385,21 +449,112 @@ def cross_validate(datasets, cfg, model_config, pcch_selector="predictive", make
         make_params = lambda: ModelParams(model_config, k_genes=len(indices), seed=cfg.seed)
     for ds in datasets:
         build_tables(ds, cfg.d_context)
-    if any(hasattr(fn, "__wrapped__") for fn in (train, forward_slide, evaluate_predictions)):
+    if (not hasattr(os, "fork")
+            or any(hasattr(fn, "__wrapped__") for fn in (train, forward_slide,
+                                                           evaluate_predictions))):
         workers = 1
+    folds = range(len(datasets))
+    spots = sum(ds.n_spots for ds in datasets)
+    step_spots = [_batches(spots - ds.n_spots, cfg.batch_size) * cfg.epochs for ds in datasets]
+    plan = _plan(step_spots, workers)
+    cut = sorted(held for pieces in plan for held, start, _ in pieces if start > 0)
+    rows = {}
+    if cut:
+        width = sum(math.prod(shape)
+                    for shape in parameter_shapes(model_config, len(indices)).values())
+        shared = np.frombuffer(mmap.mmap(-1, 8 * len(cut) * ROWS * width), dtype=np.float64)
+        rows = dict(zip(cut, shared.reshape(len(cut), ROWS, width)))
 
-    def run_fold(held):
-        train_ids = [i for i in range(len(datasets)) if i != held]
+    def run_fold(held, stop, place=None):
+        """Fold ``held`` from ``place`` (its start where None) to step
+        ``stop``: the fold's report after its last step, else its place."""
+        train_ids = [i for i in folds if i != held]
+        train_sets = [datasets[i] for i in train_ids]
+        train_targets = [targets[i] for i in train_ids]
         params = make_params()
-        train([datasets[i] for i in train_ids], params, cfg,
-              targets=[targets[i] for i in train_ids], workers=1)
+        if held in rows:
+            _bind(params, rows[held][0], load=place is None)
+            if place is None:
+                place = _Place(substream(cfg.seed, "shuffle"))
+            _run_steps(train_sets, train_targets, params, cfg, rows[held], place, stop)
+            if stop < len(step_spots[held]):
+                return place
+        else:
+            train(train_sets, params, cfg, targets=train_targets, workers=1)
         pred = forward_slide(datasets[held], params, model_config, cfg.d_context)["fused"]
         return evaluate_predictions(pred, targets[held], names, selector=pcch_selector)
 
-    fold_reports = fork_map(run_fold, range(len(datasets)), workers, caller_share=False)
+    if len(plan) < 2:
+        fold_reports = [run_fold(held, len(step_spots[held])) for held in folds]
+    else:
+        fold_reports = _deal(run_fold, plan, [len(steps) for steps in step_spots])
     aggregate = {}
     for metric in ("mse", "pcc_m", "pcc_h"):
         values = np.array([getattr(r, metric) for r in fold_reports], dtype=np.float64)
         sd = float(values.std(ddof=1)) if len(values) > 1 else 0.0
         aggregate[metric] = (float(values.mean()), sd)
     return fold_reports, aggregate
+
+
+def _plan(step_costs, workers):
+    """Each worker's pieces of the folds whose steps cost ``step_costs``:
+    lists of (fold, start, stop) step ranges in run order, by McNaughton's
+    wrap-around rule.
+
+    With no more folds than workers each fold runs whole on its own
+    worker. Otherwise the folds, in order, fill each worker up to its
+    share, max(longest fold, total / workers). The fold that overflows a
+    share is cut at the step boundary that ends the worker nearest it, the
+    later on a tie: its first steps start the next worker and the rest end
+    this one. So no fold is cut twice, and every worker ends within a step
+    of its share. Workers left without a piece are dropped.
+    """
+    n = min(workers, len(step_costs))
+    if len(step_costs) <= n:
+        return [[(fold, 0, len(costs))] for fold, costs in enumerate(step_costs)]
+    totals = [sum(costs) for costs in step_costs]
+    share = max(n * max(totals), sum(totals))   # n times a worker's share
+    plan, w, done = [[] for _ in range(n)], 0, 0  # done: n times the cost dealt out
+    for fold, costs in enumerate(step_costs):
+        end = (w + 1) * share
+        last = len(costs)
+        if done + n * totals[fold] <= end:
+            plan[w].append((fold, 0, last))
+        else:
+            # where worker w ends if it runs the steps from k on
+            ends = [done + n * (totals[fold] - before)
+                    for before in itertools.accumulate(costs, initial=0)]
+            k = min(reversed(range(last + 1)), key=lambda i: abs(ends[i] - end))
+            if 0 < k < last:
+                plan[w].append((fold, k, last))
+                plan[w + 1].append((fold, 0, k))
+            else:
+                plan[w + (k == last)].append((fold, 0, last))
+            w += 1
+        done += n * totals[fold]
+    return [pieces for pieces in plan if pieces]
+
+
+def _deal(run_fold, plan, steps):
+    """Fold reports, in fold order, of ``plan`` run by one forked
+    ``Partner`` per worker calling ``run_fold(fold, stop, place)``. A cut
+    fold's second part is sent once its first part has replied with its
+    place. The first exception read is raised; on any exception every
+    worker is killed, and all are reaped before this returns.
+    """
+    reports = [None] * len(steps)
+    with contextlib.ExitStack() as stack:
+        partners = [stack.enter_context(Partner(run_fold)) for _ in plan]
+        for partner, pieces in zip(partners, plan):
+            for fold, start, stop in pieces:
+                if start == 0:
+                    partner.send(fold, stop)
+        for w, pieces in enumerate(plan):
+            fold, start, stop = pieces[-1]
+            if start > 0:
+                partners[w].send(fold, stop, partners[w + 1].receive())
+        for partner, pieces in zip(partners, plan):
+            for fold, start, stop in pieces:
+                if start > 0 or stop == steps[fold]:  # a first part has replied above
+                    reports[fold] = partner.receive()
+    return reports

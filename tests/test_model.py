@@ -443,9 +443,13 @@ class TestGlobalBranch:
         assert_matches(run_global(ds, params), ref["tokens"], "tokens")
 
     def test_matches_scalar_oracle(self, small_setup):
+        # the default init's kernel is zero, so a drawn one pins the taps
         ds, cfg, params = small_setup
-        assert_matches(run_global(ds, params),
-                       np.vstack([global_token(SCALAR, ds, params, s) for s in range(ds.n_spots)]))
+        drawn = ModelParams(cfg, k_genes=5, seed=1)
+        drawn["apeg.kernel"].data[...] = np.random.default_rng(34).normal(size=(3, 3, 16))
+        for weights in (params, drawn):
+            assert_matches(run_global(ds, weights), np.vstack(
+                [global_token(SCALAR, ds, weights, s) for s in range(ds.n_spots)]))
 
     def test_single_spot_center_tap(self, small_setup):
         ds, cfg, _ = small_setup

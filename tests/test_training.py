@@ -3,7 +3,9 @@
 import functools
 import math
 import os
+import signal
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from bgtriplex.autodiff import Tensor
 from bgtriplex.data import synth_dataset
 from bgtriplex.errors import NumericsError
 from bgtriplex.model import ModelConfig, ModelParams, forward_batch
-from bgtriplex.training import (AdamState, TrainConfig, adam_step, cross_validate,
+from bgtriplex.training import (TrainConfig, adam_step, cross_validate,
                                 gene_targets, loss_fused, loss_total, lr_at, train)
 
 SMALL_MODEL = ModelConfig(d_model=8, n_heads=2)
@@ -22,27 +24,47 @@ SMALL_MODEL = ModelConfig(d_model=8, n_heads=2)
 
 class TestAdamStep:
     def test_first_step_matches_hand_computed_bias_corrected_update(self):
-        value = np.array([[0.5, -1.0, 2.0]])
-        grad = np.array([[0.2, -3.0, 0.0]])
-        param = Tensor(value.copy(), requires_grad=True)
-        param.grad = grad.copy()
-        idle = Tensor(np.array([1.5]), requires_grad=True)
-        state = AdamState()
-        adam_step([("p", param), ("idle", idle)], state, lr=0.01)
+        # rows: weights, m, v, gradient, scratch; the last entry has no gradient
+        value = np.array([0.5, -1.0, 2.0, 1.5])
+        grad = np.array([0.2, -3.0, 0.0, 0.0])
+        rows = np.zeros((training.ROWS, 4))
+        rows[0], rows[3] = value, grad
+        adam_step(rows, 1, lr=0.01)
         # m = (1 - b1) g and v = (1 - b2) g^2, so the bias-corrected moments
         # after step 1 are g and g^2: each entry moves by lr * g / (|g| + eps)
-        expected = [v - 0.01 * g / (abs(g) + 1e-8) for v, g in zip(value[0], grad[0])]
-        np.testing.assert_allclose(param.data[0], expected, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(state.m["p"], 0.1 * grad, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(state.v["p"], 0.001 * grad * grad, rtol=0, atol=1e-15)
-        assert state.t == 1
-        np.testing.assert_array_equal(idle.data, [1.5])
+        expected = [v - 0.01 * g / (abs(g) + 1e-8) for v, g in zip(value, grad)]
+        np.testing.assert_allclose(rows[0], expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rows[1], 0.1 * grad, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rows[2], 0.001 * grad * grad, rtol=0, atol=1e-15)
+        assert rows[0, 3] == 1.5
+
+    def test_matches_the_per_tensor_update_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        shapes = [(3, 4), (4,), (1, 2)]
+        rows = np.zeros((training.ROWS, 18))
+        rows[0] = rng.normal(size=18)
+        weights = [a.copy() for a in training._views(rows[0], [np.empty(s) for s in shapes])]
+        m, v = [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
+        for t in range(1, 4):
+            rows[3] = grad = rng.normal(size=18)
+            adam_step(rows, t, lr=0.003)
+            grads = training._views(grad, weights)
+            for w, m_, v_, g in zip(weights, m, v, grads):
+                m_ *= 0.9
+                m_ += (1.0 - 0.9) * g
+                v_ *= 0.999
+                v_ += (1.0 - 0.999) * g * g
+                w -= 0.003 * (m_ / (1.0 - 0.9 ** t)) / (np.sqrt(v_ / (1.0 - 0.999 ** t)) + 1e-8)
+        assert rows[0].tobytes() == np.concatenate([w.ravel() for w in weights]).tobytes()
+        assert rows[1].tobytes() == np.concatenate([a.ravel() for a in m]).tobytes()
+        assert rows[2].tobytes() == np.concatenate([a.ravel() for a in v]).tobytes()
 
     def test_rejects_gradient_of_wrong_shape(self):
+        # the check sits where a gradient is copied into its row
         param = Tensor(np.zeros((2, 2)), requires_grad=True)
         param.grad = np.zeros(3)
-        with pytest.raises(ValueError):
-            adam_step([("p", param)], AdamState(), lr=0.1)
+        with pytest.raises(ValueError, match="gradient shape"):
+            training._store_gradients([("p", param)], [np.zeros((2, 2))])
 
 
 class TestLrAt:
@@ -314,21 +336,141 @@ class TestSplit:
         assert training._spot_costs(ds, config, 3) == [tokens ** 2] * ds.n_spots
 
 
+@pytest.fixture
+def second_parts(monkeypatch):
+    """The folds whose second part ``cross_validate`` sends to a worker."""
+    sent = []
+
+    class Recording(training.Partner):
+        def send(self, *args):
+            if len(args) == 3 and isinstance(args[2], training._Place):
+                sent.append(args[0])
+            super().send(*args)
+
+    monkeypatch.setattr(training, "Partner", Recording)
+    return sent
+
+
+class TestPlan:
+    @staticmethod
+    def check(step_costs, workers):
+        """Asserts the plan's invariants; returns its cut folds."""
+        plan = training._plan(step_costs, workers)
+        assert plan == training._plan(step_costs, workers)
+        assert 1 <= len(plan) <= min(workers, len(step_costs))
+        pieces = {}
+        for w, share in enumerate(plan):
+            for i, (fold, start, stop) in enumerate(share):
+                pieces.setdefault(fold, []).append((w, i, start, stop))
+        assert sorted(pieces) == list(range(len(step_costs)))
+        cut = []
+        for fold, parts in pieces.items():
+            last = len(step_costs[fold])
+            if len(parts) == 1:
+                assert parts[0][2:] == (0, last)
+                continue
+            # the first part starts the later worker, the rest ends the earlier one
+            (w, i, start, stop), (w1, i1, start1, stop1) = sorted(parts)
+            assert (w1, i1, start1, stop, start) == (w + 1, 0, 0, last, stop1)
+            assert i == len(plan[w]) - 1 and 0 < start < last
+            cut.append(fold)
+        assert len(cut) <= len(plan) - 1
+        totals = [sum(costs) for costs in step_costs]
+        bound = max(max(totals), Fraction(sum(totals), min(workers, len(step_costs))))
+        step = max((c for costs in step_costs for c in costs), default=0)
+        for share in plan:
+            assert sum(sum(step_costs[f][a:b]) for f, a, b in share) <= bound + step
+        return cut
+
+    def test_random_folds_keep_the_invariants(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            epochs, batch = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+            sizes = rng.integers(1, 40, size=rng.integers(2, 9))
+            step_costs = [training._batches(int(n), batch) * epochs for n in sizes]
+            self.check(step_costs, int(rng.integers(1, 7)))
+
+    @pytest.mark.parametrize("folds, workers", [(2, 2), (3, 3), (3, 5), (4, 2), (6, 3), (6, 2),
+                                                (8, 4)])
+    def test_nothing_is_cut_when_the_folds_fit_or_divide_evenly(self, folds, workers):
+        assert self.check([[12] * 10 + [5]] * folds, workers) == []
+        uneven = [[3] * (7 + f) for f in range(folds)]
+        if folds <= workers:
+            assert self.check(uneven, workers) == []
+
+    def test_three_folds_on_two_workers_cut_the_middle_one_nearest_half(self):
+        # the benchmark's case: 128 training spots per fold in batches of 12
+        step_costs = [training._batches(128, 12)] * 3
+        assert training._plan(step_costs, 2) == [[(0, 0, 11), (1, 5, 11)],
+                                                 [(1, 0, 5), (2, 0, 11)]]
+
+    def test_a_fold_with_no_steps_is_never_cut(self):
+        assert training._plan([[], [], []], 2) == [[(0, 0, 0), (1, 0, 0), (2, 0, 0)]]
+
+
 class TestCrossValidate:
     CFG = TrainConfig(epochs=1, k_genes=4, d_context=3, batch_size=4)
 
     def test_one_two_and_three_workers_give_identical_reports(self, slides):
-        runs = [cross_validate(slides, self.CFG, SMALL_MODEL, workers=w) for w in (1, 2, 3)]
-        (reports_1, aggregate_1), *others = runs
-        for reports, aggregate in others:
-            assert aggregate == aggregate_1
-            assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in reports_1]
+        # five slides of 9 and 12 spots over two epochs: with 2, 3 and 4
+        # workers folds are cut at an epoch's end, inside the first epoch
+        # and inside the second, after a first part that spans both
+        five = [synth_dataset(3, 3 + i % 2, 6, 0.05, seed=13 + i, slide_id=f"s{i}")[0]
+                for i in range(5)]
+        cfg = TrainConfig(epochs=2, k_genes=4, d_context=3, batch_size=4)
+        step_costs = [training._batches(51 - ds.n_spots, 4) * 2 for ds in five]
+        cuts = {(start, len(step_costs[fold]) // 2) for w in (2, 3, 4)
+                for share in training._plan(step_costs, w) for fold, start, _ in share if start}
+        assert {k % e == 0 for k, e in cuts} == {True, False}
+        assert {k > e for k, e in cuts} == {True, False}
+        for inputs, config in ((slides, self.CFG), (five, cfg)):
+            runs = [cross_validate(inputs, config, SMALL_MODEL, workers=w) for w in (1, 2, 3, 4)]
+            (reports_1, aggregate_1), *others = runs
+            for reports, aggregate in others:
+                assert aggregate == aggregate_1
+                assert [r.to_json_dict() for r in reports] == [r.to_json_dict()
+                                                               for r in reports_1]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("count, cut", [(2, []), (3, [1]), (4, [])])
+    def test_only_a_fold_that_overflows_a_share_is_cut(self, second_parts, count, cut):
+        # 2 slides, one fold per worker; 4 equal slides, two whole folds per worker
+        slides = [synth_dataset(3, 3, 6, 0.05, seed=13, slide_id=f"s{i}")[0]
+                  for i in range(count)]
+        cross_validate(slides, self.CFG, SMALL_MODEL, workers=2)
+        assert second_parts == cut
+        assert_no_child_left()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
-    def test_a_diverging_fold_raises_and_leaves_no_worker(self, slides):
+    def test_a_diverging_fold_raises_and_leaves_no_worker(self, slides, second_parts):
+        # every fold diverges at its first step; the first reply read is the
+        # first part of fold 1, so its second part is never sent
         cfg = TrainConfig(epochs=1, k_genes=4, d_context=3, batch_size=4, lr=1e100)
         with pytest.raises(NumericsError, match="non-finite loss"):
             cross_validate(slides, cfg, SMALL_MODEL, workers=2)
+        assert second_parts == []
+        assert_no_child_left()
+
+    def test_an_interrupt_here_kills_and_reaps_every_worker(self, slides, monkeypatch):
+        def stuck(*args, **kwargs):
+            time.sleep(60)
+
+        def interrupt(signum, frame):
+            raise Interrupt
+
+        # whole folds call train and cut ones _run_steps: both stall
+        monkeypatch.setattr(training, "train", stuck)
+        monkeypatch.setattr(training, "_run_steps", stuck)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.alarm(1)
+            with pytest.raises(Interrupt):
+                cross_validate(slides, self.CFG, SMALL_MODEL, workers=3)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30
         assert_no_child_left()
 
     def test_one_worker_starts_no_process(self, slides, monkeypatch):

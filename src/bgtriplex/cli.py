@@ -335,7 +335,8 @@ def cmd_cv(manifests, out_dir, pcch_selector, config_path, **overrides):
     The folds' training steps are split into equal shares among
     BGT_THREADS forked processes (see bgt --help), so a fold may train its
     first steps in one process and go on in another; each step runs in one
-    process. The reports are the same for every BGT_THREADS.
+    process. The reports are the same for every BGT_THREADS, and so is the
+    error of a failing run: that of its lowest-index failing fold.
     """
     workers = _workers()
     if len(manifests) < 2:

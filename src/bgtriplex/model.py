@@ -407,8 +407,7 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None, workers
             or any(hasattr(fn, "__wrapped__") for fn in (guided_branch, fuse))):
         parts = [run_chunk(chunk) for chunk in chunks]
     else:
-        parts = fork_map(lambda chunk: [t.data for t in run_chunk(chunk)], chunks, workers,
-                         caller_share=True)
+        parts = fork_map(lambda chunk: [t.data for t in run_chunk(chunk)], chunks, workers)
 
     rank = {s: r for r, s in enumerate(s for chunk in chunks for s in chunk)}
     order = [rank[s] for s in indices]

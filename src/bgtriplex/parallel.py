@@ -3,12 +3,14 @@ work in parallel.
 
 Training runs each step's second part in a ``Partner``, and
 cross-validation drives one ``Partner`` per worker, sending each piece
-of its folds' steps when it may start; whole-slide inference splits its
-chunks with ``fork_map``. The work is Python code that holds the
-interpreter lock, so it runs in processes forked from the caller. A forked child inherits the function and
-everything it reads, so only each call's arguments are pickled on the way
-out; the child pickles its results back over a pipe. The package starts no
-thread of its own, so the fork copies no lock that another thread holds.
+of its folds' steps when it may start and reading whichever worker
+answers first; whole-slide inference splits its chunks with
+``fork_map``. The work is Python code that holds the interpreter lock,
+so it runs in processes forked from the caller. A forked child inherits
+the function and everything it reads, so only each call's arguments are
+pickled on the way out; the child pickles its results back over a pipe.
+The package starts no thread of its own, so the fork copies no lock that
+another thread holds.
 """
 
 from __future__ import annotations
@@ -48,10 +50,14 @@ def default_workers():
 class Partner:
     """Calls of ``fn``, one at a time, in a process forked from this one.
 
-    ``send(*args)`` starts ``fn(*args)`` in the partner and returns at once;
+    ``send(*args)`` starts ``fn(*args)`` in the partner and returns at
+    once, unless a busy partner leaves the arguments no room in its pipe
+    (64 KiB on Linux), when it waits for the partner to read them;
     ``receive()`` waits for its result and raises the exception it raised,
-    or ChildProcessError if the partner died. The partner inherits ``fn``
-    and everything it reads as they stood at the fork; only arguments and
+    or ChildProcessError if the partner died. ``select.select`` can wait on
+    a forked partner's results: they are read unbuffered, so a result not
+    yet received is still in the pipe. The partner inherits ``fn`` and
+    everything it reads as they stood at the fork; only arguments and
     results cross the pipes. Use it as a context manager: on leaving, the
     partner reads the end of its requests and exits, or, if an exception is
     leaving, is killed first; either way it has been reaped. With ``fork``
@@ -80,7 +86,7 @@ class Partner:
         os.close(replies[1])
         self.pid = pid
         self._requests = os.fdopen(requests[1], "wb", buffering=0)
-        self._replies = os.fdopen(replies[0], "rb")
+        self._replies = os.fdopen(replies[0], "rb", buffering=0)
         _PIPES.update((self._requests, self._replies))
         return self
 
@@ -89,6 +95,9 @@ class Partner:
             self._args = args
         else:
             _write(self._requests, args)
+
+    def fileno(self):
+        return self._replies.fileno()
 
     def end(self):
         """Send no more calls: the partner exits once it has answered the
@@ -129,12 +138,22 @@ def _write(pipe, message):
 
 def _read(pipe):
     """The next message, or None at the end of the pipe."""
-    header = pipe.read(8)
+    header = _read_exactly(pipe, 8)
     if len(header) < 8:
         return None
     size = int.from_bytes(header, "little")
-    data = pipe.read(size)
+    data = _read_exactly(pipe, size)
     return pickle.loads(data) if len(data) == size else None
+
+
+def _read_exactly(pipe, size):
+    """``size`` bytes of ``pipe``, fewer at its end; an unbuffered pipe's
+    reads may each return part of them."""
+    data = bytearray(size)
+    view, got = memoryview(data), 0
+    while got < size and (n := pipe.readinto(view[got:])):
+        got += n
+    return data if got == size else data[:got]
 
 
 def _serve(fn, requests, replies):
@@ -161,25 +180,23 @@ def _serve(fn, requests, replies):
         os._exit(status)
 
 
-def fork_map(fn, items, workers, caller_share):
+def fork_map(fn, items, workers):
     """[fn(item) for item in items], computed in up to ``workers`` processes.
 
     Items go out in round-robin shares, one per process, and each share is
-    computed in order. With ``caller_share`` this process computes the
-    first share and ``workers - 1`` forked partners the others; without,
-    ``workers`` partners compute them all while this process waits. A
-    process stops at its first exception; the exception of the
-    lowest-index failing item is raised here. Every partner has been reaped
-    before this returns or raises, and on an interrupt the partners are
-    killed first. With one share, or where the platform cannot fork,
-    everything runs here.
+    computed in order: this process computes the first share and up to
+    ``workers - 1`` forked partners the others. A process stops at its
+    first exception; the exception of the lowest-index failing item is
+    raised here. Every partner has been reaped before this returns or
+    raises, and on an interrupt the partners are killed first. With one
+    share, or where the platform cannot fork, everything runs here.
     """
     items = list(items)
     n = min(workers, len(items))
     if n < 2 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
     shares = [range(w, len(items), n) for w in range(n)]
-    own = shares.pop(0) if caller_share else range(0)
+    own = shares.pop(0)
     run = functools.partial(_run, fn, items)
     with contextlib.ExitStack() as stack:
         partners = [stack.enter_context(Partner(run)) for _ in shares]

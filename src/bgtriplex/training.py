@@ -13,12 +13,15 @@ can stop after any step and go on in another process that maps them.
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import copy
 import functools
 import itertools
 import math
 import mmap
 import os
+import select
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -200,15 +203,15 @@ ROWS = 5
 @dataclass
 class _Place:
     """Where a fold's training stands between steps, beside its rows: the
-    steps taken (one Adam update each), the shuffle generator, the current
-    epoch's order and loss sums, and the epochs logged."""
+    steps taken (one Adam update each), the shuffle generator as it stood
+    before the current epoch's shuffle, and the epoch's loss sums. Its size
+    grows with neither the spots nor the epochs, so a cut fold's place
+    always fits in the pipe to the worker that goes on with it."""
 
     shuffle: np.random.Generator
     step: int = 0
-    order: list = field(default_factory=list)
     sums: dict = field(default_factory=dict)
     seen: int = 0
-    log: list = field(default_factory=list)
 
 
 def train(datasets, params, cfg, targets=None, progress=None, workers=None):
@@ -259,17 +262,18 @@ def train(datasets, params, cfg, targets=None, progress=None, workers=None):
     place = _Place(substream(cfg.seed, "shuffle"))
     steps = cfg.epochs * len(_batches(sum(ds.n_spots for ds in datasets), cfg.batch_size))
     try:
-        _run_steps(datasets, targets, params, cfg, rows, place, steps, workers > 1, progress)
+        return _run_steps(datasets, targets, params, cfg, rows, place, steps, workers > 1,
+                          progress)
     finally:
         for (_, tensor), original in zip(named, originals):
             original[...] = tensor.data
             tensor.data = original
         params.zero_grad()
-    return place.log
 
 
 def _run_steps(datasets, targets, params, cfg, rows, place, stop, fork=False, progress=None):
-    """Take training steps ``place.step`` up to ``stop``, updating ``place``.
+    """Take training steps ``place.step`` up to ``stop``, updating ``place``;
+    returns the stats of the epochs that end among them.
 
     ``rows`` is a fold's (ROWS, n) map; the tensors of ``params`` view its
     weights (``_bind``). A step reads and writes nothing else, so a run
@@ -302,16 +306,21 @@ def _run_steps(datasets, targets, params, cfg, rows, place, stop, fork=False, pr
         _store_gradients(named, slots[slot])
         return values
 
+    log, order = [], None
     with Partner(run_part, fork=fork) as partner:
         while place.step < stop:
             epoch, b = divmod(place.step, batches)
             if b == 0:
-                place.order = list(pool)
-                place.shuffle.shuffle(place.order)
                 place.sums = dict.fromkeys(("total", "fused", "spot", "ctx", "global"), 0.0)
                 place.seen = 0
+            if b == 0 or order is None:
+                # a run cut inside an epoch draws its order again from the
+                # generator as it stood before the epoch's shuffle
+                shuffle = copy.deepcopy(place.shuffle)
+                order = list(pool)
+                shuffle.shuffle(order)
             lr = lr_at(epoch, cfg)
-            batch = place.order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            batch = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             own, other = _split(batch, costs)
             partner.send(other, len(batch), 1)
             values = run_part(own, len(batch), 0) + partner.receive()
@@ -329,13 +338,15 @@ def _run_steps(datasets, targets, params, cfg, rows, place, stop, fork=False, pr
             adam_step(rows, place.step + 1, lr)
             place.step += 1
             if b == batches - 1:
+                place.shuffle = shuffle
                 sums, seen = place.sums, place.seen
                 stats = EpochStats(epoch, lr, sums["total"] / seen, sums["fused"] / seen,
                                    sums["spot"] / seen, sums["ctx"] / seen,
                                    sums["global"] / seen)
-                place.log.append(stats)
+                log.append(stats)
                 if progress is not None:
                     progress(stats)
+    return log
 
 
 def _batches(n_spots, batch_size):
@@ -435,8 +446,10 @@ def cross_validate(datasets, cfg, model_config, pcch_selector="predictive", make
     ``_Place`` passes through here, so this process never holds them. Each
     fold trains with one worker, and a step reads nothing but its place
     and rows, so every output equals that of ``workers=1``. The slides'
-    grid windows are built before the fork. The first failure read is
-    raised once every worker has been killed and reaped. With one worker,
+    grid windows are built before the fork. A failing fold's exception is
+    raised once every fold before it has its report, so the lowest-index
+    failing fold's is raised, as with one worker; every worker has been
+    killed and reaped before it leaves. With one worker,
     where the platform cannot fork, or where a fold function has been
     wrapped here (by a tracer or a test double, whose records from a
     forked fold would stay in the worker), the folds run in turn in this
@@ -537,24 +550,42 @@ def _plan(step_costs, workers):
 
 def _deal(run_fold, plan, steps):
     """Fold reports, in fold order, of ``plan`` run by one forked
-    ``Partner`` per worker calling ``run_fold(fold, stop, place)``. A cut
+    ``Partner`` per worker calling ``run_fold(fold, stop, place)``.
+
+    Replies are read as they come, from whichever worker answers first, so
+    no worker waits with a reply for this process to read another's. A cut
     fold's second part is sent once its first part has replied with its
-    place. The first exception read is raised; on any exception every
-    worker is killed, and all are reaped before this returns.
+    place, which is small, so the send does not wait for a busy worker. A failed piece's fold sends nothing more; the exception of the
+    lowest-index failing fold is raised once every fold before it has its
+    report. On any exception every worker is killed, and all are reaped
+    before this returns.
     """
-    reports = [None] * len(steps)
+    reports, failures = {}, {}
     with contextlib.ExitStack() as stack:
         partners = [stack.enter_context(Partner(run_fold)) for _ in plan]
-        for partner, pieces in zip(partners, plan):
+        sent = [collections.deque() for _ in plan]  # (fold, stop) not yet answered
+        for partner, pieces, queue in zip(partners, plan, sent):
             for fold, start, stop in pieces:
                 if start == 0:
                     partner.send(fold, stop)
-        for w, pieces in enumerate(plan):
-            fold, start, stop = pieces[-1]
-            if start > 0:
-                partners[w].send(fold, stop, partners[w + 1].receive())
-        for partner, pieces in zip(partners, plan):
-            for fold, start, stop in pieces:
-                if start > 0 or stop == steps[fold]:  # a first part has replied above
-                    reports[fold] = partner.receive()
-    return reports
+                    queue.append((fold, stop))
+        while any(sent):
+            if failures and all(fold in reports for fold in range(min(failures))):
+                break
+            ready, _, _ = select.select([p for p, queue in zip(partners, sent) if queue], [], [])
+            for partner in ready:
+                w = partners.index(partner)
+                fold, stop = sent[w].popleft()
+                try:
+                    reply = partner.receive()
+                except Exception as exc:  # raised below if no lower fold fails
+                    failures[fold] = exc
+                    continue
+                if stop < steps[fold]:  # a first part, whose second part ends worker w - 1
+                    partners[w - 1].send(fold, steps[fold], reply)
+                    sent[w - 1].append((fold, steps[fold]))
+                else:
+                    reports[fold] = reply
+        if failures:
+            raise failures[min(failures)]
+    return [reports[fold] for fold in range(len(steps))]

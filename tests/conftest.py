@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -28,6 +30,21 @@ def forbidden_fork():
 
 class Interrupt(BaseException):
     """Stands in for KeyboardInterrupt, which pytest would treat as a stop."""
+
+
+@contextlib.contextmanager
+def deadline(seconds, what):
+    """Fail with ``what`` where the block takes longer than ``seconds``."""
+    def timeout(signum, frame):
+        raise AssertionError(what)
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def assert_no_child_left():

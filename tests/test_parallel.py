@@ -1,13 +1,13 @@
 """The forked partner and the fork-join helper: results in order, failures
 raised here, and no process left behind."""
 
-import contextlib
 import os
+import select
 import signal
 import time
 
 import pytest
-from conftest import Interrupt, assert_no_child_left, forbidden_fork
+from conftest import Interrupt, assert_no_child_left, deadline, forbidden_fork
 
 from bgtriplex.parallel import BLAS_THREAD_VARS, Partner, default_workers, fork_map
 
@@ -41,27 +41,25 @@ def test_a_partner_raises_its_exception_here_and_serves_on():
     assert_no_child_left()
 
 
+def test_select_sees_a_result_not_yet_received():
+    # results are read unbuffered: receiving the first leaves the second,
+    # already written, in the pipe
+    with Partner(scaled_with_pid) as partner:
+        partner.send(1, 2)
+        partner.send(2, 2)
+        time.sleep(0.2)
+        assert partner.receive()[0] == 2
+        assert select.select([partner], [], [], 20)[0] == [partner]
+        assert partner.receive()[0] == 4
+    assert_no_child_left()
+
+
 def test_a_partner_that_dies_is_an_error_here():
     with pytest.raises(ChildProcessError, match="without sending its results"):
         with Partner(lambda: os.kill(os.getpid(), signal.SIGKILL)) as partner:
             partner.send()
             partner.receive()
     assert_no_child_left()
-
-
-@contextlib.contextmanager
-def deadline(seconds, what):
-    """Fail with ``what`` where the block takes longer than ``seconds``."""
-    def timeout(signum, frame):
-        raise AssertionError(what)
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_a_partner_left_first_is_not_held_by_a_later_one():
@@ -100,30 +98,29 @@ def test_without_fork_a_partner_calls_here(monkeypatch, fork):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5, 9])
-@pytest.mark.parametrize("caller_share", [True, False])
-def test_results_come_back_in_item_order(workers, caller_share):
-    out = fork_map(square_with_pid, range(7), workers, caller_share)
+def test_results_come_back_in_item_order(workers):
+    out = fork_map(square_with_pid, range(7), workers)
     assert [value for value, _ in out] == [x * x for x in range(7)]
     pids = [pid for _, pid in out]
     n = min(workers, 7)
-    # round-robin shares: item i is computed by process i mod n
+    # round-robin shares: item i is computed by process i mod n, and this
+    # process computes the first share
     assert all(pids[i] == pids[i % n] for i in range(7))
     assert len(set(pids)) == n
-    assert (os.getpid() in pids) == (caller_share or n == 1)
+    assert pids[0] == os.getpid()
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("failing, raised", [({0}, 0), ({1}, 1), ({2, 5}, 2), ({3, 1}, 1),
                                              ({4, 0}, 0)])
-@pytest.mark.parametrize("caller_share", [True, False])
-def test_the_lowest_failing_item_is_raised_and_no_child_is_left(failing, raised, caller_share):
+def test_the_lowest_failing_item_is_raised_and_no_child_is_left(failing, raised):
     def fn(x):
         if x in failing:
             raise ValueError(f"item {x}")
         return x
 
     with pytest.raises(ValueError, match=f"^item {raised}$"):
-        fork_map(fn, range(6), 3, caller_share)
+        fork_map(fn, range(6), 3)
     assert_no_child_left()
 
 
@@ -134,7 +131,7 @@ def test_a_child_that_dies_is_an_error_here():
         return x
 
     with pytest.raises(ChildProcessError, match="without sending its results"):
-        fork_map(fn, range(4), 2, caller_share=True)
+        fork_map(fn, range(4), 2)
     assert_no_child_left()
 
 
@@ -147,7 +144,7 @@ def test_an_interrupt_here_kills_and_reaps_the_children():
 
     start = time.monotonic()
     with pytest.raises(Interrupt):
-        fork_map(fn, range(3), 3, caller_share=True)
+        fork_map(fn, range(3), 3)
     assert time.monotonic() - start < 30
     assert_no_child_left()
 
@@ -158,20 +155,20 @@ def test_children_flush_no_copied_buffer(tmp_path):
     path = tmp_path / "log.txt"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("written once\n")
-        assert fork_map(lambda x: x, range(4), 4, caller_share=False) == list(range(4))
+        assert fork_map(lambda x: x, range(4), 4) == list(range(4))
     assert path.read_text(encoding="utf-8") == "written once\n"
 
 
 @pytest.mark.parametrize("workers, items", [(1, 5), (4, 1)])
 def test_one_share_starts_no_process(monkeypatch, workers, items):
     monkeypatch.setattr(os, "fork", forbidden_fork)
-    assert fork_map(square_with_pid, range(items), workers, caller_share=False) == [
+    assert fork_map(square_with_pid, range(items), workers) == [
         (x * x, os.getpid()) for x in range(items)]
 
 
 def test_without_fork_everything_runs_here(monkeypatch):
     monkeypatch.delattr(os, "fork")
-    assert fork_map(square_with_pid, range(5), 3, caller_share=False) == [
+    assert fork_map(square_with_pid, range(5), 3) == [
         (x * x, os.getpid()) for x in range(5)]
 
 

@@ -3,13 +3,14 @@
 import functools
 import math
 import os
+import pickle
 import signal
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import Interrupt, assert_no_child_left, forbidden_fork
+from conftest import Interrupt, assert_no_child_left, deadline, forbidden_fork
 
 from bgtriplex import data, training
 from bgtriplex.autodiff import Tensor
@@ -408,6 +409,49 @@ class TestPlan:
         assert training._plan([[], [], []], 2) == [[(0, 0, 0), (1, 0, 0), (2, 0, 0)]]
 
 
+class TestDeal:
+    # 0.1 s steps; every worker ends at 1.2 s, and worker 1 runs fold 3's
+    # second part after fold 2, whose report outgrows any pipe's buffer
+    PLAN = [[(0, 0, 10), (1, 2, 4)], [(1, 0, 2), (2, 0, 2), (3, 3, 11)], [(3, 0, 3), (4, 0, 9)]]
+    STEPS = [10, 4, 2, 11, 9]
+
+    def run_fold(self, failing=(), stalled=()):
+        def run_fold(fold, stop, place=None):
+            start = 0 if place is None else place.step
+            if fold in failing:
+                raise ValueError(f"fold {fold}")
+            time.sleep(60 if fold in stalled else 0.1 * (stop - start))
+            if stop < self.STEPS[fold]:
+                return training._Place(None, step=stop)
+            return fold, start, bytes(1 << 20)
+        return run_fold
+
+    def test_replies_are_read_as_they_come(self):
+        # read in worker order, fold 2's report would wait for worker 0's
+        # last, and worker 1 would start fold 3's second part at 1.2 s
+        begin = time.monotonic()
+        with deadline(30, "the deal did not end"):
+            reports = training._deal(self.run_fold(), self.PLAN, self.STEPS)
+        assert time.monotonic() - begin < 1.6
+        assert [report[:2] for report in reports] == [(0, 0), (1, 2), (2, 0), (3, 3), (4, 0)]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failing, raised, sent", [({3}, 3, [1]), ({1, 4}, 1, [3]),
+                                                        ({2, 3}, 2, [1]), ({4, 0}, 0, [])])
+    def test_the_lowest_failing_fold_is_raised(self, second_parts, failing, raised, sent):
+        # a failed first part sends no second part, and a failed fold 0 ends
+        # the deal before any is sent
+        with pytest.raises(ValueError, match=f"^fold {raised}$"), deadline(30, "no failure"):
+            training._deal(self.run_fold(failing), self.PLAN, self.STEPS)
+        assert sorted(second_parts) == sent
+        assert_no_child_left()
+
+    def test_a_failure_waits_only_for_the_folds_before_it(self):
+        with pytest.raises(ValueError, match="^fold 1$"), deadline(30, "no failure"):
+            training._deal(self.run_fold({1}, stalled={2, 3, 4}), self.PLAN, self.STEPS)
+        assert_no_child_left()
+
+
 class TestCrossValidate:
     CFG = TrainConfig(epochs=1, k_genes=4, d_context=3, batch_size=4)
 
@@ -443,13 +487,50 @@ class TestCrossValidate:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_a_diverging_fold_raises_and_leaves_no_worker(self, slides, second_parts):
-        # every fold diverges at its first step; the first reply read is the
-        # first part of fold 1, so its second part is never sent
+        # every fold diverges at its first step, fold 1's first part too, so
+        # its second part is never sent
         cfg = TrainConfig(epochs=1, k_genes=4, d_context=3, batch_size=4, lr=1e100)
         with pytest.raises(NumericsError, match="non-finite loss"):
             cross_validate(slides, cfg, SMALL_MODEL, workers=2)
         assert second_parts == []
         assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", [{1, 2}, {2}, {0, 3}, {3, 4}])
+    def test_the_lowest_failing_fold_is_raised_for_every_worker_count(self, monkeypatch,
+                                                                        failing):
+        five = [synth_dataset(3, 3, 6, 0.05, seed=13 + i, slide_id=f"s{i}")[0] for i in range(5)]
+        real = training.forward_slide
+
+        def held_out(dataset, *args):
+            if int(dataset.slide_id[1:]) in failing:
+                raise ValueError(f"held out {dataset.slide_id}")
+            return real(dataset, *args)
+
+        monkeypatch.setattr(training, "forward_slide", held_out)
+        for workers in (1, 2, 3, 4):
+            with pytest.raises(ValueError, match=f"^held out s{min(failing)}$"):
+                cross_validate(five, self.CFG, SMALL_MODEL, workers=workers)
+        assert_no_child_left()
+
+    def test_a_cut_folds_place_does_not_grow_with_its_spots(self, monkeypatch):
+        # a place crosses a pipe to a worker that may be busy, so it must
+        # stay far below the pipe's buffer however many spots the fold has
+        places = []
+
+        class Recording(training.Partner):
+            def send(self, *args):
+                if len(args) == 3 and isinstance(args[2], training._Place):
+                    places.append(len(pickle.dumps(args[2])))
+                super().send(*args)
+
+        monkeypatch.setattr(training, "Partner", Recording)
+        cfg = TrainConfig(epochs=1, k_genes=4, d_context=3, batch_size=12)
+        for side in (4, 12):  # 32 and 288 training spots per fold
+            slides = [synth_dataset(side, side, 6, 0.05, seed=13, slide_id=f"s{i}")[0]
+                      for i in range(3)]
+            cross_validate(slides, cfg, SMALL_MODEL, workers=2)
+        assert len(places) == 2
+        assert abs(places[1] - places[0]) < 16 and places[1] < 1024
 
     def test_an_interrupt_here_kills_and_reaps_every_worker(self, slides, monkeypatch):
         def stuck(*args, **kwargs):

@@ -10,11 +10,13 @@ heads map pooled tokens to per-gene predictions.
 
 A forward pass reads only the tokens its spots need, so the cost per spot
 does not grow with the slide, and runs each branch as single ops over
-spots whose sequences have the same shape; the spot and context branches
-project raw tokens through projections folded into their q/k/v weights.
-Inference (``forward_slide``) runs on detached weights and builds no graph,
-so it projects a token that overlapping context windows share only once
-and can split its chunks among forked processes.
+spots whose sequences have the same shape. The spot and context branches
+pick each stream's projection plan by its cost (``branch_inputs``): narrow
+streams are projected per use through projections folded into their q/k/v
+weights; wide ones unfold, and a pass without a graph projects a wide token
+that overlapping context windows share only once. Inference
+(``forward_slide``) runs on detached weights and builds no graph, so it can
+split its chunks among forked processes.
 
 Every learned weight lives in one ordered ``name -> Tensor`` table
 (``ModelParams``); its order is defined once and fixes the initialization
@@ -43,6 +45,10 @@ MCA_WEIGHTS = ("w_q", "w_k_a", "w_v_a", "w_k_b", "w_v_b")
 # weights one op holds (spots x heads x window rows squared) when a whole
 # slide runs; a training batch rarely fills it.
 CHUNK_SPOTS = 8
+# Multiply-adds that cost as much as gathering one float of a projected
+# row: graph-free passes project distinct rows once only past it (see
+# ``branch_inputs`` for the measurements it comes from).
+GATHER_MACS = 32
 
 
 def is_integer(value):
@@ -236,12 +242,42 @@ class BranchOutput:
 
 
 @dataclass
+class Read:
+    """One token stream that a branch reads for its query or for one guide.
+
+    Target i reads rows ``rows[offsets[i]:offsets[i + 1]]`` of ``stack``.
+    With ``weights``, the stack holds raw tokens, and each use projects its
+    gathered rows X through ``proj``, when there is one, and then through
+    each weight: X (W_p W) with the projection folded into the weights,
+    (X W_p) W unfolded. With ``weights`` None, the stack holds one array per
+    weight: the rows read, already projected through it.
+    """
+
+    stack: np.ndarray | list
+    rows: np.ndarray
+    offsets: np.ndarray
+    weights: list | None
+    proj: Tensor | None = None
+
+    def project(self, x):
+        """The raw token rows ``x`` through each weight, in weight order."""
+        if self.proj is not None:
+            x = ad.matmul(x, self.proj)
+        return [ad.matmul(x, w) for w in self.weights]
+
+    def take(self, targets):
+        """Each weight's rows for ``targets`` (target positions), stacked."""
+        t = np.asarray(targets)
+        index = self.rows[_ranges(self.offsets[t], self.offsets[t + 1] - self.offsets[t])]
+        if self.weights is None:
+            return [np.take(p, index, axis=0) for p in self.stack]
+        return self.project(np.take(self.stack, index, axis=0))
+
+
+@dataclass
 class BranchInputs:
-    """What a spot or context branch reads for its query, guide a and guide
-    b: a raw token stack, each target's row indices into it and the folded
-    weights, (w_q,) or (w_k, w_v); or, with no graph and rows read more
-    than once, the rows read projected through each folded weight, and None.
-    ``block`` is the branch's ``ModelParams.block`` dict."""
+    """What a spot or context branch reads: the ``Read`` of its query, guide
+    a and guide b, and ``block``, its ``ModelParams.block`` dict."""
 
     block: dict
     reads: tuple
@@ -250,55 +286,80 @@ class BranchInputs:
 def branch_inputs(dataset, params, config, scope, members):
     """What the ``scope`` ("spot" or "ctx") branch reads, and its weights.
 
-    ``members`` maps each target spot to the spots whose ``scope`` tokens,
-    concatenated in order, form its sequence: the spot itself, or its
-    present window members in row-major order. Edge and nuclei guide the
-    image tokens unless ablated. Each stream's (c, d) projection W_p is
-    folded into every block weight W it feeds, one node W_p W per call. A
-    training chunk projects its gathered raw rows X as X (W_p W), once per
-    use, so backward is X^T g with no scatter into projected tokens. With
-    no graph there is no scatter to avoid, so rows that several sequences
-    read (overlapping context windows, up to D^2 each) are projected once
-    and chunks gather the result. A row use for k weights costs k c d
-    multiply-adds folded and c d + k d^2 unfolded, so the fold pays while
-    the stream widths c (10, 6, 8 by default) are narrow against d =
-    ``d_model``; for keys and values (k = 2) the crossover is at c = 2 d.
+    ``members[i]`` holds the spots whose ``scope`` tokens, concatenated in
+    order, form target i's sequence: the spot itself, or its present window
+    members in row-major order. Edge and nuclei guide the image tokens
+    unless ablated. Each read stream of width c feeds k block weights W of
+    width d = ``d_model`` (k = 1 for the query, 2 for keys and values)
+    through its (c, d) projection W_p, and its plan follows the cost of a
+    row use:
+
+    - folded, X (W_p W): k c d multiply-adds, and no projected row is kept;
+    - unfolded, (X W_p) W: c d + k d^2, cheaper where c > k d / (k - 1),
+      that is c > 2 d for keys and values and never for the query;
+    - distinct rows: without a graph, the rows that several sequences read
+      (overlapping context windows, up to D^2 each) are projected once, by
+      the cheaper of the two, and a use gathers k d projected floats.
+
+    A pass that builds a graph projects per use, folded or unfolded by
+    cost; both are scatter-free, as backward is X^T g on the gathered rows.
+    A pass without one projects per use too, and switches to distinct rows
+    where rows repeat and the cheaper per-use cost exceeds ``GATHER_MACS``
+    multiply-adds per gathered float: where c > ``GATHER_MACS``, for any k
+    once d >= ``GATHER_MACS`` / 2. Narrow streams so hold no projected stack
+    and sort no rows before chunks fork. The threshold comes from whole-slide
+    ``forward_slide`` on a 16x16 slide, 4 tokens a spot, D = 5, d = 64, one
+    process (ms, best of 8 alternating rounds, 2 vCPUs, one BLAS thread):
+
+    ============  ===  ===  ===  ===  ===  ===
+    c             16   32   48   64   96   128
+    ============  ===  ===  ===  ===  ===  ===
+    per use       149  163  175  175  184  197
+    distinct rows 161  167  162  156  161  162
+    ============  ===  ===  ===  ===  ===  ===
+
+    At d = 32 and d = 128 the two plans cross between c = 32 and 48 too.
+    Unfolding wide keys and values cuts one training epoch on that slide
+    from 709 to 579 ms at c = 256 and from 1059 to 839 ms at c = 512.
     """
     block = params.block(f"mca_{scope}")
     no_edge, no_nuclei = ((config.no_edge_spot, config.no_nuclei_spot) if scope == "spot"
                           else (config.no_edge_ctx, config.no_nuclei_ctx))
-    spots = [np.asarray(s) for s in members.values()]
-    member_spots = np.concatenate(spots)
-    last_member = np.cumsum([len(s) for s in spots]) - 1
+    member_spots = np.concatenate(members)
+    bounds = np.cumsum([0] + [len(m) for m in members])
+    d = config.d_model
     reads = []
     for stream, names in (("img", ("w_q",)),
                           ("img" if no_edge else "edge", ("w_k_a", "w_v_a")),
                           ("img" if no_nuclei else "nuc", ("w_k_b", "w_v_b"))):
         stack, offsets = dataset.token_stacks[(stream, scope)]
         counts = offsets[member_spots + 1] - offsets[member_spots]
-        read = _ranges(offsets[member_spots], counts)
-        folded = [ad.matmul(params[f"proj.{stream}.{scope}"], block[name]) for name in names]
-        used = np.unique(read)
-        if used.size < read.size and not folded[0].requires_grad:
-            read = np.searchsorted(used, read)
-            stack, folded = [stack[used] @ w.data for w in folded], None
-        rows = dict(zip(members, np.split(read, np.cumsum(counts)[last_member[:-1]])))
-        reads.append((stack, rows, folded))
+        rows = _ranges(offsets[member_spots], counts)
+        ends = np.concatenate(([0], np.cumsum(counts)))[bounds]
+        proj, weights = params[f"proj.{stream}.{scope}"], [block[name] for name in names]
+        c, k = stack.shape[1], len(weights)
+        graph = any(w.requires_grad for w in (proj, *weights))
+        if k * c * d <= c * d + k * d * d:
+            read = Read(stack, rows, ends, [ad.matmul(proj, w) for w in weights])
+        else:
+            read = Read(stack, rows, ends, weights, proj)
+        if not graph and min(k * c, c + k * d) > GATHER_MACS * k:
+            used = np.unique(rows)
+            if used.size < rows.size:
+                read = Read([p.data for p in read.project(stack[used])],
+                            np.searchsorted(used, rows), ends, None)
+        reads.append(read)
     return BranchInputs(block, tuple(reads))
 
 
 def guided_branch(inputs, targets, config, attn_sink=None):
-    """Tokens (G*T, d) and pooled means (G, d) of one branch for G targets.
+    """Tokens (G*T, d) and pooled means (G, d) of one branch for G targets,
+    given by their positions in the ``members`` of ``inputs``.
 
     The targets' q, guide-a and guide-b sequences must have equal lengths;
     each target attends only within its own sequences, gathered by row.
     """
-    projected = []
-    for stack, rows, weights in inputs.reads:
-        index = np.concatenate([rows[t] for t in targets])
-        projected.append([np.take(p, index, axis=0) for p in stack] if weights is None
-                         else [ad.matmul(np.take(stack, index, axis=0), w) for w in weights])
-    (q,), *guides = projected
+    (q,), *guides = [read.take(targets) for read in inputs.reads]
     tokens = guided_attention(q, [(k, v, len(targets)) for k, v in guides], inputs.block, config,
                               attn_sink)
     return BranchOutput(tokens, ad.mean_rows(tokens, len(targets)))
@@ -364,7 +425,7 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None, workers
 
     A pass that builds no graph splits its chunks between this process and
     up to ``workers - 1`` forked ones (``parallel.fork_map``), which inherit
-    the projected stacks and global tokens and send back only each chunk's
+    the branches' reads and global tokens and send back only each chunk's
     fused and pooled rows; the heads run here on the rows stacked in chunk
     order, so outputs do not depend on ``workers``. A pass that builds a
     graph, or whose ``guided_branch`` or ``fuse`` has been wrapped here (by
@@ -378,19 +439,18 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None, workers
     branches = {}
     for name, d in (("spot", 1), ("ctx", d_context)):
         if not getattr(config, f"drop_{name}"):
-            windows = dataset.windows(d)[scope]
             branches[name] = branch_inputs(dataset, params, config, name,
-                                           {s: row[row < n] for s, row in zip(scope, windows)})
+                                           [row[row < n] for row in dataset.windows(d)[scope]])
+    # chunks hold positions in ``scope``, grouped by their sequence lengths
+    lengths = [np.diff(read.offsets).tolist() for inputs in branches.values()
+               for read in inputs.reads]
     groups = {}
-    for s in scope:
-        shape = tuple(len(rows[s]) for inputs in branches.values()
-                      for _, rows, _ in inputs.reads)
-        groups.setdefault(shape, []).append(s)
+    for position, shape in enumerate(zip(*lengths)):
+        groups.setdefault(shape, []).append(position)
     chunks = [group[i:i + CHUNK_SPOTS] for group in groups.values()
               for i in range(0, len(group), CHUNK_SPOTS)]
     global_out = (None if config.drop_global
                   else BranchOutput(global_branch(dataset, params, scope), None))
-    row_of = {s: r for r, s in enumerate(scope)}
 
     def run_chunk(chunk):
         """The chunk's fused rows, then the pooled rows of each branch."""
@@ -399,7 +459,7 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None, workers
             query = BranchOutput(outs["ctx" if config.drop_spot else "spot"].pooled, None)
             rows = range(len(chunk))
         else:
-            query, rows = global_out, [row_of[s] for s in chunk]
+            query, rows = global_out, chunk
         return [fuse(outs.get("spot"), outs.get("ctx"), query, rows, params, config),
                 *(out.pooled for out in outs.values())]
 
@@ -409,8 +469,9 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None, workers
     else:
         parts = fork_map(lambda chunk: [t.data for t in run_chunk(chunk)], chunks, workers)
 
-    rank = {s: r for r, s in enumerate(s for chunk in chunks for s in chunk)}
-    order = [rank[s] for s in indices]
+    row_of = {s: r for r, s in enumerate(scope)}
+    rank = {p: r for r, p in enumerate(p for chunk in chunks for p in chunk)}
+    order = [rank[row_of[s]] for s in indices]
     preds = {name: ad.take_rows(ad.concat_rows(stacked), order)
              for name, stacked in zip(("fused", *branches), zip(*parts))}
     if global_out is not None:

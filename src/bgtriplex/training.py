@@ -38,6 +38,10 @@ from .seeding import substream
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# The time to predict and score one held-out spot over the time to train on
+# one: 0.256-0.265 with the default model on 8x8 slides (64 genes, D = 5,
+# one process and one BLAS thread).
+HELD_OUT_COST = 0.26
 
 
 @dataclass
@@ -438,7 +442,8 @@ def cross_validate(datasets, cfg, model_config, pcch_selector="predictive", make
     evaluates on slide i. Returns (per-fold reports in fold order,
     aggregate mean/sd over folds).
 
-    The folds' training steps are dealt out by ``_plan`` to ``min(workers,
+    The folds' training steps, each fold's held-out pass costed with its
+    last step (``_fold_costs``), are dealt out by ``_plan`` to ``min(workers,
     folds)`` partner processes forked from this one, since training is
     Python code that threads could not run in parallel; this process
     computes none. A fold cut in two keeps its weights and Adam moments in
@@ -467,9 +472,8 @@ def cross_validate(datasets, cfg, model_config, pcch_selector="predictive", make
                                                            evaluate_predictions))):
         workers = 1
     folds = range(len(datasets))
-    spots = sum(ds.n_spots for ds in datasets)
-    step_spots = [_batches(spots - ds.n_spots, cfg.batch_size) * cfg.epochs for ds in datasets]
-    plan = _plan(step_spots, workers)
+    step_costs = _fold_costs(datasets, cfg)
+    plan = _plan(step_costs, workers)
     cut = sorted(held for pieces in plan for held, start, _ in pieces if start > 0)
     rows = {}
     if cut:
@@ -490,7 +494,7 @@ def cross_validate(datasets, cfg, model_config, pcch_selector="predictive", make
             if place is None:
                 place = _Place(substream(cfg.seed, "shuffle"))
             _run_steps(train_sets, train_targets, params, cfg, rows[held], place, stop)
-            if stop < len(step_spots[held]):
+            if stop < len(step_costs[held]):
                 return place
         else:
             train(train_sets, params, cfg, targets=train_targets, workers=1)
@@ -498,15 +502,27 @@ def cross_validate(datasets, cfg, model_config, pcch_selector="predictive", make
         return evaluate_predictions(pred, targets[held], names, selector=pcch_selector)
 
     if len(plan) < 2:
-        fold_reports = [run_fold(held, len(step_spots[held])) for held in folds]
+        fold_reports = [run_fold(held, len(step_costs[held])) for held in folds]
     else:
-        fold_reports = _deal(run_fold, plan, [len(steps) for steps in step_spots])
+        fold_reports = _deal(run_fold, plan, [len(costs) for costs in step_costs])
     aggregate = {}
     for metric in ("mse", "pcc_m", "pcc_h"):
         values = np.array([getattr(r, metric) for r in fold_reports], dtype=np.float64)
         sd = float(values.std(ddof=1)) if len(values) > 1 else 0.0
         aggregate[metric] = (float(values.mean()), sd)
     return fold_reports, aggregate
+
+
+def _fold_costs(datasets, cfg):
+    """Each fold's step costs in training spots: its batches' spot counts,
+    the last one plus its held-out pass, ``HELD_OUT_COST`` per held-out
+    spot, which runs after the fold's last step on the same worker."""
+    spots = sum(ds.n_spots for ds in datasets)
+    costs = [_batches(spots - ds.n_spots, cfg.batch_size) * cfg.epochs for ds in datasets]
+    for steps, ds in zip(costs, datasets):
+        if steps:
+            steps[-1] += HELD_OUT_COST * ds.n_spots
+    return costs
 
 
 def _plan(step_costs, workers):

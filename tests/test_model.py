@@ -120,9 +120,10 @@ def mca(guide_a, query, guide_b, block, config, attn_sink=None):
 
 
 def run_branch(ds, params, config, scope, members, attn_sink=None):
-    """``model.guided_branch`` for targets of one shape: (tokens, prediction)."""
-    out = guided_branch(branch_inputs(ds, params, config, scope, members), list(members), config,
-                        attn_sink)
+    """``model.guided_branch`` for the targets of one shape that ``members``
+    maps to their member spots: (tokens, prediction)."""
+    out = guided_branch(branch_inputs(ds, params, config, scope, list(members.values())),
+                        range(len(members)), config, attn_sink)
     return out.tokens, ad.add(ad.matmul(out.pooled, params[f"head.{scope}.w"]),
                               params[f"head.{scope}.b"])
 
@@ -780,10 +781,12 @@ class TestSlideForwardCost:
         monkeypatch.setattr(ad, "matmul", counting_matmul)
         monkeypatch.setattr(model, "guided_branch", recording_branch)
         batch = [size * r + c for r, c in ((0, 0), (1, 1), (2, 2), (1, 1), (0, 2), (4, 4))]
+        scope = list(dict.fromkeys(batch))  # the spots of chunk positions
         preds = forward_batch(ds, params, cfg, 3, spot_indices=batch)
         assert rows and ds.n_spots not in rows
         branches = 2 - cfg.drop_spot - cfg.drop_ctx
-        assert {s: targets.count(s) for s in targets} == dict.fromkeys(batch, branches)
+        spots = [scope[p] for p in targets]
+        assert {s: spots.count(s) for s in spots} == dict.fromkeys(batch, branches)
         assert all(p.shape[0] == len(batch) for p in preds.values())
         # whole-slide inference: n rows only at each head's input, and the
         # global branch projects the 3x3 cells of every spot once
@@ -867,29 +870,45 @@ class TestSlideForwardCost:
         loss.backward()
         assert all(tensor.grad is not None for _, tensor in params.named())
 
-    def test_inference_projects_each_repeated_read_row_once(self):
-        # without a graph there is no scatter to avoid, so where windows
-        # overlap each row read is projected once and its projected row
-        # gathered; rows read once, and any graph, keep the per-use path
-        ds, _ = synth_dataset(5, 5, 6, 0.05, seed=23)
-        cfg = ModelConfig(d_model=16, n_heads=2)
+    @pytest.mark.parametrize("d_model,widths,plans", [
+        # d, stream widths, and the (graph-free, graph) plans of the query and
+        # of keys and values where windows overlap; c <= GATHER_MACS is narrow
+        (16, None, (("fold", "fold"), ("fold", "fold"))),
+        (32, {"img": 48, "edge": 40, "nuc": 34}, (("distinct", "fold"), ("distinct", "fold"))),
+        (16, {"img": 40, "edge": 36, "nuc": 33}, (("distinct", "fold"), ("distinct", "unfold")))])
+    def test_each_read_projects_by_the_cost_of_its_width(self, d_model, widths, plans):
+        # graph-free passes project distinct rows once only for wide streams
+        # whose rows repeat; graph passes fold, or unfold where k c d > c d + k d^2
+        ds, _ = synth_dataset(5, 5, 6, 0.05, seed=23, stream_dims=widths)
+        cfg = ModelConfig(d_model=d_model, n_heads=2, **({} if widths is None
+                                                         else {"stream_dims": widths}))
         params = ModelParams(cfg, k_genes=3, seed=3)
+        assert model.GATHER_MACS == 32
         for centers, overlap in ((range(ds.n_spots), True), ([6, 7], True), ([12], False),
                                  ([0, 24], False)):
-            members = {s: window_members(ds, s, 3) for s in centers}
-            read = set().union(*members.values())
-            assert overlap == (len(read) < sum(map(len, members.values())))
-            inputs = branch_inputs(ds, params.detached(), cfg, "ctx", members)
-            for stack, rows, weights in inputs.reads:
-                assert {t: len(r) for t, r in rows.items()} == {
-                    t: 4 * len(m) for t, m in members.items()}
-                if overlap:
-                    assert weights is None
-                    assert [p.shape for p in stack] == [(4 * len(read), 16)] * len(stack)
-                else:
-                    assert [w.shape for w in weights] == [(stack.shape[1], 16)] * len(weights)
-            graph = branch_inputs(ds, params, cfg, "ctx", members)
-            assert all(weights[0].requires_grad for _, _, weights in graph.reads)
+            members = [window_members(ds, s, 3) for s in centers]
+            read = set().union(*members)
+            assert overlap == (len(read) < sum(map(len, members)))
+            for graph, view in ((False, params.detached()), (True, params)):
+                inputs = branch_inputs(ds, view, cfg, "ctx", members)
+                for (stream, names), r in zip((("img", ("w_q",)), ("edge", ("w_k_a", "w_v_a")),
+                                               ("nuc", ("w_k_b", "w_v_b"))), inputs.reads):
+                    assert np.diff(r.offsets).tolist() == [4 * len(m) for m in members]
+                    # rows read once are projected per use, as with a graph
+                    plan = plans[len(names) - 1][graph or not overlap]
+                    raw = view[f"proj.{stream}.ctx"]
+                    if plan == "distinct":
+                        assert r.weights is None and r.proj is None
+                        assert [p.shape for p in r.stack] == [(4 * len(read), d_model)] * len(names)
+                        continue
+                    assert r.stack is ds.token_stacks[(stream, "ctx")][0]
+                    if plan == "unfold":
+                        assert r.proj is raw
+                        assert r.weights == [view[f"mca_ctx.{name}"] for name in names]
+                    else:
+                        assert r.proj is None
+                        assert [w.shape for w in r.weights] == [raw.shape] * len(names)
+                    assert all(w.requires_grad == graph for w in r.weights)
 
     @pytest.mark.parametrize("batch,groups", [([6], 1), ([6, 7, 8, 11], 1),
                                               ([6, 7, 8, 11, 12, 13, 16, 17], 1),
@@ -929,8 +948,11 @@ def grouping_slides(tmp_path_factory):
     five, _ = synth_dataset(5, 5, 6, 0.05, seed=29)
     eight, _ = synth_dataset(8, 8, 6, 0.05, seed=31)
     interior = [r * 8 + c for r in range(2, 6) for c in range(2, 6)][:10]
+    # every stream wider than twice the tests' d_model of 16
+    wide, _ = synth_dataset(5, 5, 6, 0.05, seed=29, stream_dims={"img": 40, "edge": 36, "nuc": 33})
     return {"5x5": (five, 3, [0, 1, 6, 12, 24, 7, 2, 18, 11]),
             "8x8": (eight, 5, interior + [0, 63, 3, 9, 1]),
+            "wide": (wide, 3, [0, 1, 6, 12, 24, 7, 2, 18, 11]),
             "varied": (varied_slide(tmp_path_factory.mktemp("varied")), 3,
                        list(np.random.default_rng(3).permutation(16)))}
 
@@ -952,25 +974,32 @@ def varied_slide(out_dir):
     return load_dataset(manifest)
 
 
+def slide_config(ds, **flags):
+    """The tests' d_model 16, 4-head config, at the stream widths of ``ds``."""
+    widths = {stream: ds.token_stacks[(stream, "spot")][0].shape[1] for stream in STREAMS}
+    return ModelConfig(d_model=16, n_heads=4, stream_dims=widths, **flags)
+
+
 class TestGroupedForward:
     @pytest.mark.parametrize("flags", [{}, {"drop_global": True},
                                        {"drop_global": True, "drop_spot": True},
                                        {"drop_global": True, "drop_ctx": True},
                                        {"drop_spot": True},
                                        {"no_edge_spot": True, "no_nuclei_ctx": True}])
-    @pytest.mark.parametrize("slide", ["5x5", "8x8", "varied"])
+    @pytest.mark.parametrize("slide", ["5x5", "8x8", "varied", "wide"])
     def test_step_matches_spot_by_spot_reference(self, grouping_slides, slide, flags):
         ds, d_context, batch = grouping_slides[slide]
-        cfg = ModelConfig(d_model=16, n_heads=4, **flags)
+        cfg = slide_config(ds, **flags)
         assert_step_matches_reference(ds, cfg, d_context, batch)
 
     @pytest.mark.parametrize("flags", [{}, {"drop_global": True, "drop_spot": True},
                                        {"no_edge_spot": True, "no_nuclei_ctx": True}])
-    @pytest.mark.parametrize("slide", ["5x5", "varied"])
+    @pytest.mark.parametrize("slide", ["5x5", "varied", "wide"])
     def test_inference_matches_the_graph_forward(self, grouping_slides, slide, flags):
-        # forward_slide projects each read row once; a graph forward per use
+        # on the wide slide forward_slide projects each read row once, and a
+        # graph forward unfolds keys and values per use
         ds, d_context, _ = grouping_slides[slide]
-        cfg = ModelConfig(d_model=16, n_heads=4, **flags)
+        cfg = slide_config(ds, **flags)
         params = drawn_params(cfg, 4, 6)
         out = forward_slide(ds, params, cfg, d_context)
         ref = forward_batch(ds, params, cfg, d_context)
@@ -982,8 +1011,8 @@ class TestGroupedForward:
         ds, d_context, batch = grouping_slides["varied"]
         cfg = ModelConfig(d_model=16, n_heads=4)
         inputs = branch_inputs(ds, ModelParams(cfg, 4), cfg, "ctx",
-                               {s: window_members(ds, s, d_context) for s in batch})
-        shapes = [tuple(len(rows[s]) for _, rows, _ in inputs.reads) for s in batch]
+                               [window_members(ds, s, d_context) for s in batch])
+        shapes = list(zip(*(np.diff(read.offsets).tolist() for read in inputs.reads)))
         assert len(set(shapes)) > 3
         assert any(len(set(shape)) > 1 for shape in shapes)
 

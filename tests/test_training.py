@@ -405,6 +405,17 @@ class TestPlan:
         assert training._plan(step_costs, 2) == [[(0, 0, 11), (1, 5, 11)],
                                                  [(1, 0, 5), (2, 0, 11)]]
 
+    def test_a_folds_held_out_pass_is_costed_with_its_last_step(self):
+        # the benchmark's case again: each worker now ends one and a half
+        # folds with one and a half held-out passes, so the cut moves a step
+        slides = [synth_dataset(8, 8, 6, 0.05, seed=13 + i, slide_id=f"s{i}")[0]
+                  for i in range(3)]
+        costs = training._fold_costs(slides, TrainConfig(batch_size=12, epochs=1))
+        assert costs == [[12] * 10 + [8 + training.HELD_OUT_COST * 64]] * 3
+        assert training._plan(costs, 2) == [[(0, 0, 11), (1, 6, 11)],
+                                            [(1, 0, 6), (2, 0, 11)]]
+        assert training._fold_costs(slides, TrainConfig(epochs=0)) == [[], [], []]
+
     def test_a_fold_with_no_steps_is_never_cut(self):
         assert training._plan([[], [], []], 2) == [[(0, 0, 0), (1, 0, 0), (2, 0, 0)]]
 
@@ -462,7 +473,7 @@ class TestCrossValidate:
         five = [synth_dataset(3, 3 + i % 2, 6, 0.05, seed=13 + i, slide_id=f"s{i}")[0]
                 for i in range(5)]
         cfg = TrainConfig(epochs=2, k_genes=4, d_context=3, batch_size=4)
-        step_costs = [training._batches(51 - ds.n_spots, 4) * 2 for ds in five]
+        step_costs = training._fold_costs(five, cfg)
         cuts = {(start, len(step_costs[fold]) // 2) for w in (2, 3, 4)
                 for share in training._plan(step_costs, w) for fold, start, _ in share if start}
         assert {k % e == 0 for k, e in cuts} == {True, False}

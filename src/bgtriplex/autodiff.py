@@ -199,20 +199,80 @@ def mul(a, b):
     return _broadcast_op(a, b, np.multiply, lambda g: g * b.data, lambda g: g * a.data)
 
 
+# Attention weights, in floats across all heads, that one block of a pass
+# without a graph holds (see ``attention`` for the sweep it comes from).
+ATTENTION_BLOCK = 131_072
+
+
+def _attend(qh, kh, vh):
+    """Softmax attention of scaled queries ``qh`` (..., T, d_head) over
+    ``kh`` and ``vh`` (..., S, d_head), deferring the normalisation:
+    (E, 1/l, (E v) / l), with E = exp(logits - rowmax) and l = rowsum(E)."""
+    exps = qh @ kh.swapaxes(-1, -2)
+    exps -= exps.max(axis=-1, keepdims=True)
+    np.exp(exps, out=exps)
+    inv_sum = 1.0 / exps.sum(axis=-1, keepdims=True)
+    return exps, inv_sum, (exps @ vh) * inv_sum
+
+
+def _blocks(groups, rows, weights_per_row):
+    """(group slice, query-row slice) blocks that each hold at most
+    ``ATTENTION_BLOCK`` weights: as many whole groups as fit, or else as
+    many query rows of one group as fit, at least one."""
+    per_group = rows * weights_per_row
+    if per_group <= ATTENTION_BLOCK:
+        step = ATTENTION_BLOCK // per_group
+        return [(slice(g, g + step), slice(None)) for g in range(0, groups, step)]
+    step = max(1, ATTENTION_BLOCK // weights_per_row)
+    return [(slice(g, g + 1), slice(r, r + step))
+            for g in range(groups) for r in range(0, rows, step)]
+
+
 def attention(q, k, v, n_heads, groups=1, attn_sink=None):
-    """Scaled dot-product attention for every head and block of rows at once.
+    """Scaled dot-product attention for every head and group of rows at once.
 
     ``q`` is (G*T, d); ``k`` and ``v`` are (G*S, d), for ``groups`` G.
-    Rows split into G consecutive blocks, and block g of ``q`` attends only
-    to block g of ``k`` and ``v``. Head h reads columns
+    Rows split into G consecutive groups, and group g of ``q`` attends only
+    to group g of ``k`` and ``v``. Head h reads columns
     h*d_head:(h+1)*d_head of all three and writes the same columns of the
     (G*T, d) output: softmax(q_h k_h^T / sqrt(d_head)) v_h, with the row
     maximum subtracted before exponentiation. ``attn_sink``, when given,
-    is extended by one (T, S) weight matrix per block and head, block by
-    block. Normalisation is deferred as in FlashAttention (arXiv
+    is extended by one (T, S) weight matrix per group and head, group by
+    group. Normalisation is deferred as in FlashAttention (arXiv
     2205.14135): with E = exp(logits - rowmax) and l = rowsum(E) the output
     is (E v) / l, and backward scales g by 1/l and uses rowsum(dP * P) =
     rowsum(g * out), so neither pass forms the normalised (T, S) weights.
+
+    When no input requires a gradient and there is no sink, nothing keeps
+    the weights after the op, so the output is computed block by block, as
+    FlashAttention tiles it. Each block holds at most ``ATTENTION_BLOCK``
+    weights across all heads: as many whole groups as fit, or, where one
+    group alone is larger, as many query rows of that group as fit, at
+    least one. Whole-group blocks make the same BLAS calls as one block, so
+    their output is bit-identical; row blocks give BLAS fewer rows, which
+    moves the output by about 1e-15. A graph keeps the weights for backward
+    and a sink receives them all, so with either the op runs as one block.
+
+    The budget comes from whole-slide ``forward_slide`` with d = 64, 4
+    heads and D = 5, on a 20x20 slide at 4 tokens, 12x12 at 16 and 8x8 at
+    49, at the toy widths or 512 wide (ms per spot, median of 6 rounds
+    that rotate the order of the budgets; one process, 2 vCPUs, one BLAS
+    thread):
+
+    =========  =====  ======  ======  ===========
+    budget     4 tok  16 tok  49 tok  16 tok, 512
+    =========  =====  ======  ======  ===========
+    40,000     0.65   6.46    45.5    6.62
+    65,536     0.74   7.08    42.8    6.14
+    80,000     0.73   6.22    40.7    6.39
+    131,072    0.74   6.13    38.3    5.87
+    262,144    0.97   7.10    45.7    6.13
+    unbounded  0.75   9.26    66.0    9.15
+    =========  =====  ======  ======  ===========
+
+    Peak RSS growth was 7, 20, 57 and 25 MB at every budget up to 131,072,
+    and 9, 79, 419 and 84 MB unbounded. A budget of at least 40,000 keeps
+    the 4-token shapes in whole-group blocks.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if (q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape
@@ -231,11 +291,14 @@ def attention(q, k, v, n_heads, groups=1, attn_sink=None):
         return x.transpose(0, 2, 1, 3).reshape(-1, d)
 
     qh, kh, vh = split(q.data) * scale, split(k.data), split(v.data)
-    exps = qh @ kh.swapaxes(2, 3)
-    exps -= exps.max(axis=3, keepdims=True)
-    np.exp(exps, out=exps)
-    inv_sum = 1.0 / exps.sum(axis=3, keepdims=True)
-    out_h = (exps @ vh) * inv_sum
+    if attn_sink is None and not any(t.requires_grad for t in (q, k, v)):
+        out = np.empty((groups, q.shape[0] // groups, n_heads, d_head))
+        heads = out.transpose(0, 2, 1, 3)
+        for g, r in _blocks(groups, qh.shape[2], n_heads * kh.shape[2]):
+            heads[g, :, r] = _attend(qh[g, :, r], kh[g], vh[g])[2]
+        return compose(out.reshape(-1, d), (q, k, v), None)
+
+    exps, inv_sum, out_h = _attend(qh, kh, vh)
     if attn_sink is not None:
         attn_sink.extend((exps * inv_sum).reshape(-1, *exps.shape[2:]))
 

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ParseError
-from .features import SCOPES, STREAMS, TOY_STREAM_DIMS, encode_bgft, read_token_stacks, toy_extract
+from .features import (SCOPES, STREAMS, TOY_STREAM_DIMS, encode_bgft, read_token_stacks,
+                       toy_extractor)
 from .seeding import derive_seed, substream
 
 SPOT_COLUMNS = ("spot_id", "array_row", "array_col", "px_x", "px_y")
@@ -60,12 +61,14 @@ class SpotDataset:
 
     ``token_stacks`` maps every (stream, scope) to (tokens, offsets): every
     spot's tokens, of one width in both scopes, in spot order, spot s in rows
-    offsets[s]:offsets[s + 1], at least one each. A ctx-scope entry may be
+    offsets[s]:offsets[s + 1], at least one each. ``load_dataset`` and
+    ``synth_dataset`` hold them in float32, as BGFT files store them; the
+    model reads them into float64, which is exact. A ctx-scope entry may be
     the spot-scope one itself. ``pooled_image_tokens`` is each spot's mean
-    spot-scope image token, then a zero row for the empty cells of
-    ``windows(d)``. Both are read-only: two scopes and forked processes
-    share them. Stacks that break this layout or hold a non-finite token are
-    a ValueError.
+    spot-scope image token, taken in float64, then a zero row for the empty
+    cells of ``windows(d)``. Both are read-only: two scopes and forked
+    processes share them. Stacks that break this layout or hold a
+    non-finite token are a ValueError.
     """
 
     spots: list
@@ -96,7 +99,8 @@ class SpotDataset:
         image, offsets = self.token_stacks[("img", "spot")]
         self.pooled_image_tokens = np.zeros((n + 1, image.shape[1]))
         for s in range(n):
-            self.pooled_image_tokens[s] = image[offsets[s]:offsets[s + 1]].mean(axis=0)
+            rows = image[offsets[s]:offsets[s + 1]]
+            self.pooled_image_tokens[s] = rows.mean(axis=0, dtype=np.float64)
         for array in (self.pooled_image_tokens, *itertools.chain(*self.token_stacks.values())):
             array.flags.writeable = False
 
@@ -269,10 +273,12 @@ def synth_dataset(rows, cols, n_genes, noise_sd, seed, slide_id="synth",
     dims = dict(TOY_STREAM_DIMS if stream_dims is None else stream_dims)
     spots = [SpotRecord(f"s{r}x{c}", r, c, c * 100.0 + 50.0, r * 100.0 + 50.0)
              for r in range(rows) for c in range(cols)]
-    # one buffer per stream; its (spots * tokens, width) view is the stream's token stack
-    buffers = [np.empty((len(spots), grid_tokens, dims[stream])) for stream in STREAMS]
+    # one float32 buffer per stream; its (spots * tokens, width) view is the stream's token stack
+    buffers = [np.empty((len(spots), grid_tokens, dims[stream]), dtype=np.float32)
+               for stream in STREAMS]
+    extract = toy_extractor(dataset_seed, grid_tokens, dims)
     for i, spot in enumerate(spots):
-        for buffer, tokens in zip(buffers, toy_extract(spot, dataset_seed, grid_tokens, dims)):
+        for buffer, tokens in zip(buffers, extract(spot)):
             buffer[i] = tokens
 
     n_features = sum(dims.values())
@@ -283,8 +289,9 @@ def synth_dataset(rows, cols, n_genes, noise_sd, seed, slide_id="synth",
     raw = 0.8 * shared[:, None] + 0.4 * individual
     weights = raw / raw.sum(axis=0, keepdims=True) * gene_total
 
-    # each spot's per-stream token means, concatenated, are its regression inputs
-    targets = np.hstack([buffer.mean(axis=1) for buffer in buffers]) @ weights
+    # each spot's per-stream token means, taken in float64 and concatenated,
+    # are its regression inputs
+    targets = np.hstack([buffer.mean(axis=1, dtype=np.float64) for buffer in buffers]) @ weights
     rng_n = substream(seed, "noise", slide_id)
     noise = rng_n.normal(0.0, noise_sd, size=targets.shape) if noise_sd > 0 else 0.0
     counts = np.clip(np.round(np.exp(targets + noise) - 1.0), 0.0, None)

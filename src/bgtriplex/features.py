@@ -3,7 +3,8 @@ fills a slide's token stacks from it, and a deterministic toy extractor.
 
 Pretrained extractors are out of scope; the model consumes their outputs
 as BGFT files laid out as ``<prefix>/<spot_id>.<img|edge|nuc>.<spot|ctx>.bgft``.
-``toy_extract`` generates desk-scale tokens for synthetic slides.
+``toy_extract`` and ``toy_extractor`` generate desk-scale tokens for
+synthetic slides.
 """
 
 from __future__ import annotations
@@ -44,59 +45,65 @@ def _toy_loadings(stream, dim):
     return raw / raw.sum(axis=1, keepdims=True)
 
 
-def _toy_latent_state(dataset_seed, row, col):
-    """The spot's latent tissue state: a smooth spatial wave per factor
-    (slide-specific direction, period and phase) plus per-spot jitter.
+def toy_extractor(dataset_seed, grid_tokens, stream_dims=None):
+    """``toy_extract`` for one slide, as a function of the spot alone.
 
-    Smoothness makes neighborhoods informative about their center, the
-    way tissue regions are ; the field itself differs per slide, so only
-    the feature-to-state geometry transfers across slides."""
+    The slide's wave field and each stream's loadings are drawn once here,
+    not once per spot; the tokens it returns are float32.
+    """
+    if grid_tokens not in TOY_GRID_TOKENS:
+        raise ValueError(f"grid_tokens must be one of {TOY_GRID_TOKENS}, got {grid_tokens}")
+    dims = dict(TOY_STREAM_DIMS if stream_dims is None else stream_dims)
+    # the slide's smooth spatial wave per factor: direction, period and phase
     field = np.random.default_rng(np.random.SeedSequence([int(dataset_seed), 6007]))
     u = field.uniform(-1.0, 1.0, TOY_LATENT_DIM)
     v = field.uniform(-1.0, 1.0, TOY_LATENT_DIM)
     period = field.uniform(4.0, 9.0, TOY_LATENT_DIM)
     phase = field.uniform(0.0, 2.0 * np.pi, TOY_LATENT_DIM)
-    jitter = np.random.default_rng(
-        np.random.SeedSequence([int(dataset_seed), int(row), int(col), 5]))
-    wave = 0.5 + 0.4 * np.sin(2.0 * np.pi * (u * row + v * col) / period + phase)
-    return np.clip(wave + jitter.uniform(-0.1, 0.1, TOY_LATENT_DIM), 0.0, 1.0)
+    loadings = [(_STREAM_CODE[stream], _toy_loadings(stream, dims[stream])) for stream in STREAMS]
+
+    def extract(spot):
+        row, col = int(spot.array_row), int(spot.array_col)
+        # the spot's latent tissue state: the slide's wave plus per-spot jitter
+        jitter = np.random.default_rng(np.random.SeedSequence([int(dataset_seed), row, col, 5]))
+        wave = 0.5 + 0.4 * np.sin(2.0 * np.pi * (u * row + v * col) / period + phase)
+        latent = np.clip(wave + jitter.uniform(-0.1, 0.1, TOY_LATENT_DIM), 0.0, 1.0)
+        tokens = []
+        for code, loading in loadings:
+            rng = np.random.default_rng(np.random.SeedSequence([int(dataset_seed), row, col, code]))
+            texture = rng.uniform(0.0, 1.0, size=(grid_tokens, loading.shape[0]))
+            tokens.append((0.9 * (loading @ latent) + 0.1 * texture).astype(np.float32))
+        return tuple(tokens)
+
+    return extract
 
 
 def toy_extract(spot, dataset_seed, grid_tokens, stream_dims=None):
     """Deterministic pseudo-features keyed on (slide seed, grid position, stream).
 
-    Each spot draws one low-dimensional latent tissue state; every stream
-    reflects it through its own fixed channel loadings, plus token-level
-    texture. Spots therefore vary along a few factor directions, the
-    three streams carry distinct views of the same state, and the latent
-    geometry is shared across slides. Returns the (img, edge, nuc) token
-    matrices, rounded through float32 so in-memory tokens match their BGFT
-    on-disk form bit for bit.
+    Each spot draws one low-dimensional latent tissue state: a smooth
+    spatial wave per factor (slide-specific direction, period and phase)
+    plus per-spot jitter. Smoothness makes neighborhoods informative about
+    their center, the way tissue regions are; the field itself differs per
+    slide, so only the feature-to-state geometry transfers across slides.
+    Every stream reflects the state through its own fixed channel
+    loadings, plus token-level texture. Spots therefore vary along a few
+    factor directions, the three streams carry distinct views of the same
+    state, and the latent geometry is shared across slides. Returns the
+    (img, edge, nuc) token matrices, rounded through float32 so in-memory
+    tokens match their BGFT on-disk form bit for bit.
     """
-    if grid_tokens not in TOY_GRID_TOKENS:
-        raise ValueError(f"grid_tokens must be one of {TOY_GRID_TOKENS}, got {grid_tokens}")
-    dims = dict(TOY_STREAM_DIMS if stream_dims is None else stream_dims)
-    latent = _toy_latent_state(dataset_seed, spot.array_row, spot.array_col)
-    tokens = []
-    for stream in STREAMS:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                [int(dataset_seed), int(spot.array_row), int(spot.array_col), _STREAM_CODE[stream]]
-            )
-        )
-        profile = _toy_loadings(stream, dims[stream]) @ latent
-        texture = rng.uniform(0.0, 1.0, size=(grid_tokens, dims[stream]))
-        values = 0.9 * profile + 0.1 * texture
-        tokens.append(values.astype(np.float32).astype(np.float64))
-    return tuple(tokens)
+    extract = toy_extractor(dataset_seed, grid_tokens, stream_dims)
+    return tuple(tokens.astype(np.float64) for tokens in extract(spot))
 
 
 def read_token_stacks(prefix, spots):
     """The ``SpotDataset.token_stacks`` of ``spots``, read from the BGFT
     files under ``prefix``.
 
-    Each stream's file headers are read first, so its stack is allocated
-    once and filled file by file: the tokens are never held twice. A
+    Each stream's file headers are read first, so its float32 stack is
+    allocated once and each file's payload is decoded straight into its
+    rows: the tokens are never held twice, nor widened to float64. A
     ctx-scope stream with no ``<spot_id>.<stream>.ctx.bgft`` file for any
     spot shares the spot-scope entry; otherwise spots without such a file
     take their rows from the spot-scope stack. Every payload is read once. A
@@ -133,11 +140,12 @@ def _read_stack(spots, stream, scope, paths, spot_entry=None):
                               f"the {scope} scope, not {width}")
         rows[s] = shape[0]
     offsets = np.cumsum([0] + rows)
-    tokens = np.empty((offsets[-1], width or 0))
+    tokens = np.empty((offsets[-1], width or 0), dtype=np.float32)
     for s, path in enumerate(paths):
-        tokens[offsets[s]:offsets[s + 1]] = (
-            load_feature_file(path) if path is not None
-            else spot_entry[0][spot_entry[1][s]:spot_entry[1][s + 1]])
+        if path is None:
+            tokens[offsets[s]:offsets[s + 1]] = spot_entry[0][spot_entry[1][s]:spot_entry[1][s + 1]]
+        else:
+            load_feature_file(path, out=tokens[offsets[s]:offsets[s + 1]])
     return tokens, offsets
 
 
@@ -156,11 +164,12 @@ def _file_shape(path):
     return shape
 
 
-def load_feature_file(path):
-    """Read a BGFT file back as a float64 array of the declared shape."""
+def load_feature_file(path, out=None):
+    """Read a BGFT file back as a float64 array of the declared shape, or
+    decode its payload straight into ``out``, an array of that shape."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    arr, offset = decode_bgft(blob, 0)
+    arr, offset = decode_bgft(blob, 0, out)
     if offset != len(blob):
         raise FormatError(f"trailing data at byte {offset}")
     return arr
@@ -174,13 +183,20 @@ def encode_bgft(array):
     return header + arr.astype("<f4").tobytes()
 
 
-def decode_bgft(blob, offset):
-    """Decode one BGFT record starting at ``offset``; returns (array, next offset)."""
+def decode_bgft(blob, offset, out=None):
+    """Decode one BGFT record starting at ``offset``; returns (array, next
+    offset). The array is float64, or ``out`` with the payload written into
+    it, which must have the declared shape."""
     shape, start, end = _decode_header(blob, offset)
     if len(blob) < end:
         raise FormatError(f"truncated payload at byte {len(blob)}, expected {end}")
     values = np.frombuffer(blob, dtype="<f4", count=(end - start) // 4, offset=start)
-    return values.astype(np.float64).reshape(shape), end
+    if out is None:
+        return values.astype(np.float64).reshape(shape), end
+    if out.shape != shape:
+        raise FormatError(f"BGFT record of shape {shape} at byte {offset} does not fill {out.shape}")
+    out[...] = values.reshape(shape)
+    return out, end
 
 
 def _decode_header(blob, offset):

@@ -16,7 +16,8 @@ streams are projected per use through projections folded into their q/k/v
 weights; wide ones unfold, and a pass without a graph projects a wide token
 that overlapping context windows share only once. Inference
 (``forward_slide``) runs on detached weights and builds no graph, so it can
-split its chunks among forked processes.
+split its chunks among forked processes, and each attention op holds at
+most ``autodiff.ATTENTION_BLOCK`` weights at a time, at any token count.
 
 Every learned weight lives in one ordered ``name -> Tensor`` table
 (``ModelParams``); its order is defined once and fixes the initialization
@@ -41,9 +42,12 @@ from .seeding import substream
 
 MCA_BLOCKS = ("mca_spot", "mca_ctx", "mca_fuse")
 MCA_WEIGHTS = ("w_q", "w_k_a", "w_v_a", "w_k_b", "w_v_b")
-# Spots per batched op within a shape group. It bounds the attention
-# weights one op holds (spots x heads x window rows squared) when a whole
-# slide runs; a training batch rarely fills it.
+# Spots per batched op within a shape group. It bounds the token rows one
+# chunk gathers and is the unit of work that whole-slide inference deals
+# out to forked processes; a training batch rarely fills it. Attention
+# weights are bounded per block by ``autodiff.ATTENTION_BLOCK`` in a pass
+# without a graph; a graph pass keeps a chunk's (spots x heads x window
+# rows squared) weights until backward.
 CHUNK_SPOTS = 8
 # Multiply-adds that cost as much as gathering one float of a projected
 # row: graph-free passes project distinct rows once only past it (see
@@ -422,6 +426,11 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None, workers
     that are not dropped. With ``drop_global`` the query is the spot's
     pooled spot-branch (or, with ``drop_spot``, context-branch) token. A
     pass therefore reads only the windows of the requested spots.
+
+    A chunk gathers its spots' token rows at once. Its attention weights
+    are held whole only by a pass that builds a graph, until backward; a
+    pass that builds none computes each attention op in blocks of at most
+    ``autodiff.ATTENTION_BLOCK`` weights.
 
     A pass that builds no graph splits its chunks between this process and
     up to ``workers - 1`` forked ones (``parallel.fork_map``), which inherit

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -200,6 +201,88 @@ class TestAttention:
         with pytest.raises(ShapeError):
             ad.attention(Tensor(np.ones((2, 6))), Tensor(np.ones((3, 6))),
                          Tensor(np.ones((3, 6))), 4)
+
+
+def attention_inputs(seed, groups, rows, keys, d=8):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(groups * n, d)) for n in (rows, keys, keys)]
+
+
+def record_blocks(monkeypatch):
+    """The (groups, query rows) of every block ``attention`` computes."""
+    blocks, real = [], ad._attend
+
+    def recording(qh, kh, vh):
+        blocks.append((qh.shape[0], qh.shape[2]))
+        return real(qh, kh, vh)
+
+    monkeypatch.setattr(ad, "_attend", recording)
+    return blocks
+
+
+class TestAttentionBlocks:
+    """A pass without a graph computes attention in blocks of at most
+    ``ATTENTION_BLOCK`` weights across all heads."""
+
+    # 5 groups of 3 query rows over 7 keys in 2 heads: 42 weights a group
+    def graph_op(self, q, k, v):
+        return ad.attention(Tensor(q, requires_grad=True), Tensor(k), Tensor(v), 2, groups=5)
+
+    @pytest.mark.parametrize("budget, blocks", [(42, [(1, 3)] * 5), (100, [(2, 3), (2, 3), (1, 3)]),
+                                                (210, [(5, 3)]), (10 ** 6, [(5, 3)])])
+    def test_whole_group_blocks_match_the_graph_op_byte_for_byte(self, monkeypatch, budget,
+                                                                 blocks):
+        q, k, v = attention_inputs(31, 5, 3, 7)
+        expected = self.graph_op(q, k, v).data
+        monkeypatch.setattr(ad, "ATTENTION_BLOCK", budget)
+        seen = record_blocks(monkeypatch)
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 2, groups=5)
+        assert seen == blocks
+        assert not out.requires_grad and out.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("budget, rows", [(41, [2, 1]), (28, [2, 1]), (20, [1, 1, 1]),
+                                              (1, [1, 1, 1])])
+    def test_row_blocks_hold_at_least_one_query_row(self, monkeypatch, budget, rows):
+        q, k, v = attention_inputs(32, 5, 3, 7)
+        expected = self.graph_op(q, k, v).data
+        monkeypatch.setattr(ad, "ATTENTION_BLOCK", budget)
+        seen = record_blocks(monkeypatch)
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 2, groups=5).data
+        assert seen == [(1, r) for r in rows] * 5
+        # BLAS sees fewer rows, so the sums may round differently
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14)
+
+    def test_a_sink_gets_the_same_weights_in_one_block(self, monkeypatch):
+        q, k, v = attention_inputs(33, 5, 3, 7)
+        unblocked, blocked = [], []
+        expected = ad.attention(Tensor(q), Tensor(k), Tensor(v), 2, groups=5, attn_sink=unblocked)
+        monkeypatch.setattr(ad, "ATTENTION_BLOCK", 1)
+        seen = record_blocks(monkeypatch)
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 2, groups=5, attn_sink=blocked)
+        assert seen == [(5, 3)]
+        assert out.data.tobytes() == expected.data.tobytes()
+        assert len(blocked) == len(unblocked) == 10
+        for got, want in zip(blocked, unblocked):
+            assert got.shape == (3, 7) and got.tobytes() == want.tobytes()
+
+    def test_a_graph_op_runs_as_one_block(self, monkeypatch):
+        q, k, v = attention_inputs(34, 5, 3, 7)
+        monkeypatch.setattr(ad, "ATTENTION_BLOCK", 1)
+        seen = record_blocks(monkeypatch)
+        self.graph_op(q, k, v)
+        assert seen == [(5, 3)]
+
+    def test_peak_memory_is_bounded_by_the_budget(self):
+        # 8 groups x 4 heads x 400 x 400 weights: 41 MB held at once in one block
+        q, k, v = (Tensor(x) for x in attention_inputs(35, 8, 400, 400, d=4))
+        tracemalloc.start()
+        try:
+            ad.attention(q, k, v, 4, groups=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one block's weights and its scaled queries, output and row sums
+        assert peak <= 2 * 8 * ad.ATTENTION_BLOCK
 
 
 class TestLayerNorm:

@@ -447,9 +447,9 @@ class TestManifestRoundTrip:
         reads, listings = [], []
         real_load, real_listdir = features.load_feature_file, features.os.listdir
 
-        def counting_load(path):
+        def counting_load(path, **kwargs):
             reads.append(os.path.basename(path))
-            return real_load(path)
+            return real_load(path, **kwargs)
 
         def counting_listdir(path):
             listings.append(path)
@@ -520,6 +520,16 @@ class TestTokenStacks:
             tokens, offsets = ds.token_stacks[(stream, "spot")]
             assert tokens.base is not None and tokens.base.ndim == 3
             assert offsets.tolist() == list(range(0, 25, 4))
+
+    def test_stacks_hold_float32_and_pooled_means_float64(self, tmp_path):
+        synth, _ = synth_dataset(2, 3, 4, 0.05, seed=31)
+        for slide in (synth, load_dataset(mixed_ctx_slide(tmp_path / "slide"))):
+            assert {tokens.dtype for tokens, _ in slide.token_stacks.values()} == {np.dtype(np.float32)}
+            image, offsets = slide.token_stacks[("img", "spot")]
+            means = [np.array(image[a:b], dtype=np.float64).mean(axis=0)
+                     for a, b in zip(offsets, offsets[1:])]
+            assert slide.pooled_image_tokens.dtype == np.float64
+            np.testing.assert_array_equal(slide.pooled_image_tokens[:-1], means)
 
     def test_own_edge_ctx_files_keep_a_stack_of_their_own(self, tmp_path):
         ds = load_dataset(mixed_ctx_slide(tmp_path / "slide"))

@@ -103,14 +103,23 @@ class TestBgftFormat:
                     min_size=1, max_size=3))
     def test_decode_inverts_encode(self, arrays):
         # records decode back to back; float32 values, signed zeros and
-        # infinities included, come back bit for bit
+        # infinities included, come back bit for bit, also decoded into a
+        # float32 array
         blob = b"".join(encode_bgft(a.astype(np.float64)) for a in arrays)
         offset = 0
         for expected in arrays:
+            out = np.empty(expected.shape, dtype=np.float32)
+            assert decode_bgft(blob, offset, out)[0] is out
+            assert out.tobytes() == expected.tobytes()
             back, offset = decode_bgft(blob, offset)
             assert back.dtype == np.float64 and back.shape == expected.shape
             assert back.astype(np.float32).tobytes() == expected.tobytes()
         assert offset == len(blob)
+
+    def test_decoding_into_an_array_of_another_shape_is_refused(self):
+        blob = encode_bgft(np.ones((3, 2)))
+        with pytest.raises(FormatError, match=r"\(3, 2\).*\(2, 3\)"):
+            decode_bgft(blob, 0, np.empty((2, 3), dtype=np.float32))
 
 
 DIMS = (("img", 4), ("edge", 3), ("nuc", 5))

@@ -950,7 +950,11 @@ def grouping_slides(tmp_path_factory):
     interior = [r * 8 + c for r in range(2, 6) for c in range(2, 6)][:10]
     # every stream wider than twice the tests' d_model of 16
     wide, _ = synth_dataset(5, 5, 6, 0.05, seed=29, stream_dims={"img": 40, "edge": 36, "nuc": 33})
+    # context sequences of up to 400 rows: 4 heads x 400^2 weights pass the
+    # default attention budget, so graph-free attention runs in row blocks
+    many, _ = synth_dataset(5, 5, 6, 0.05, seed=29, grid_tokens=16)
     return {"5x5": (five, 3, [0, 1, 6, 12, 24, 7, 2, 18, 11]),
+            "16 tokens": (many, 5, [0, 6, 12, 18, 24]),
             "8x8": (eight, 5, interior + [0, 63, 3, 9, 1]),
             "wide": (wide, 3, [0, 1, 6, 12, 24, 7, 2, 18, 11]),
             "varied": (varied_slide(tmp_path_factory.mktemp("varied")), 3,
@@ -994,15 +998,21 @@ class TestGroupedForward:
 
     @pytest.mark.parametrize("flags", [{}, {"drop_global": True, "drop_spot": True},
                                        {"no_edge_spot": True, "no_nuclei_ctx": True}])
-    @pytest.mark.parametrize("slide", ["5x5", "varied", "wide"])
-    def test_inference_matches_the_graph_forward(self, grouping_slides, slide, flags):
+    @pytest.mark.parametrize("slide, budget", [("5x5", None), ("varied", None), ("wide", None),
+                                               ("16 tokens", None), ("16 tokens", 1)],
+                             ids=["5x5", "varied", "wide", "16 tokens", "16 tokens-one query row"])
+    def test_inference_matches_the_graph_forward(self, grouping_slides, slide, budget, flags,
+                                                 monkeypatch):
         # on the wide slide forward_slide projects each read row once, and a
-        # graph forward unfolds keys and values per use
+        # graph forward unfolds keys and values per use; a budget of 1 runs
+        # graph-free attention one query row at a time
         ds, d_context, _ = grouping_slides[slide]
         cfg = slide_config(ds, **flags)
         params = drawn_params(cfg, 4, 6)
-        out = forward_slide(ds, params, cfg, d_context)
         ref = forward_batch(ds, params, cfg, d_context)
+        if budget is not None:
+            monkeypatch.setattr(ad, "ATTENTION_BLOCK", budget)
+        out = forward_slide(ds, params, cfg, d_context)
         assert set(out) == set(ref)
         for name, pred in out.items():
             assert_matches(pred, ref[name].data, name)

@@ -199,20 +199,41 @@ def mul(a, b):
     return _broadcast_op(a, b, np.multiply, lambda g: g * b.data, lambda g: g * a.data)
 
 
-# Attention weights, in floats across all heads, that one block of a pass
-# without a graph holds (see ``attention`` for the sweep it comes from).
+# Attention weights, in floats across all heads, that one block of an
+# attention op holds (see ``attention`` for the sweep it comes from).
 ATTENTION_BLOCK = 131_072
 
 
-def _attend(qh, kh, vh):
-    """Softmax attention of scaled queries ``qh`` (..., T, d_head) over
-    ``kh`` and ``vh`` (..., S, d_head), deferring the normalisation:
-    (E, 1/l, (E v) / l), with E = exp(logits - rowmax) and l = rowsum(E)."""
+def _exps(qh, kh, rowmax, find_max=False):
+    """E = exp(logits - ``rowmax``) for scaled queries ``qh`` (..., T, d_head)
+    and keys ``kh`` (..., S, d_head); with ``find_max``, the logits' row
+    maximum is first written to ``rowmax``."""
     exps = qh @ kh.swapaxes(-1, -2)
-    exps -= exps.max(axis=-1, keepdims=True)
+    if find_max:
+        np.max(exps, axis=-1, keepdims=True, out=rowmax)
+    exps -= rowmax
     np.exp(exps, out=exps)
-    inv_sum = 1.0 / exps.sum(axis=-1, keepdims=True)
-    return exps, inv_sum, (exps @ vh) * inv_sum
+    return exps
+
+
+def _attend(qh, kh, vh, rowmax, inv_sum, out):
+    """Softmax attention of scaled queries ``qh`` over ``kh`` and ``vh``
+    (..., S, d_head), deferring the normalisation: writes the logits' row
+    maximum to ``rowmax``, 1/l to ``inv_sum`` and (E v) / l to ``out``, and
+    returns E, with l = rowsum(E)."""
+    exps = _exps(qh, kh, rowmax, find_max=True)
+    np.divide(1.0, exps.sum(axis=-1, keepdims=True), out=inv_sum)
+    np.multiply(exps @ vh, inv_sum, out=out)
+    return exps
+
+
+def _put(view, x, row):
+    """Write ``x`` to ``view`` for a group's first block, whose first query
+    ``row`` is 0 or None; add it for a later row block of that group."""
+    if row:
+        view += x
+    else:
+        view[...] = x
 
 
 def _blocks(groups, rows, weights_per_row):
@@ -243,15 +264,25 @@ def attention(q, k, v, n_heads, groups=1, attn_sink=None):
     is (E v) / l, and backward scales g by 1/l and uses rowsum(dP * P) =
     rowsum(g * out), so neither pass forms the normalised (T, S) weights.
 
-    When no input requires a gradient and there is no sink, nothing keeps
-    the weights after the op, so the output is computed block by block, as
-    FlashAttention tiles it. Each block holds at most ``ATTENTION_BLOCK``
-    weights across all heads: as many whole groups as fit, or, where one
-    group alone is larger, as many query rows of that group as fit, at
-    least one. Whole-group blocks make the same BLAS calls as one block, so
-    their output is bit-identical; row blocks give BLAS fewer rows, which
-    moves the output by about 1e-15. A graph keeps the weights for backward
-    and a sink receives them all, so with either the op runs as one block.
+    The op runs in blocks, as FlashAttention tiles it. Each block holds at
+    most ``ATTENTION_BLOCK`` weights across all heads: as many whole groups
+    as fit, or, where one group alone is larger, as many query rows of that
+    group as fit, at least one. Whole-group blocks make the same BLAS calls
+    as one block, so their results are bit-identical; row blocks give BLAS
+    fewer rows, which moves outputs and gradients by about 1e-15.
+
+    - Without a graph nothing keeps the weights, so the forward runs block
+      by block.
+    - A graph op whose groups each fit the budget runs its forward as one
+      block and keeps E. Backward runs in whole-group blocks, so it holds
+      one block's logit gradient beside E.
+    - A graph op with a group larger than the budget runs its forward in
+      row blocks and keeps only each query row's max and 1/l. Backward
+      recomputes each row block's E from q, k and those, and sums dk and
+      dv over the blocks, so the op never holds more than two blocks of
+      weights.
+    - A sink receives every weight, so with one the forward runs as one
+      block.
 
     The budget comes from whole-slide ``forward_slide`` with d = 64, 4
     heads and D = 5, on a 20x20 slide at 4 tokens, 12x12 at 16 and 8x8 at
@@ -287,34 +318,49 @@ def attention(q, k, v, n_heads, groups=1, attn_sink=None):
     def split(x):
         return x.reshape(groups, -1, n_heads, d_head).transpose(0, 2, 1, 3)
 
-    def merge(x):
-        return x.transpose(0, 2, 1, 3).reshape(-1, d)
-
     qh, kh, vh = split(q.data) * scale, split(k.data), split(v.data)
-    if attn_sink is None and not any(t.requires_grad for t in (q, k, v)):
-        out = np.empty((groups, q.shape[0] // groups, n_heads, d_head))
-        heads = out.transpose(0, 2, 1, 3)
-        for g, r in _blocks(groups, qh.shape[2], n_heads * kh.shape[2]):
-            heads[g, :, r] = _attend(qh[g, :, r], kh[g], vh[g])[2]
-        return compose(out.reshape(-1, d), (q, k, v), None)
-
-    exps, inv_sum, out_h = _attend(qh, kh, vh)
+    rows, keys = qh.shape[2], kh.shape[2]
+    blocks = _blocks(groups, rows, n_heads * keys)
+    graph = any(t.requires_grad for t in (q, k, v))
+    keep = attn_sink is not None or graph and n_heads * rows * keys <= ATTENTION_BLOCK
+    out = np.empty(q.shape)
+    out_h = split(out)
+    rowmax, inv_sum = np.empty((2, groups, n_heads, rows, 1))
+    if keep:
+        exps = _attend(qh, kh, vh, rowmax, inv_sum, out_h)
+    else:
+        exps = None
+        for g, r in blocks:
+            _attend(qh[g, :, r], kh[g], vh[g], rowmax[g, :, r], inv_sum[g, :, r], out_h[g, :, r])
     if attn_sink is not None:
-        attn_sink.extend((exps * inv_sum).reshape(-1, *exps.shape[2:]))
+        attn_sink.extend((exps * inv_sum).reshape(-1, rows, keys))
 
-    def backward(g):
-        gh = split(g) * inv_sum
-        if v.requires_grad:
-            v._accumulate(merge(exps.swapaxes(2, 3) @ gh))
-        d_logits = gh @ vh.swapaxes(2, 3)
-        d_logits -= (gh * out_h).sum(axis=3, keepdims=True)
-        d_logits *= exps
-        if q.requires_grad:
-            q._accumulate(merge(d_logits @ kh) * scale)
-        if k.requires_grad:
-            k._accumulate(merge(d_logits.swapaxes(2, 3) @ qh))
+    def backward(grad):
+        gh = split(grad) * inv_sum
+        rowdot = (gh * out_h).sum(axis=3, keepdims=True)
+        dq, dk, dv = (np.empty(t.shape) if t.requires_grad else None for t in (q, k, v))
+        for g, r in blocks:
+            e = _exps(qh[g, :, r], kh[g], rowmax[g, :, r]) if exps is None else exps[g, :, r]
+            gb = gh[g, :, r]
+            if dv is not None:
+                _put(split(dv)[g], e.swapaxes(2, 3) @ gb, r.start)
+            d_logits = gb @ vh[g].swapaxes(2, 3)
+            d_logits -= rowdot[g, :, r]
+            d_logits *= e
+            if dq is not None:
+                split(dq)[g, :, r] = d_logits @ kh[g]
+            if dk is not None:
+                _put(split(dk)[g], d_logits.swapaxes(2, 3) @ qh[g, :, r], r.start)
+            del e, d_logits  # before the next block's are formed
+        if dv is not None:
+            v._accumulate(dv)
+        if dq is not None:
+            dq *= scale
+            q._accumulate(dq)
+        if dk is not None:
+            k._accumulate(dk)
 
-    return compose(merge(out_h), (q, k, v), backward)
+    return compose(out, (q, k, v), backward)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):

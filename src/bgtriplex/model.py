@@ -16,8 +16,9 @@ streams are projected per use through projections folded into their q/k/v
 weights; wide ones unfold, and a pass without a graph projects a wide token
 that overlapping context windows share only once. Inference
 (``forward_slide``) runs on detached weights and builds no graph, so it can
-split its chunks among forked processes, and each attention op holds at
-most ``autodiff.ATTENTION_BLOCK`` weights at a time, at any token count.
+split its chunks among forked processes. Each attention op works in blocks
+of at most ``autodiff.ATTENTION_BLOCK`` weights, and a training step keeps
+an op's weights for backward only where each spot's fit in one block.
 
 Every learned weight lives in one ordered ``name -> Tensor`` table
 (``ModelParams``); its order is defined once and fixes the initialization
@@ -45,9 +46,9 @@ MCA_WEIGHTS = ("w_q", "w_k_a", "w_v_a", "w_k_b", "w_v_b")
 # Spots per batched op within a shape group. It bounds the token rows one
 # chunk gathers and is the unit of work that whole-slide inference deals
 # out to forked processes; a training batch rarely fills it. Attention
-# weights are bounded per block by ``autodiff.ATTENTION_BLOCK`` in a pass
-# without a graph; a graph pass keeps a chunk's (spots x heads x window
-# rows squared) weights until backward.
+# weights are bounded per block by ``autodiff.ATTENTION_BLOCK``, except
+# that a graph pass keeps a chunk's (spots x heads x window rows squared)
+# weights until backward where each spot's fit in one block.
 CHUNK_SPOTS = 8
 # Multiply-adds that cost as much as gathering one float of a projected
 # row: graph-free passes project distinct rows once only past it (see
@@ -265,6 +266,7 @@ class Read:
 
     def project(self, x):
         """The raw token rows ``x`` through each weight, in weight order."""
+        x = np.asarray(x, dtype=np.float64)  # widened once, not once per weight
         if self.proj is not None:
             x = ad.matmul(x, self.proj)
         return [ad.matmul(x, w) for w in self.weights]
@@ -427,10 +429,12 @@ def forward_batch(dataset, params, config, d_context, spot_indices=None, workers
     pooled spot-branch (or, with ``drop_spot``, context-branch) token. A
     pass therefore reads only the windows of the requested spots.
 
-    A chunk gathers its spots' token rows at once. Its attention weights
-    are held whole only by a pass that builds a graph, until backward; a
-    pass that builds none computes each attention op in blocks of at most
-    ``autodiff.ATTENTION_BLOCK`` weights.
+    A chunk gathers its spots' token rows at once. Each attention op
+    computes its weights in blocks of at most ``autodiff.ATTENTION_BLOCK``
+    (see ``autodiff.attention``). A pass that builds a graph keeps an op's
+    weights until backward where each spot's fit in one block, as at 4
+    tokens a spot; where one spot's are larger, as at 16 tokens a spot with
+    4 heads and ``d_context`` 5, backward recomputes them block by block.
 
     A pass that builds no graph splits its chunks between this process and
     up to ``workers - 1`` forked ones (``parallel.fork_map``), which inherit

@@ -209,12 +209,13 @@ def attention_inputs(seed, groups, rows, keys, d=8):
 
 
 def record_blocks(monkeypatch):
-    """The (groups, query rows) of every block ``attention`` computes."""
+    """The (groups, query rows) of every block ``attention`` computes in its
+    forward."""
     blocks, real = [], ad._attend
 
-    def recording(qh, kh, vh):
+    def recording(qh, *rest):
         blocks.append((qh.shape[0], qh.shape[2]))
-        return real(qh, kh, vh)
+        return real(qh, *rest)
 
     monkeypatch.setattr(ad, "_attend", recording)
     return blocks
@@ -265,13 +266,6 @@ class TestAttentionBlocks:
         for got, want in zip(blocked, unblocked):
             assert got.shape == (3, 7) and got.tobytes() == want.tobytes()
 
-    def test_a_graph_op_runs_as_one_block(self, monkeypatch):
-        q, k, v = attention_inputs(34, 5, 3, 7)
-        monkeypatch.setattr(ad, "ATTENTION_BLOCK", 1)
-        seen = record_blocks(monkeypatch)
-        self.graph_op(q, k, v)
-        assert seen == [(5, 3)]
-
     def test_peak_memory_is_bounded_by_the_budget(self):
         # 8 groups x 4 heads x 400 x 400 weights: 41 MB held at once in one block
         q, k, v = (Tensor(x) for x in attention_inputs(35, 8, 400, 400, d=4))
@@ -283,6 +277,116 @@ class TestAttentionBlocks:
             tracemalloc.stop()
         # one block's weights and its scaled queries, output and row sums
         assert peak <= 2 * 8 * ad.ATTENTION_BLOCK
+
+
+def graph_grads(q, k, v, w, n_heads=2, groups=5, attn_sink=None):
+    """The gradients of mean(attention(q, k, v) * w) with respect to q, k
+    and v, and the output gradient that reached the op."""
+    inputs = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+    out = ad.attention(*inputs, n_heads, groups=groups, attn_sink=attn_sink)
+    ad.mean_all(ad.mul(out, w)).backward()
+    return [t.grad for t in inputs], np.full(out.shape, 1.0 / out.data.size) * w
+
+
+def one_block_grads(q, k, v, g, n_heads=2, groups=5):
+    """The gradients of q, k and v under output gradient ``g`` with every
+    group, head and query row in one block, as the op computed them before
+    its backward ran in blocks."""
+    d = q.shape[1]
+    d_head = d // n_heads
+    scale = 1.0 / math.sqrt(d_head)
+    split = lambda x: x.reshape(groups, -1, n_heads, d_head).transpose(0, 2, 1, 3)
+    merge = lambda x: x.transpose(0, 2, 1, 3).reshape(-1, d)
+    qh, kh, vh = split(q) * scale, split(k), split(v)
+    exps = qh @ kh.swapaxes(-1, -2)
+    exps -= exps.max(axis=-1, keepdims=True)
+    np.exp(exps, out=exps)
+    inv_sum = 1.0 / exps.sum(axis=-1, keepdims=True)
+    out_h = (exps @ vh) * inv_sum
+    gh = split(g) * inv_sum
+    d_v = merge(exps.swapaxes(2, 3) @ gh)
+    d_logits = gh @ vh.swapaxes(2, 3)
+    d_logits -= (gh * out_h).sum(axis=3, keepdims=True)
+    d_logits *= exps
+    return [merge(d_logits @ kh) * scale, merge(d_logits.swapaxes(2, 3) @ qh), d_v]
+
+
+class TestGraphAttentionBlocks:
+    """A graph op keeps its weights for backward only where each group fits
+    ``ATTENTION_BLOCK``; otherwise backward recomputes them block by block."""
+
+    @pytest.mark.parametrize("budget", [42, 100, 210, 10 ** 6])
+    def test_an_op_whose_groups_fit_keeps_one_forward_block(self, monkeypatch, budget):
+        # 5 groups of 3 query rows over 7 keys in 2 heads: 42 weights a group
+        q, k, v = attention_inputs(34, 5, 3, 7)
+        w = np.random.default_rng(34).normal(size=q.shape)
+        monkeypatch.setattr(ad, "ATTENTION_BLOCK", budget)
+        seen = record_blocks(monkeypatch)
+        grads, g = graph_grads(q, k, v, w)
+        assert seen == [(5, 3)]
+        # whole-group backward blocks make the one-block op's BLAS calls
+        for name, got, want in zip("qkv", grads, one_block_grads(q, k, v, g)):
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_an_op_whose_groups_fit_runs_its_backward_in_whole_group_blocks(self):
+        # 8 groups x 4 heads x 100 x 100 weights: 2.56 MB kept, 3 groups a block
+        q, k, v = (Tensor(x, requires_grad=True) for x in attention_inputs(36, 8, 100, 100, d=4))
+        loss = ad.mean_all(ad.attention(q, k, v, 4, groups=8))
+        tracemalloc.start()
+        try:
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one block's logit gradient (0.96 MB) and the (G*T, d) gradients;
+        # a second copy of the kept weights would take 2.56 MB
+        assert peak <= 1.5 * 8 * ad.ATTENTION_BLOCK
+
+    @pytest.mark.parametrize("budget, rows", [(41, [2, 1]), (28, [2, 1]), (20, [1, 1, 1]),
+                                              (1, [1, 1, 1])])
+    def test_an_op_past_the_budget_recomputes_its_row_blocks(self, monkeypatch, budget, rows):
+        q, k, v = attention_inputs(37, 5, 3, 7)
+        w = np.random.default_rng(37).normal(size=q.shape)
+        monkeypatch.setattr(ad, "ATTENTION_BLOCK", budget)
+        seen, real = [], ad._exps
+
+        def recording(qh, kh, rowmax, find_max=False):
+            seen.append((qh.shape[0], qh.shape[2], find_max))
+            return real(qh, kh, rowmax, find_max)
+
+        monkeypatch.setattr(ad, "_exps", recording)
+        grads, g = graph_grads(q, k, v, w)
+        # forward row blocks find each row's max; backward recomputes them
+        assert seen == [(1, r, True) for r in rows] * 5 + [(1, r, False) for r in rows] * 5
+        sunk, _ = graph_grads(q, k, v, w, attn_sink=[])
+        # BLAS sees fewer rows, and dk and dv sum over row blocks
+        for name, got, with_sink, want in zip("qkv", grads, sunk, one_block_grads(q, k, v, g)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max(),
+                                       err_msg=name)
+            np.testing.assert_allclose(with_sink, want, rtol=0,
+                                       atol=1e-14 * np.abs(want).max(), err_msg=name)
+        for i in range(3):
+            def f(t):
+                inputs = [Tensor(x) for x in (q, k, v)]
+                inputs[i] = t
+                return ad.mean_all(ad.mul(ad.attention(*inputs, 2, groups=5), w))
+
+            assert grad_check(f, Tensor((q, k, v)[i], requires_grad=True)) <= 1e-6
+
+    def test_peak_memory_of_an_op_and_its_backward_is_bounded_by_the_budget(self):
+        # 8 groups x 4 heads x 400 x 400 weights: two 41 MB arrays if an op
+        # kept its weights and backward formed its logit gradient at once
+        q, k, v = (Tensor(x, requires_grad=True)
+                   for x in attention_inputs(38, 8, 400, 400, d=4))
+        tracemalloc.start()
+        try:
+            ad.mean_all(ad.attention(q, k, v, 4, groups=8)).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # backward's recomputed weights and logit gradient, one block each
+        # (2.1 MB), beside under 1 MB of (G*T, d) arrays and row statistics
+        assert peak <= 4 * 8 * ad.ATTENTION_BLOCK
 
 
 class TestLayerNorm:

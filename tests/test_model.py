@@ -998,6 +998,25 @@ class TestGroupedForward:
 
     @pytest.mark.parametrize("flags", [{}, {"drop_global": True, "drop_spot": True},
                                        {"no_edge_spot": True, "no_nuclei_ctx": True}])
+    @pytest.mark.parametrize("slide, budget", [("5x5", 700), ("5x5", 1), ("8x8", 1), ("varied", 1),
+                                               ("wide", 1), ("16 tokens", None),
+                                               ("16 tokens", 1)],
+                             ids=["5x5-four query rows", "5x5-one query row", "8x8-one query row",
+                                  "varied-one query row", "wide-one query row", "16 tokens",
+                                  "16 tokens-one query row"])
+    def test_step_in_row_blocks_matches_spot_by_spot_reference(self, grouping_slides, slide,
+                                                               budget, flags, monkeypatch):
+        # a graph op whose groups pass the budget recomputes each row block's
+        # weights in backward: at 700, context windows of 36 rows run 4 query
+        # rows a block, and at the default budget so do the 16-token slide's
+        # context windows of up to 400 rows, 81 a block
+        ds, d_context, batch = grouping_slides[slide]
+        if budget is not None:
+            monkeypatch.setattr(ad, "ATTENTION_BLOCK", budget)
+        assert_step_matches_reference(ds, slide_config(ds, **flags), d_context, batch)
+
+    @pytest.mark.parametrize("flags", [{}, {"drop_global": True, "drop_spot": True},
+                                       {"no_edge_spot": True, "no_nuclei_ctx": True}])
     @pytest.mark.parametrize("slide, budget", [("5x5", None), ("varied", None), ("wide", None),
                                                ("16 tokens", None), ("16 tokens", 1)],
                              ids=["5x5", "varied", "wide", "16 tokens", "16 tokens-one query row"])
